@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyPostSelection
 from .fock import sample_counts
-from .gate_d4 import pipeline, run_cpf_d4
+from .gate_d4 import pipeline
 from .noise import IDEAL_DRAW, NoiseDraw, NoiseSpec
 from .protocol import BellOutcome, QuditState, cpf_oracle
 
@@ -132,7 +132,7 @@ def stabilizer_fidelity(e1: float, e2: float, e3: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ensemble runs through the pipeline
+# Experiments on the heralded channel
 
 
 def noise_draws(noise: NoiseSpec | None, n_draws: int) -> list[NoiseDraw]:
@@ -156,11 +156,6 @@ class BasisRun:
         return [f"{a}|{b}" for a, b in self.table.entries]
 
 
-def _measurement_probs(state: QuditState, table: BasisTable) -> np.ndarray:
-    vecs = [np.kron(v1, v4) for v1, v4 in table.vectors()]
-    return np.array([abs(np.vdot(v, state.amps)) ** 2 for v in vecs])
-
-
 def run_fidelity_experiment(
     basis: str | BasisTable,
     shots: int = 0,
@@ -169,28 +164,25 @@ def run_fidelity_experiment(
     n_draws: int = 32,
     seed: int = 0,
 ) -> BasisRun:
-    """Measure the flip pattern of one basis table through the full pipeline.
+    """Measure the flip pattern of one basis table on the heralded channel.
 
     ``shots == 0`` is analytic mode (exact outcome distributions); otherwise
     each input row is sampled with a multinomial of the given size.
     """
+    channel = _heralded_channel(noise, n_draws, accepted)
+    return _basis_run(basis, channel, shots, seed)
+
+
+def _basis_run(basis, channel: HeraldedChannel, shots: int, seed: int) -> BasisRun:
     table = basis_table(basis) if isinstance(basis, str) else basis
-    draws = noise_draws(noise, n_draws)
-    n = len(table.entries)
+    vectors = [np.kron(v1, v4) for v1, v4 in table.vectors()]
+    n = len(vectors)
     matrix = np.zeros((n, n))
     herald_mass = 0.0
     counts: dict = {}
-    for row, (v1, v4) in enumerate(table.vectors()):
-        probs = np.zeros(n)
-        herald = 0.0
-        for draw in draws:
-            run = run_cpf_d4(v1, v4, accepted=accepted, draw=draw)
-            for outcome, (state, p) in run.per_outcome.items():
-                probs += p * _measurement_probs(state, table)
-                herald += p
-        if herald > 0:
-            matrix[row] = probs / herald
-        herald_mass += herald / len(draws)
+    for row, v in enumerate(vectors):
+        matrix[row], herald = _outcome_probs(channel, v, vectors)
+        herald_mass += herald
         if shots:
             dist = {j: matrix[row, j] for j in range(n)}
             counts[row] = sample_counts(dist, shots, seed, experiment_id=row)
@@ -263,8 +255,9 @@ def full_fidelity_report(
     n_draws: int = 32,
     seed: int = 0,
 ) -> FidelityReport:
-    zx = run_fidelity_experiment("ZX", shots, noise, accepted, n_draws, seed)
-    xz = run_fidelity_experiment("XZ", shots, noise, accepted, n_draws, seed + 1)
+    channel = _heralded_channel(noise, n_draws, accepted)
+    zx = _basis_run("ZX", channel, shots, seed)
+    xz = _basis_run("XZ", channel, shots, seed + 1)
     return FidelityReport.from_runs(zx, xz)
 
 
@@ -328,27 +321,16 @@ def superposition_suite(
     three stabilizer averages.
     """
     table = superposition_table()
-    draws = noise_draws(noise, n_draws)
-    settings = stabilizer_settings()
+    channel = _heralded_channel(noise, n_draws, accepted)
     entries = []
     for row, (v1, v4) in enumerate(table.vectors()):
-        target = cpf_oracle(4) @ np.kron(v1, v4)
-        fid_num = 0.0
-        herald = 0.0
-        exps = {k: 0.0 for k in settings}
-        for draw in draws:
-            run = run_cpf_d4(v1, v4, accepted=accepted, draw=draw)
-            for outcome, (state, p) in run.per_outcome.items():
-                fid_num += p * abs(np.vdot(target, state.amps)) ** 2
-                herald += p
-                if row == 6:
-                    for k, op in settings.items():
-                        exps[k] += p * float(
-                            np.vdot(state.amps, op @ state.amps).real
-                        )
-        fidelity = fid_num / herald if herald else 0.0
+        v = np.kron(v1, v4)
+        (fidelity,), herald = _outcome_probs(channel, v, [cpf_oracle(4) @ v])
         if row == 6 and herald:
-            exps = {k: v / herald for k, v in exps.items()}
+            exps = {}
+            for k, op in stabilizer_settings().items():
+                eigvals, eigvecs = np.linalg.eigh(op)
+                exps[k] = float(eigvals @ _outcome_probs(channel, v, eigvecs.T)[0])
             entries.append(SuiteEntry(
                 row + 1, table.entries[row], fidelity, exps,
                 stabilizer_fidelity(exps["zx"], exps["xz"], exps["yy"]),
@@ -382,21 +364,42 @@ def build_heralded_channel(
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
 ) -> HeraldedChannel:
     """Average the per-draw heralded transfer operators into one channel."""
-    draws = noise_draws(noise, n_draws)
-    pipe = pipeline()
-    kraus = []
-    w = 1.0 / len(draws)
-    for draw in draws:
-        if draw.lost:
-            continue
-        for (outcome, _pattern), k in pipe.transfer_operators(draw).items():
-            if outcome in accepted:
-                kraus.append(math.sqrt(w) * k)
-    if not kraus:
+    channel = _heralded_channel(noise, n_draws, accepted)
+    if not channel.kraus:
         raise EmptyPostSelection("every sampled shot lost a photon")
+    return channel
+
+
+def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> HeraldedChannel:
+    """Kraus operators of the draw-averaged heralded gate, each weighted by
+    its draw's share.  The draws without noise share one weighted operator
+    set; lost draws herald nothing, so every draw lost gives no operators
+    and herald probability 0."""
+    draws = noise_draws(noise, n_draws)
+    w = 1.0 / len(draws)
+    n_ideal = sum(d.trivial for d in draws)
+    weighted = [(w * n_ideal, IDEAL_DRAW)] if n_ideal else []
+    weighted += [(w, d) for d in draws if not (d.trivial or d.lost)]
+    pipe = pipeline()
+    kraus = [math.sqrt(weight) * k
+             for weight, draw in weighted
+             for (outcome, _pattern), k in pipe.transfer_operators(draw).items()
+             if outcome in accepted]
     gram = sum(k.conj().T @ k for k in kraus)
-    herald = float(np.trace(gram).real / 16.0)
+    herald = float(np.trace(gram).real / 16.0) if kraus else 0.0
     return HeraldedChannel(kraus, herald)
+
+
+def _outcome_probs(channel: HeraldedChannel, v: np.ndarray, outputs) -> tuple:
+    """Heralded probability of each output vector w for input v,
+    sum_k |<w|K v>|^2 / sum_k ||K v||^2, and the herald sum_k ||K v||^2
+    (all zero when nothing heralds)."""
+    kv = np.array([k @ v for k in channel.kraus]).reshape(-1, len(v))
+    herald = float(np.sum(np.abs(kv) ** 2))
+    if herald == 0.0:
+        return np.zeros(len(outputs)), 0.0
+    amps = np.conj(np.asarray(outputs)) @ kv.T
+    return np.sum(np.abs(amps) ** 2, axis=1) / herald, herald
 
 
 def process_fidelity(channel: HeraldedChannel, unitary: np.ndarray) -> float:
@@ -409,11 +412,7 @@ def channel_classical_fidelity(
     channel: HeraldedChannel, inputs: list, targets: list
 ) -> float:
     """Mean probability of the target output over a set of input states."""
-    acc = 0.0
-    for v, t in zip(inputs, targets):
-        num = sum(abs(np.vdot(t, k @ v)) ** 2 for k in channel.kraus)
-        den = sum(float(np.vdot(k @ v, k @ v).real) for k in channel.kraus)
-        acc += num / den
+    acc = sum(_outcome_probs(channel, v, [t])[0][0] for v, t in zip(inputs, targets))
     return float(acc / len(inputs))
 
 
@@ -445,13 +444,5 @@ def channel_bounds(channel: HeraldedChannel, pair: str = "zx") -> tuple[float, f
 
 def loss_scaled_heralding(noise: NoiseSpec, n_draws: int = 200) -> float:
     """Monte Carlo heralding probability including loss-failed shots."""
-    draws = noise_draws(noise, n_draws)
-    total = 0.0
-    for draw in draws:
-        if draw.lost:
-            continue
-        run = run_cpf_d4(STATE_VECTORS["z0"], STATE_VECTORS["z0"], draw=draw,
-                         accepted=frozenset({BellOutcome.PhiPlus,
-                                             BellOutcome.PhiMinus}))
-        total += run.heralding_probability
-    return total / len(draws)
+    both = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
+    return _heralded_channel(noise, n_draws, both).herald_probability

@@ -25,6 +25,10 @@ class EmptyPostSelection(CpfSimError):
     """Post-selection pattern keeps no amplitude at all."""
 
 
+class PatternMismatch(CpfSimError):
+    """Two analyzer patterns of one Bell outcome herald different states."""
+
+
 class BasisIncomplete(CpfSimError):
     """Measurement resolution does not cover the occupied subspace."""
 

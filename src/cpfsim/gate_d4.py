@@ -25,7 +25,8 @@ import numpy as np
 
 from . import conventions as conv
 from . import elements as el
-from .errors import EmptyPostSelection, EncodingError, TruncationOverflow
+from .errors import (EmptyPostSelection, EncodingError, PatternMismatch,
+                     TruncationOverflow)
 from .fock import (
     DetectionPattern,
     MultiPhotonState,
@@ -44,7 +45,7 @@ from .modes import (
     compose_transforms,
 )
 from .noise import IDEAL_DRAW, NoiseDraw, NoiseSpec
-from .protocol import BellOutcome, QuditState, correction_factors
+from .protocol import BellOutcome, QuditState, correction_unitary
 
 # Qudit alphabet: level index -> azimuthal index.
 LEVEL_TO_OAM = (-2, -1, 0, 1)
@@ -52,26 +53,6 @@ OAM_TO_LEVEL = {l: i for i, l in enumerate(LEVEL_TO_OAM)}
 AUX_P = 1        # auxiliary subspace index; l = -1
 AUX_TOP = 3      # top level d-1; l = +1
 DEFAULT_TRUNCATION = 4
-
-
-# ---------------------------------------------------------------------------
-# O_k-CNOT composites
-
-
-@dataclass(frozen=True)
-class OkCnot:
-    """Single-photon polarization-OAM entangling composite of order k."""
-
-    k: int
-    transform: ModeTransform
-
-
-def build_ok_cnot(k: int, space: ModeSpace, path: str) -> OkCnot:
-    if k == 1:
-        return OkCnot(1, el.o1_cnot(space, path))
-    if k == 2:
-        return OkCnot(2, el.o2_cnot(space, path))
-    raise ValueError(f"CNOT order k={k} not in {{1, 2}}")
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +542,12 @@ class CpfPipeline:
         # chain is draw independent.
         self._overflow = compose_transforms([self._pre, self._post]).overflow
         self._jitter_paths = ("P21", "P22")
-        self._analyzers = {
-            ("E1",): self.stage.analyzer_basis("E1"),
-            ("E2",): self.stage.analyzer_basis("E2"),
-        }
+        self._analyzers = (self.stage.analyzer_basis("E1"),
+                           self.stage.analyzer_basis("E2"))
         self._pattern = DetectionPattern.from_dict({p: 1 for p in self.PORTS})
+        # Noise-free draws all share these operators: loss deletes whole
+        # shots and never touches amplitudes.
+        self._ideal = self._pattern_operators(IDEAL_DRAW)
 
     # -- state assembly ----------------------------------------------------
 
@@ -593,8 +575,6 @@ class CpfPipeline:
     def _draw_matrix(self, draw: NoiseDraw) -> np.ndarray:
         pre = self._pre.matrix
         post = self._post.matrix
-        if draw.trivial:
-            return post @ pre
         col_scale = np.ones(self.space.dim, dtype=complex)
         for photon_axis, path in ((0, "A1"), (1, "A2")):
             for level, phi in enumerate(draw.dephasing[photon_axis]):
@@ -617,12 +597,68 @@ class CpfPipeline:
 
     # -- runs ----------------------------------------------------------------
 
+    def _pattern_operators(self, draw: NoiseDraw) -> dict:
+        """The Fock-engine pipeline, one basis input at a time.
+
+        Returns {analyzer pattern: R} with R the 16x16 matrix taking joint
+        input amplitudes to the uncorrected (C1, C2) amplitudes that pattern
+        heralds, in analyzer order; patterns that never fire are dropped.
+        """
+        composed = self._composed(draw)
+        e1, e2 = self._analyzers
+        ops = {(s1, s2): np.zeros((16, 16), dtype=complex)
+               for s1, _ in e1 for s2, _ in e2}
+        for col in range(16):
+            c = np.zeros(16, dtype=complex)
+            c[col] = 1.0
+            state = apply_transform(composed, self.inject(c.reshape(4, 4)))
+            try:
+                selected, p_ports = post_select(state, self._pattern)
+            except EmptyPostSelection:
+                continue
+            for s1, v1 in e1:
+                partial, p1 = project_group(selected, ("E1",), v1)
+                if p1 <= 0.0:
+                    continue
+                for s2, v2 in e2:
+                    reduced, p2 = project_group(partial, ("E2",), v2)
+                    joint = p_ports * p1 * p2
+                    if joint > 1e-30:
+                        ops[(s1, s2)][:, col] = (
+                            self._reduced_to_qudits(reduced).reshape(-1)
+                            * math.sqrt(joint))
+        return {p: k for p, k in ops.items() if k.any()}
+
+    def transfer_operators(self, draw: NoiseDraw = IDEAL_DRAW) -> dict:
+        """Unnormalized heralded transfer matrix per Bell outcome and pattern.
+
+        Returns {(outcome, pattern): K} with K the 16x16 matrix taking joint
+        input amplitudes to corrected heralded amplitudes; Kraus operators of
+        the heralded channel up to the common normalization.  The only place
+        the pipeline runs on the Fock engine: every run and analysis of the
+        gate is algebra on these operators.
+        """
+        if draw.lost:
+            return {}
+        raw = self._ideal if draw.trivial else self._pattern_operators(draw)
+        kraus = {}
+        for pattern, r in raw.items():
+            outcome = self.stage.decode(pattern)
+            if outcome is not None:
+                kraus[(outcome, pattern)] = correction_unitary(outcome, 4) @ r
+        return kraus
+
     def run(
         self,
         c_matrix: np.ndarray,
         accepted=frozenset({BellOutcome.PhiPlus}),
         draw: NoiseDraw = IDEAL_DRAW,
     ) -> HeraldedRun:
+        """Heralded outcomes of one joint input under one noise draw.
+
+        Each outcome keeps its first pattern's state; a second pattern of the
+        same outcome must herald the same state up to a global phase.
+        """
         accepted = frozenset(accepted)
         unknown = accepted - self.stage.distinguishable
         if unknown:
@@ -630,39 +666,32 @@ class CpfPipeline:
                 f"outcomes {sorted(o.value for o in unknown)} are not"
                 " unambiguously distinguished by the measurement stage"
             )
-        if draw.lost:
-            return HeraldedRun({}, {}, accepted, 0.0)
-        state = self.inject(c_matrix)
-        state = apply_transform(self._composed(draw), state)
-        try:
-            selected, p_ports = post_select(state, self._pattern)
-        except EmptyPostSelection:
-            return HeraldedRun({}, {}, accepted, 0.0)
+        c = np.asarray(c_matrix, dtype=complex)
+        if c.shape != (4, 4):
+            raise EncodingError("joint input must be a 4x4 amplitude matrix")
+        c = c.reshape(-1) / np.linalg.norm(c)
+        port_prob = 0.0
         pattern_probs = {}
         collected: dict[BellOutcome, list] = {}
-        for s1, v1 in self._analyzers[("E1",)]:
-            partial, p1 = project_group(selected, ("E1",), v1)
-            if p1 <= 0.0:
+        for (outcome, pattern), k in self.transfer_operators(draw).items():
+            amps = k @ c
+            joint = float(np.vdot(amps, amps).real)
+            port_prob += joint
+            if joint <= 1e-30:
                 continue
-            for s2, v2 in self._analyzers[("E2",)]:
-                reduced, p2 = project_group(partial, ("E2",), v2)
-                joint = p_ports * p1 * p2
-                if joint <= 1e-30:
-                    continue
-                pattern_probs[(s1, s2)] = joint
-                outcome = self.stage.decode((s1, s2))
-                if outcome is None or outcome not in accepted:
-                    continue
-                amps = self._reduced_to_qudits(reduced) * math.sqrt(joint)
+            pattern_probs[pattern] = joint
+            if outcome in accepted:
                 collected.setdefault(outcome, []).append(amps)
         per_outcome = {}
         for outcome, chunks in collected.items():
-            prob = float(sum(np.sum(np.abs(c) ** 2) for c in chunks))
-            u1, u4 = correction_factors(outcome, 4)
-            rep = u1 @ chunks[0] @ u4.T
-            rep = rep / np.linalg.norm(rep)
-            per_outcome[outcome] = (QuditState.from_matrix(rep), prob)
-        return HeraldedRun(per_outcome, pattern_probs, accepted, p_ports)
+            first = chunks[0] / np.linalg.norm(chunks[0])
+            for other in chunks[1:]:
+                if abs(np.vdot(first, other)) ** 2 < (1 - 1e-9) * np.vdot(other, other).real:
+                    raise PatternMismatch(
+                        f"analyzer patterns of {outcome.value} herald different states")
+            prob = float(sum(np.sum(np.abs(a) ** 2) for a in chunks))
+            per_outcome[outcome] = (QuditState(4, first), prob)
+        return HeraldedRun(per_outcome, pattern_probs, accepted, port_prob)
 
     def _reduced_to_qudits(self, reduced: MultiPhotonState) -> np.ndarray:
         """Two-photon state on (C1, C2) as a 4x4 qudit amplitude matrix."""
@@ -676,46 +705,6 @@ class CpfPipeline:
                 levels[mode.path] = OAM_TO_LEVEL[mode.oam]
             out[levels["C1"], levels["C2"]] = amp
         return out
-
-    def transfer_operators(self, draw: NoiseDraw = IDEAL_DRAW) -> dict:
-        """Unnormalized heralded transfer matrix per Bell outcome and pattern.
-
-        Returns {(outcome, pattern): K} with K the 16x16 matrix taking joint
-        input amplitudes to corrected heralded amplitudes; Kraus operators of
-        the heralded channel up to the common normalization.
-        """
-        if draw.lost:
-            return {}
-        composed = self._composed(draw)
-        kraus: dict = {}
-        for m in range(4):
-            for n in range(4):
-                c = np.zeros((4, 4), dtype=complex)
-                c[m, n] = 1.0
-                state = apply_transform(composed, self.inject(c))
-                try:
-                    selected, p_ports = post_select(state, self._pattern)
-                except EmptyPostSelection:
-                    continue
-                for s1, v1 in self._analyzers[("E1",)]:
-                    partial, p1 = project_group(selected, ("E1",), v1)
-                    if p1 <= 0.0:
-                        continue
-                    for s2, v2 in self._analyzers[("E2",)]:
-                        reduced, p2 = project_group(partial, ("E2",), v2)
-                        joint = p_ports * p1 * p2
-                        if joint <= 1e-30:
-                            continue
-                        outcome = self.stage.decode((s1, s2))
-                        if outcome is None:
-                            continue
-                        u1, u4 = correction_factors(outcome, 4)
-                        block = u1 @ (self._reduced_to_qudits(reduced)
-                                      * math.sqrt(joint)) @ u4.T
-                        key = (outcome, (s1, s2))
-                        k = kraus.setdefault(key, np.zeros((16, 16), dtype=complex))
-                        k[:, m * 4 + n] = block.reshape(-1)
-        return kraus
 
 
 _PIPELINE_CACHE: dict = {}

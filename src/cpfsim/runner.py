@@ -26,7 +26,8 @@ from .fock import (
     post_select,
     sample_counts,
 )
-from .gate_d4 import prepare_auxiliary, prepare_input, qudit_amplitudes, run_cpf_d4
+from .gate_d4 import (DEFAULT_TRUNCATION, prepare_auxiliary, prepare_input,
+                      qudit_amplitudes, run_cpf_d4)
 from .locking import DriftModel, LockParams, PidGains, simulate_lock
 from .modes import ModeSpace
 from .netlist import Netlist, ParseResult, parse_netlist, serialize
@@ -128,6 +129,10 @@ def _input_vector(recipe: str) -> np.ndarray:
 
 
 def _run_cpf(nl: Netlist) -> RunResult:
+    if nl.truncation != DEFAULT_TRUNCATION:
+        raise NetlistError(f"task cpf_d4 runs at truncation {DEFAULT_TRUNCATION} only")
+    if "draws" in nl.noise:
+        raise NetlistError("task cpf_d4 runs one noise draw; noise.draws is for task fidelity")
     for name in ("photon2", "photon3"):
         src = nl.sources.get(name)
         if src is not None and src.recipe != "aux":

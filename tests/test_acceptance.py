@@ -266,8 +266,8 @@ def noisy_channels(pipe):
            " (arm jitter, OAM dephasing, auxiliary dephasing) dephases across"
            " the parity split without reducing either classical fidelity, and"
            " the true process fidelity falls below the reported lower bound."
-           " See notes/decisions.md; the conjugate-basis companion test"
-           " passes.",
+           " See README.md, section 'Install and test'; the conjugate-basis"
+           " companion test passes.",
 )
 def test_criterion_6c_containment_random_noise(noisy_channels):
     u = cpf_oracle(4)

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from cpfsim.errors import EncodingError
-from cpfsim.fock import DetectionPattern, apply_transform, from_joint_amplitudes, post_select
+from cpfsim import elements as el
+from cpfsim.errors import EncodingError, PatternMismatch
+from cpfsim.fock import (
+    DetectionPattern,
+    apply_transform,
+    from_joint_amplitudes,
+    post_select,
+    project_group,
+)
 from cpfsim.gate_d4 import (
+    LEVEL_TO_OAM,
     PREPARATION_TABLE,
     auxiliary_target,
     build_bsm_stage,
     build_hd_beamsplitter,
-    build_ok_cnot,
     encode_qudit_vector,
     prepare_auxiliary,
     prepare_input,
@@ -19,7 +26,15 @@ from cpfsim.gate_d4 import (
 )
 from cpfsim.fock import outcome_distribution
 from cpfsim.modes import Mode, ModeSpace, SinglePhotonState, apply_to_single_photon
-from cpfsim.protocol import AuxiliaryConfig, BellOutcome, QuditState, cpf_oracle, run_protocol
+from cpfsim.noise import IDEAL_DRAW, NoiseSpec
+from cpfsim.protocol import (
+    AuxiliaryConfig,
+    BellOutcome,
+    QuditState,
+    correction_factors,
+    cpf_oracle,
+    run_protocol,
+)
 
 S2 = 1 / math.sqrt(2)
 BOTH = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
@@ -53,11 +68,11 @@ def o2_expected(pol, l):
 @pytest.mark.parametrize("k,oracle", [(1, o1_expected), (2, o2_expected)])
 def test_ok_cnot_matches_closed_form(k, oracle, splitter_space):
     sp = splitter_space
-    cnot = build_ok_cnot(k, sp, "A")
-    assert cnot.transform.kind == "unitary"
+    cnot = {1: el.o1_cnot, 2: el.o2_cnot}[k](sp, "A")
+    assert cnot.kind == "unitary"
     for l in range(-4, 5):
         for pol in ("H", "V"):
-            out = apply_to_single_photon(cnot.transform, ket(sp, "A", pol, l))
+            out = apply_to_single_photon(cnot, ket(sp, "A", pol, l))
             ref = np.zeros(sp.dim, dtype=complex)
             for (pol2, l2), amp in oracle(pol, l).items():
                 ref[sp.index(Mode("A", pol2, l2))] = amp
@@ -66,16 +81,14 @@ def test_ok_cnot_matches_closed_form(k, oracle, splitter_space):
 
 def test_ok_cnot_spot_values(splitter_space):
     sp = splitter_space
-    o1 = build_ok_cnot(1, sp, "A").transform
+    o1 = el.o1_cnot(sp, "A")
     out = apply_to_single_photon(o1, ket(sp, "A", "H", 1))
     assert abs(out.amps[sp.index(Mode("A", "V", -1))] + 1j) < 1e-12
-    o2 = build_ok_cnot(2, sp, "A").transform
+    o2 = el.o2_cnot(sp, "A")
     out = apply_to_single_photon(o2, ket(sp, "A", "H", 1))
     assert abs(out.amps[sp.index(Mode("A", "V", -1))] - 1j) < 1e-12
     out = apply_to_single_photon(o2, ket(sp, "A", "V", 1))
     assert abs(out.amps[sp.index(Mode("A", "H", -1))] + 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        build_ok_cnot(3, sp, "A")
 
 
 # --------------------------------------------------------------------------
@@ -291,6 +304,64 @@ def test_accepted_subset_scales_probability(pipe):
     run = run_cpf_d4([1, 0, 0, 0], [1, 0, 0, 0],
                      accepted={BellOutcome.PhiPlus})
     assert abs(run.heralding_probability - 1 / 16) < 1e-10
+
+
+def _fock_patterns(pipe, c, draw):
+    """Direct Fock evolution of one joint input: {pattern: (probability,
+    corrected heralded amplitudes, unnormalized)} for every analyzer pattern."""
+    state = apply_transform(pipe._composed(draw), pipe.inject(c))
+    selected, p_ports = post_select(
+        state, DetectionPattern.from_dict({p: 1 for p in pipe.PORTS}))
+    out = {}
+    for s1, v1 in pipe.stage.analyzer_basis("E1"):
+        partial, p1 = project_group(selected, ("E1",), v1)
+        for s2, v2 in pipe.stage.analyzer_basis("E2"):
+            reduced, p2 = project_group(partial, ("E2",), v2)
+            amps = np.zeros((4, 4), dtype=complex)
+            for cfg, amp in reduced.terms.items():
+                levels = {pipe.space.mode(i).path: LEVEL_TO_OAM.index(pipe.space.mode(i).oam)
+                          for i in cfg}
+                amps[levels["C1"], levels["C2"]] = amp
+            u1, u4 = correction_factors(pipe.stage.decode((s1, s2)), 4)
+            p = p_ports * p1 * p2
+            out[(s1, s2)] = (p, (u1 @ amps @ u4.T).reshape(-1) * math.sqrt(p))
+    return out
+
+
+def test_run_matches_direct_fock_evolution(pipe):
+    """``run`` is algebra on transfer operators built from basis inputs; on
+    random joint inputs and noisy draws it must agree with evolving the
+    input itself through the Fock engine."""
+    rng = np.random.default_rng(2026)
+    spec = NoiseSpec(sigma_zeta=0.4, oam_dephasing=0.3, visibility=0.8, seed=17)
+    for draw in [IDEAL_DRAW] + spec.draws(3):
+        for _ in range(2):
+            c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            c /= np.linalg.norm(c)
+            run = pipe.run(c, accepted=BOTH, draw=draw)
+            direct = _fock_patterns(pipe, c, draw)
+            assert set(run.pattern_probs) == set(direct)
+            assert abs(run.port_pattern_prob - sum(p for p, _ in direct.values())) < 1e-12
+            for pattern, (p, amps) in direct.items():
+                assert abs(run.pattern_probs[pattern] - p) < 1e-12
+                state = run.heralded_state(pipe.stage.decode(pattern)).amps
+                assert abs(abs(np.vdot(state, amps)) ** 2 / p - 1.0) < 1e-12
+            for outcome, (state, p) in run.per_outcome.items():
+                first = next(pt for pt in direct if pipe.stage.decode(pt) == outcome)
+                p_first, amps = direct[first]
+                assert np.max(np.abs(state.amps - amps / math.sqrt(p_first))) < 1e-12
+                assert abs(p - sum(q for pt, (q, _) in direct.items()
+                                   if pipe.stage.decode(pt) == outcome)) < 1e-12
+
+
+def test_run_rejects_patterns_heralding_different_states(pipe, monkeypatch):
+    kraus = pipe.transfer_operators()
+    key = next(k for k in kraus if k[0] is BellOutcome.PhiPlus and k[1] != ("+", "+"))
+    swap = np.eye(16)[[1, 0] + list(range(2, 16))]
+    monkeypatch.setattr(pipe, "transfer_operators",
+                        lambda draw: {**kraus, key: swap @ kraus[key]})
+    with pytest.raises(PatternMismatch):
+        pipe.run(np.eye(4) / 2, accepted=BOTH)
 
 
 def test_encode_decode_round_trip(rng):

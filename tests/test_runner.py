@@ -110,6 +110,32 @@ def test_execute_rejects_aux_data_photon(cpf_netlist):
         execute(nl)
 
 
+def test_cpf_rejects_other_truncation(cpf_netlist):
+    nl = parse_netlist(serialize(cpf_netlist)).netlist
+    nl.truncation = 6
+    with pytest.raises(NetlistError, match="truncation"):
+        execute(nl)
+
+
+def test_cpf_rejects_noise_draws(cpf_netlist):
+    nl = parse_netlist(serialize(cpf_netlist)).netlist
+    nl.noise["draws"] = 8
+    with pytest.raises(NetlistError, match="draws"):
+        execute(nl)
+
+
+def test_fidelity_with_every_draw_lost():
+    nl = parse_netlist(
+        "version 1\n[run]\ntask fidelity\nmode analytic\nshots 0\nseed 3\n"
+        "noise.loss 1\nnoise.draws 4\n"
+    ).netlist
+    rr = execute(nl)
+    assert rr.heralding_probability == 0.0
+    for name in ("matrix_zx", "matrix_xz"):
+        assert rr.fidelity[name] == [[0.0] * 16] * 16
+    assert rr.fidelity["bounds"] == {"lower": 0.0, "upper": 0.0}
+
+
 def test_emit_files(tmp_path, cpf_netlist, pipe):
     rr = execute(cpf_netlist)
     paths = emit(rr, "both", tmp_path, "demo")
