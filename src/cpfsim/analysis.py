@@ -185,7 +185,8 @@ def _basis_run(basis, channel: HeraldedChannel, shots: int, seed: int) -> BasisR
         herald_mass += herald
         if shots:
             dist = {j: matrix[row, j] for j in range(n)}
-            counts[row] = sample_counts(dist, shots, seed, experiment_id=row)
+            counts[row] = (sample_counts(dist, shots, seed, experiment_id=row)
+                           if herald else dict.fromkeys(dist, 0))
     herald_probability = herald_mass / n
     if shots:
         est = [
@@ -309,7 +310,6 @@ class SuiteEntry:
 
 
 def superposition_suite(
-    shots: int = 0,
     noise: NoiseSpec | None = None,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
     n_draws: int = 32,

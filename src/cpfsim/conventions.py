@@ -50,5 +50,5 @@ BSM_ARM3_TRIM = math.pi / 4
 
 # Numerical policy.
 PRUNE_TOL = 1e-12     # amplitudes below this are dropped after each transform
-UNITARY_TOL = 1e-10   # tolerance for unitarity / isometry / projector checks
+UNITARY_TOL = 1e-10   # tolerance for unitarity / projector checks
 NORM_TOL = 1e-10      # tolerance for normalization checks

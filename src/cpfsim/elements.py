@@ -30,6 +30,7 @@ from .modes import (
 )
 
 OVERFLOW = object()  # sentinel: image of a mode leaves the truncation window
+_SHIFT_TOL = 1e-12  # an OAM shift this close to an integer is that integer
 
 
 def _single_path(space: ModeSpace, path: str, fn, kind, provenance) -> ModeTransform:
@@ -91,7 +92,7 @@ _L = np.array([1.0, -1j]) / math.sqrt(2)
 def qplate(space, path, q) -> ModeTransform:
     """q-plate: swaps circular polarization handedness and shifts l by +-2q."""
     shift = 2 * q
-    if abs(shift - round(shift)) > 1e-12:
+    if abs(shift - round(shift)) > _SHIFT_TOL:
         raise UnknownElement(
             f"QP(q={q}) shifts l by {shift}, not an integer; fractional charges "
             "are handled by direct state constructors instead"
@@ -124,7 +125,7 @@ def qplate(space, path, q) -> ModeTransform:
 
 def spp(space, path, dl) -> ModeTransform:
     """Spiral phase plate: shifts the azimuthal index by the integer ``dl``."""
-    dl = int(dl)
+    dl = int(round(dl))
     lim = space.truncation
 
     def fn(pol, oam):
@@ -189,18 +190,9 @@ def oam_phase(space, path, phases: dict) -> ModeTransform:
 
 def polarizer(space, path, angle) -> ModeTransform:
     """Linear polarizer projecting onto cos(a) H + sin(a) V."""
-    c, s = math.cos(angle), math.sin(angle)
-    vec = np.array([c, s], dtype=complex)
-    proj = np.outer(vec, vec.conj())
-    m = np.eye(space.dim, dtype=complex)
-    for j in space.path_indices(path):
-        mode = space.mode(int(j))
-        col = proj[:, POLS.index(mode.pol)]
-        m[:, j] = 0.0
-        for i in range(2):
-            if abs(col[i]) > 0:
-                m[space.index(Mode(path, POLS[i], mode.oam)), j] = col[i]
-    return ModeTransform(space, m, KIND_PROJECTOR, f"POL(angle={angle:g}) @ {path}")
+    vec = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+    return _pol_matrix_element(space, path, np.outer(vec, vec.conj()),
+                               f"POL(angle={angle:g}) @ {path}", KIND_PROJECTOR)
 
 
 def pbs(space, in_ports, out_ports) -> ModeTransform:
@@ -421,65 +413,80 @@ def parse_descriptor(text: str) -> ElementSpec:
     return ElementSpec(m.group("kind").upper(), tuple(params), paths)
 
 
-_FIXED_ARITY = {
-    "HWP": ("angle",),
-    "QWP": ("angle",),
-    "QP": ("q",),
-    "SPP": ("dl",),
-    "DP": ("angle",),
-    "POL": ("angle",),
-    "PATHPHASE": ("phase",),
-    "INTERF": ("angle",),
+REQUIRED = object()  # default of a parameter the descriptor must give
+
+# Descriptor kind -> (builder name in this module, ((parameter, default), ...)).
+# PBS binds its ports through in=/out=; every other kind binds one ``@ path``.
+# Builders are looked up by name at call time, so a wrapped builder sees every
+# call.  POL is no descriptor: a projector cannot act inside an element chain.
+CATALOGUE = {
+    "HWP": ("hwp", (("angle", REQUIRED),)),
+    "QWP": ("qwp", (("angle", REQUIRED),)),
+    "QP": ("qplate", (("q", REQUIRED),)),
+    "SPP": ("spp", (("dl", REQUIRED),)),
+    "DP": ("dove_prism", (("angle", REQUIRED),)),
+    "PP": ("phase_plate", (("phase", conv.PHASE_PLATE_DEFAULT),)),
+    "DL": ("delay_line", ()),
+    "MIRROR": ("mirror", ()),
+    "PATHPHASE": ("path_phase", (("phase", REQUIRED),)),
+    "INTERF": ("parity_interferometer", (("angle", REQUIRED),)),
+    "PBS": ("pbs", (("in", REQUIRED), ("out", REQUIRED))),
+    "O1CNOT": ("o1_cnot", ()),
+    "O2CNOT": ("o2_cnot", ()),
 }
+_PORTS = ("in", "out")       # parameters that list two distinct paths
+_SHIFTS = {"q": 2, "dl": 1}  # l moves by factor * value, which must be an integer
+_MAX_VALUE = 2.0 ** 52       # beyond it adjacent doubles lie a radian or more apart
+
+
+def spec_problem(spec: ElementSpec) -> str | None:
+    """Why ``spec`` cannot be built, or None; never raises.
+
+    The one check behind :func:`element_transform` and netlist validation.
+    Paths outside a mode space are left to the builder (SpaceMismatch).
+    """
+    kind = spec.kind
+    if kind not in CATALOGUE:
+        return f"unknown element kind {kind!r}"
+    params = dict(CATALOGUE[kind][1])
+    given = [k for k, _ in spec.params]
+    for k in given:
+        if k not in params:
+            return f"{kind} takes no parameter {k!r}"
+        if given.count(k) > 1:
+            return f"{kind} repeats parameter {k!r}"
+    for name, default in params.items():
+        v = spec.param(name, default)
+        if v is REQUIRED:
+            return f"{kind} requires parameter {name!r}"
+        if name in _PORTS:
+            if not isinstance(v, tuple) or len(v) != 2 or v[0] == v[1]:
+                return f"{kind} parameter {name} must list two distinct paths"
+        elif not isinstance(v, (int, float)) or not abs(v) <= _MAX_VALUE:
+            return (f"{kind} parameter {name}={_format_value(v)} must be a finite "
+                    "number, |x| <= 2**52")
+        else:
+            shift = _SHIFTS.get(name, 0) * float(v)
+            if abs(shift - round(shift)) > _SHIFT_TOL:
+                return f"{kind}({name}={v:g}) shifts l by {shift:g}, a non-integer"
+    binds = 0 if "in" in params else 1
+    if len(spec.paths) != binds:
+        return f"{kind} takes {binds} path binding(s) after @, got {len(spec.paths)}"
+    return None
 
 
 def element_transform(spec: ElementSpec | str, space: ModeSpace) -> ModeTransform:
     """Build the transform for one element descriptor.
 
-    Raises UnknownElement for unrecognized kinds and SpaceMismatch for
-    unbound or undeclared paths.
+    Raises UnknownElement for a descriptor :func:`spec_problem` rejects and
+    SpaceMismatch for paths outside ``space``.
     """
     if isinstance(spec, str):
         spec = parse_descriptor(spec)
-    kind = spec.kind
-
-    def one_path():
-        if len(spec.paths) != 1:
-            raise SpaceMismatch(f"{kind} needs exactly one path binding")
-        return spec.paths[0]
-
-    if kind in _FIXED_ARITY:
-        (pname,) = _FIXED_ARITY[kind]
-        value = spec.param(pname)
-        if value is None:
-            raise UnknownElement(f"{kind} requires parameter {pname!r}")
-        value = float(value)
-        path = one_path()
-        builder = {
-            "HWP": hwp,
-            "QWP": qwp,
-            "QP": qplate,
-            "SPP": spp,
-            "DP": dove_prism,
-            "POL": polarizer,
-            "PATHPHASE": path_phase,
-            "INTERF": parity_interferometer,
-        }[kind]
-        return builder(space, path, value)
-    if kind == "PP":
-        return phase_plate(space, one_path(), float(spec.param("phase", conv.PHASE_PLATE_DEFAULT)))
-    if kind == "MIRROR":
-        return mirror(space, one_path())
-    if kind == "DL":
-        return delay_line(space, one_path())
-    if kind == "PBS":
-        ins = spec.param("in")
-        outs = spec.param("out")
-        if ins is None or outs is None or len(ins) != 2 or len(outs) != 2:
-            raise UnknownElement("PBS requires in=[a,b] and out=[c,d]")
-        return pbs(space, tuple(ins), tuple(outs))
-    if kind == "O1CNOT":
-        return o1_cnot(space, one_path())
-    if kind == "O2CNOT":
-        return o2_cnot(space, one_path())
-    raise UnknownElement(f"unknown element kind {kind!r}")
+    problem = spec_problem(spec)
+    if problem:
+        raise UnknownElement(problem)
+    name, params = CATALOGUE[spec.kind]
+    values = [spec.param(k, default) for k, default in params]
+    values = [v if isinstance(v, tuple) else float(v) for v in values]
+    return globals()[name](space, *spec.paths, *values)

@@ -109,10 +109,6 @@ class MultiPhotonState:
                     acc += np.conj(b) * a
         return complex(acc)
 
-    def pruned(self, tol: float = PRUNE_TOL) -> "MultiPhotonState":
-        terms = {c: a for c, a in self.terms.items() if abs(a) > tol}
-        return MultiPhotonState(self.space, self.n, terms, normalized=self.normalized)
-
     def normalized_copy(self) -> "MultiPhotonState":
         nrm = math.sqrt(self.norm2())
         if nrm == 0.0:
@@ -121,10 +117,6 @@ class MultiPhotonState:
             self.space, self.n,
             {c: a / nrm for c, a in self.terms.items()}, normalized=True,
         )
-
-    def configs(self):
-        for cfg, amp in sorted(self.terms.items()):
-            yield OccupationConfig(cfg), amp
 
     def path_counts(self, cfg: tuple) -> dict:
         counts: dict[str, int] = {}

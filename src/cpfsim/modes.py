@@ -19,9 +19,7 @@ from .errors import ConventionError, SpaceMismatch, TruncationOverflow
 POLS = ("H", "V")
 
 KIND_UNITARY = "unitary"
-KIND_ISOMETRY = "isometry"
 KIND_PROJECTOR = "projector"
-_KIND_RANK = {KIND_UNITARY: 0, KIND_ISOMETRY: 1, KIND_PROJECTOR: 2}
 
 
 @dataclass(frozen=True, order=True)
@@ -140,11 +138,6 @@ class SinglePhotonState:
         for i in np.flatnonzero(np.abs(self.amps) > tol):
             yield self.space.mode(int(i)), complex(self.amps[i])
 
-    def pruned(self, tol: float = PRUNE_TOL) -> "SinglePhotonState":
-        amps = self.amps.copy()
-        amps[np.abs(amps) <= tol] = 0.0
-        return SinglePhotonState(self.space, amps, normalized=False)
-
     def __repr__(self):
         parts = ", ".join(f"{m}: {a:.4g}" for m, a in self.terms(1e-9))
         return f"SinglePhotonState({parts})"
@@ -192,12 +185,12 @@ class ModeTransform:
         m = self.matrix[:, keep]
         gram = m.conj().T @ m
         eye = np.eye(len(keep))
-        if self.kind in (KIND_UNITARY, KIND_ISOMETRY):
+        if self.kind == KIND_UNITARY:
             if np.max(np.abs(gram - eye)) > UNITARY_TOL:
                 raise ConventionError(
                     f"{self.provenance or 'transform'}: columns not orthonormal"
                 )
-            if self.kind == KIND_UNITARY and not self.overflow:
+            if not self.overflow:
                 gram2 = self.matrix @ self.matrix.conj().T
                 if np.max(np.abs(gram2 - np.eye(self.space.dim))) > UNITARY_TOL:
                     raise ConventionError(
@@ -215,12 +208,12 @@ class ModeTransform:
         else:
             raise ValueError(f"unknown transform kind {self.kind!r}")
 
-    def columns(self, tol: float = PRUNE_TOL):
+    def columns(self):
         """Sparse column view: list of (row indices, amplitudes) per column."""
         if self._columns_cache is None:
             cols = []
             for j in range(self.space.dim):
-                rows = np.flatnonzero(np.abs(self.matrix[:, j]) > tol)
+                rows = np.flatnonzero(np.abs(self.matrix[:, j]) > PRUNE_TOL)
                 cols.append((rows, self.matrix[rows, j]))
             self._columns_cache = cols
         return self._columns_cache
@@ -242,8 +235,8 @@ def compose_transforms(sequence: list[ModeTransform]) -> ModeTransform:
             hit = np.flatnonzero(np.max(np.abs(prefix[bad_rows, :]), axis=0) > PRUNE_TOL)
             overflow.update(int(j) for j in hit)
         prefix = t.matrix @ prefix
-        if _KIND_RANK[t.kind] > _KIND_RANK[kind]:
-            kind = t.kind
+        if t.kind == KIND_PROJECTOR:
+            kind = KIND_PROJECTOR
     provenance = " . ".join(t.provenance for t in reversed(sequence) if t.provenance)
     return ModeTransform(space, prefix, kind, provenance, frozenset(overflow))
 

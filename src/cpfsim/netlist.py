@@ -13,16 +13,11 @@ front-end for programmatic use (:func:`parse_netlist_json`).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
-from .elements import DescriptorError, parse_descriptor
+from .elements import DescriptorError, parse_descriptor, spec_problem
 from .protocol import BellOutcome
 
-KNOWN_ELEMENTS = {
-    "HWP", "QWP", "QP", "SPP", "DP", "PP", "DL", "MIRROR", "POL",
-    "PATHPHASE", "INTERF", "PBS", "O1CNOT", "O2CNOT",
-}
 KNOWN_TASKS = ("cpf_d4", "circuit", "fidelity", "lock")
 KNOWN_RECIPES = (
     "z0", "z1", "z2", "z3", "x02+", "x02-", "x13+", "x13-", "s12", "s23", "aux",
@@ -141,8 +136,9 @@ def parse_netlist(text: str) -> ParseResult:
             except DescriptorError as e:
                 err(line_no, indent + e.col, str(e))
                 continue
-            if spec.kind not in KNOWN_ELEMENTS:
-                err(line_no, indent, f"unknown element kind {spec.kind!r}")
+            problem = spec_problem(spec)
+            if problem:
+                err(line_no, indent, problem)
                 continue
             nl.elements.append(spec)
             continue
@@ -237,20 +233,9 @@ def _validate(nl: Netlist, diags: list):
 
     declared = set(nl.paths)
     for spec in nl.elements:
-        for p in spec.paths:
+        for p in dict.fromkeys(spec.paths + spec.param("in", ()) + spec.param("out", ())):
             if declared and p not in declared:
-                err(f"element {spec.descriptor()!r} bound to undeclared path {p!r}")
-        for k, v in spec.params:
-            if k in ("in", "out"):
-                for p in v:
-                    if declared and p not in declared:
-                        err(f"element {spec.descriptor()!r} uses undeclared path {p!r}")
-            elif isinstance(v, (int, float)) and not math.isfinite(float(v)):
-                err(f"element {spec.descriptor()!r} has non-finite {k}")
-        if spec.kind == "QP":
-            q = spec.param("q")
-            if q is not None and abs(2 * float(q) - round(2 * float(q))) > 1e-9:
-                err(f"QP charge q={q} shifts l by a non-integer; unsupported")
+                err(f"element {spec.descriptor()!r} uses undeclared path {p!r}")
     for name, src in nl.sources.items():
         if declared and src.path and src.path not in declared:
             err(f"source {name!r} placed on undeclared path {src.path!r}")
@@ -318,8 +303,9 @@ def parse_netlist_json(text: str | dict) -> ParseResult:
             except DescriptorError as e:
                 diags.append(Diagnostic(0, i, str(e)))
                 continue
-            if spec.kind not in KNOWN_ELEMENTS:
-                diags.append(Diagnostic(0, i, f"unknown element kind {spec.kind!r}"))
+            problem = spec_problem(spec)
+            if problem:
+                diags.append(Diagnostic(0, i, problem))
                 continue
             nl.elements.append(spec)
         detect = obj.get("detect", {})

@@ -109,6 +109,8 @@ def execute(netlist: Netlist | ParseResult) -> RunResult:
             )
         netlist = netlist.netlist
     nl = netlist
+    if nl.elements and nl.task != "circuit":
+        raise NetlistError(f"task {nl.task} runs no [elements] block; only task circuit does")
     try:
         if nl.task == "cpf_d4":
             return _run_cpf(nl)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpfsim.elements import CATALOGUE
 from cpfsim.netlist import Netlist, parse_netlist, serialize
 from cpfsim.protocol import BellOutcome
+from cpfsim.runner import NetlistError, execute
 
 FIXTURES = Path(__file__).resolve().parent.parent / "netlists"
 
@@ -58,6 +60,16 @@ def test_missing_parameter_value_diagnostic_with_position():
     ("[run]\nnoise.chaos 1.0", "unknown noise key"),
     ("[space]\npaths A\n[detect]\npattern B=1", "undeclared path"),
     ("[elements]\nQP(q=0.25) @ A", "non-integer"),
+    ("[elements]\nPOL(angle=0.3) @ A", "unknown element kind 'POL'"),
+    ("[elements]\nHWP(angle=abc) @ A", "finite number"),
+    ("[elements]\nHWP(angle=0.1,phase=3) @ A", "takes no parameter"),
+    ("[elements]\nMIRROR(angle=3) @ A", "takes no parameter"),
+    ("[elements]\nPBS(in=[A,B],out=[A,B]) @ A", "path binding"),
+    ("[elements]\nSPP(dl=1.5) @ A", "non-integer"),
+    ("[elements]\nHWP() @ A", "requires parameter"),
+    ("[elements]\nHWP(angle=0.1) @ A,B", "path binding"),
+    ("[elements]\nQP(q=1e308) @ A", "finite number"),
+    ("[elements]\nHWP(angle=0.1,angle=0.2) @ A", "repeats parameter"),
 ])
 def test_validation_diagnostics(body, needle):
     res = parse_netlist("version 1\n" + body + "\n")
@@ -76,6 +88,38 @@ def test_parsing_is_total_on_garbage():
 @given(st.text(max_size=200))
 def test_parser_never_raises(text):
     parse_netlist(text)
+
+
+_PARAM_NAMES = sorted({k for _, params in CATALOGUE.values() for k, _ in params}
+                      | {"x"})
+_PATH_LIST = st.lists(st.sampled_from("ABZ"), max_size=3).map(
+    lambda ps: "[" + ",".join(ps) + "]")
+_VALUES = st.one_of(
+    st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["abc", "0.5", "1", "-2", "0"]), _PATH_LIST)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(CATALOGUE) + ["POL"]),
+       params=st.lists(st.tuples(st.sampled_from(_PARAM_NAMES), _VALUES),
+                       max_size=3),
+       paths=st.lists(st.sampled_from("AB"), max_size=2))
+def test_validated_elements_run(kind, params, paths):
+    """A descriptor that validation accepts builds and runs: execution of a
+    two-path circuit holding it returns or raises NetlistError, nothing else."""
+    desc = f"{kind}({','.join(f'{k}={v}' for k, v in params)})"
+    if paths:
+        desc += " @ " + ",".join(paths)
+    res = parse_netlist(
+        "version 1\n[space]\npaths A B\ntruncation 2\n"
+        "[source photon1]\npath A\nrecipe x02+\n"
+        f"[elements]\n{desc}\n[run]\ntask circuit\n")
+    if not res.ok:
+        return
+    try:
+        execute(res.netlist)
+    except NetlistError:
+        pass
 
 
 @pytest.mark.parametrize("name", ("cpf_d4.netlist", "lock.netlist"))

@@ -124,9 +124,10 @@ def test_cpf_rejects_noise_draws(cpf_netlist):
         execute(nl)
 
 
-def test_fidelity_with_every_draw_lost():
+@pytest.mark.parametrize("mode,shots", [("analytic", 0), ("shots", 100)])
+def test_fidelity_with_every_draw_lost(mode, shots):
     nl = parse_netlist(
-        "version 1\n[run]\ntask fidelity\nmode analytic\nshots 0\nseed 3\n"
+        f"version 1\n[run]\ntask fidelity\nmode {mode}\nshots {shots}\nseed 3\n"
         "noise.loss 1\nnoise.draws 4\n"
     ).netlist
     rr = execute(nl)
@@ -134,6 +135,16 @@ def test_fidelity_with_every_draw_lost():
     for name in ("matrix_zx", "matrix_xz"):
         assert rr.fidelity[name] == [[0.0] * 16] * 16
     assert rr.fidelity["bounds"] == {"lower": 0.0, "upper": 0.0}
+    counts = [rec["count"] for rec in rr.fidelity["outcome_rows"]]
+    assert counts == [0 if shots else None] * len(counts)
+
+
+@pytest.mark.parametrize("task", ("cpf_d4", "fidelity", "lock"))
+def test_elements_rejected_outside_circuit(task):
+    res = parse_netlist(f"version 1\n[elements]\nMIRROR() @ A\n[run]\ntask {task}\n")
+    assert res.ok
+    with pytest.raises(NetlistError, match="elements"):
+        execute(res)
 
 
 def test_emit_files(tmp_path, cpf_netlist, pipe):
