@@ -21,26 +21,13 @@ import numpy as np
 
 from .errors import EmptyPostSelection
 from .fock import sample_counts
-from .gate_d4 import pipeline
+from .gate_d4 import PREPARATION_TABLE, pipeline
 from .noise import IDEAL_DRAW, NoiseDraw, NoiseSpec
 from .protocol import BellOutcome, QuditState, cpf_oracle
 
-_S = 1.0 / math.sqrt(2.0)
-
 #: Qudit-level vectors of every preparable input state, keyed like the
 #: preparation table.
-STATE_VECTORS = {
-    "z0": np.array([1, 0, 0, 0], dtype=complex),
-    "z1": np.array([0, 1, 0, 0], dtype=complex),
-    "z2": np.array([0, 0, 1, 0], dtype=complex),
-    "z3": np.array([0, 0, 0, 1], dtype=complex),
-    "x02+": np.array([_S, 0, _S, 0], dtype=complex),
-    "x02-": np.array([_S, 0, -_S, 0], dtype=complex),
-    "x13+": np.array([0, _S, 0, _S], dtype=complex),
-    "x13-": np.array([0, _S, 0, -_S], dtype=complex),
-    "s12": np.array([0, _S, _S, 0], dtype=complex),
-    "s23": np.array([0, 0, _S, _S], dtype=complex),
-}
+STATE_VECTORS = {key: np.array(recipe.target) for key, recipe in PREPARATION_TABLE.items()}
 
 Z_ORDER = ("z0", "z1", "z2", "z3")
 X_ORDER = ("x02+", "x02-", "x13+", "x13-")
@@ -151,9 +138,6 @@ class BasisRun:
     fidelity: float             # mean probability of the expected outcome
     herald_probability: float
     counts: dict | None = None  # present in shot mode
-
-    def row_outcome_labels(self):
-        return [f"{a}|{b}" for a, b in self.table.entries]
 
 
 def run_fidelity_experiment(

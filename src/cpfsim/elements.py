@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conventions as conv
-from .errors import SpaceMismatch, UnknownElement
+from .errors import CpfSimError, SpaceMismatch, UnknownElement
 from .modes import (
     KIND_PROJECTOR,
     KIND_UNITARY,
@@ -206,6 +206,9 @@ def pbs(space, in_ports, out_ports) -> ModeTransform:
     """
     a, b = in_ports
     c, d = out_ports
+    if a == b or c == d:
+        raise CpfSimError(
+            f"PBS ports must be distinct: in={list(in_ports)}, out={list(out_ports)}")
     involved = []
     for p in (a, b, c, d):
         if p is not None and p not in involved:

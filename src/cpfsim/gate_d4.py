@@ -17,6 +17,7 @@ The module assembles, from the element library and the frozen conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -308,9 +309,6 @@ PREPARATION_TABLE = {
     "s23": _recipe("s23", (0, 0, _S, _S), direct=True),
 }
 
-Z_KEYS = ("z0", "z1", "z2", "z3")
-X_KEYS = ("x02+", "x02-", "x13+", "x13-")
-
 
 def _prep_space() -> ModeSpace:
     return ModeSpace(("S",), DEFAULT_TRUNCATION)
@@ -506,13 +504,13 @@ class CpfPipeline:
 
     PORTS = ("C1", "C2", "E1", "E2")
 
-    def __init__(self, truncation: int = DEFAULT_TRUNCATION):
+    def __init__(self):
         paths = (
             "A1", "B1", "P11", "P21", "C1", "D1", "X1",
             "A2", "B2", "P12", "P22", "C2", "D2", "X2",
             "E1", "E2",
         )
-        self.space = ModeSpace(paths, truncation)
+        self.space = ModeSpace(paths, DEFAULT_TRUNCATION)
         self.bs1_paths = SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1")
         self.bs2_paths = SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2")
         self.stage = build_bsm_stage(self.space, ("D1", "D2"), ("E1", "E2"))
@@ -707,13 +705,10 @@ class CpfPipeline:
         return out
 
 
-_PIPELINE_CACHE: dict = {}
-
-
-def pipeline(truncation: int = DEFAULT_TRUNCATION) -> CpfPipeline:
-    if truncation not in _PIPELINE_CACHE:
-        _PIPELINE_CACHE[truncation] = CpfPipeline(truncation)
-    return _PIPELINE_CACHE[truncation]
+@functools.cache
+def pipeline() -> CpfPipeline:
+    """The one shared pipeline, built on first use."""
+    return CpfPipeline()
 
 
 def _coerce_input(in1, in4, joint) -> np.ndarray:

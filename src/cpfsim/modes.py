@@ -178,7 +178,8 @@ class ModeTransform:
         self.check()
 
     def check(self):
-        """Verify the declared kind on the non-overflow block."""
+        """Verify the declared kind on the non-overflow block.  The residual
+        tests read ``not r <= tol`` so that a NaN entry fails them."""
         keep = np.array(
             [i for i in range(self.space.dim) if i not in self.overflow], dtype=int
         )
@@ -186,21 +187,21 @@ class ModeTransform:
         gram = m.conj().T @ m
         eye = np.eye(len(keep))
         if self.kind == KIND_UNITARY:
-            if np.max(np.abs(gram - eye)) > UNITARY_TOL:
+            if not np.max(np.abs(gram - eye)) <= UNITARY_TOL:
                 raise ConventionError(
                     f"{self.provenance or 'transform'}: columns not orthonormal"
                 )
             if not self.overflow:
                 gram2 = self.matrix @ self.matrix.conj().T
-                if np.max(np.abs(gram2 - np.eye(self.space.dim))) > UNITARY_TOL:
+                if not np.max(np.abs(gram2 - np.eye(self.space.dim))) <= UNITARY_TOL:
                     raise ConventionError(
                         f"{self.provenance or 'transform'}: not unitary"
                     )
         elif self.kind == KIND_PROJECTOR:
             m_full = self.matrix
             if (
-                np.max(np.abs(m_full @ m_full - m_full)) > UNITARY_TOL
-                or np.max(np.abs(m_full - m_full.conj().T)) > UNITARY_TOL
+                not np.max(np.abs(m_full @ m_full - m_full)) <= UNITARY_TOL
+                or not np.max(np.abs(m_full - m_full.conj().T)) <= UNITARY_TOL
             ):
                 raise ConventionError(
                     f"{self.provenance or 'transform'}: not a projector"

@@ -16,12 +16,11 @@ import json
 from dataclasses import dataclass, field
 
 from .elements import DescriptorError, parse_descriptor, spec_problem
+from .gate_d4 import PREPARATION_TABLE
 from .protocol import BellOutcome
 
 KNOWN_TASKS = ("cpf_d4", "circuit", "fidelity", "lock")
-KNOWN_RECIPES = (
-    "z0", "z1", "z2", "z3", "x02+", "x02-", "x13+", "x13-", "s12", "s23", "aux",
-)
+KNOWN_RECIPES = (*PREPARATION_TABLE, "aux")
 _BELL_NAMES = {o.value: o for o in BellOutcome}
 
 

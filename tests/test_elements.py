@@ -5,7 +5,8 @@ import pytest
 
 import cpfsim.conventions as conv
 from cpfsim import elements as el
-from cpfsim.errors import SpaceMismatch, TruncationOverflow, UnknownElement
+from cpfsim.errors import (ConventionError, CpfSimError, SpaceMismatch,
+                           TruncationOverflow, UnknownElement)
 from cpfsim.modes import (
     Mode,
     ModeSpace,
@@ -112,6 +113,9 @@ def test_dove_prism_example(sp):
     out = apply_to_single_photon(el.dove_prism(sp, "A", math.pi / 4),
                                  ket(sp, "A", "H", 1))
     assert_state(out, {Mode("A", "H", -1): -1.0})
+    # exp(i * 1e308 * l) is NaN: the unitarity check must not pass it
+    with np.errstate(invalid="ignore"), pytest.raises(ConventionError):
+        el.dove_prism(ModeSpace(("A",), 4), "A", 1e308)
 
 
 @pytest.mark.parametrize("gamma", (0.0, math.pi / 8, math.pi / 4, 0.7))
@@ -153,6 +157,12 @@ def test_pbs_routing_and_flux(sp):
             for l in range(-4, 5)]
     block = t.matrix[:, cols]
     assert np.allclose(block.conj().T @ block, np.eye(len(cols)), atol=1e-10)
+    # an input may keep its path label as an output, but ports may not repeat
+    out = apply_to_single_photon(el.pbs(sp, ("A", "B"), ("C", "A")), ket(sp, "B", "H", 2))
+    assert_state(out, {Mode("A", "H", 2): 1.0})
+    for ins, outs in ((("A", "A"), ("A", "B")), (("A", "B"), ("C", "C"))):
+        with pytest.raises(CpfSimError, match="distinct"):
+            el.pbs(sp, ins, outs)
 
 
 def test_polarizer_projector(sp):

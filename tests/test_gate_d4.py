@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpfsim import elements as el
 from cpfsim.errors import EncodingError, PatternMismatch
@@ -13,6 +17,7 @@ from cpfsim.fock import (
     project_group,
 )
 from cpfsim.gate_d4 import (
+    AUX_TARGET_TERMS,
     LEVEL_TO_OAM,
     PREPARATION_TABLE,
     auxiliary_target,
@@ -306,10 +311,27 @@ def test_accepted_subset_scales_probability(pipe):
     assert abs(run.heralding_probability - 1 / 16) < 1e-10
 
 
+def _noisy_chain(pipe, draw):
+    """The draw's noisy pipeline built from element builders: dephasing and
+    visibility phases on the input paths, ``_pre``, arm jitter on P21 and
+    P22, ``_post``."""
+    sp = pipe.space
+    chain = [el.oam_phase(sp, path, dict(zip(LEVEL_TO_OAM, phases)))
+             for path, phases in zip(("A1", "A2"), draw.dephasing)]
+    chain += [el.oam_phase(sp, path, {1: phi})
+              for path, phi in zip(("B1", "B2"), draw.aux_phases)]
+    chain.append(pipe._pre)
+    chain += [el.path_phase(sp, path, z) for path, z in zip(("P21", "P22"), draw.zeta)]
+    chain.append(pipe._post)
+    return chain
+
+
 def _fock_patterns(pipe, c, draw):
     """Direct Fock evolution of one joint input: {pattern: (probability,
     corrected heralded amplitudes, unnormalized)} for every analyzer pattern."""
-    state = apply_transform(pipe._composed(draw), pipe.inject(c))
+    state = pipe.inject(c)
+    for t in _noisy_chain(pipe, draw):
+        state = apply_transform(t, state)
     selected, p_ports = post_select(
         state, DetectionPattern.from_dict({p: 1 for p in pipe.PORTS}))
     out = {}
@@ -352,6 +374,93 @@ def test_run_matches_direct_fock_evolution(pipe):
                 assert np.max(np.abs(state.amps - amps / math.sqrt(p_first))) < 1e-12
                 assert abs(p - sum(q for pt, (q, _) in direct.items()
                                    if pipe.stage.decode(pt) == outcome)) < 1e-12
+
+
+_noise_specs = st.builds(
+    NoiseSpec,
+    sigma_zeta=st.floats(0.0, 2.0), oam_dephasing=st.floats(0.0, 2.0),
+    visibility=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_noise_specs, c=arrays(complex, (4, 4), elements=st.complex_numbers(
+    max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
+def test_operators_match_element_built_fock_reference(pipe, spec, c):
+    """Every heralded amplitude of the transfer operators equals direct Fock
+    evolution of the input through the draw's element-built chain."""
+    assume(np.linalg.norm(c) > 1e-3)
+    c = c / np.linalg.norm(c)
+    draw = spec.draws(1)[0]
+    kraus = pipe.transfer_operators(draw)
+    direct = _fock_patterns(pipe, c, draw)
+    for (_outcome, pattern), k in kraus.items():
+        _p, amps = direct[pattern]
+        assert np.max(np.abs(k @ c.reshape(-1) - amps)) < 1e-12
+    for pattern, (p, _amps) in direct.items():
+        if pipe.stage.decode(pattern) is not None:
+            assert p < 1e-24 or (pipe.stage.decode(pattern), pattern) in kraus
+
+
+_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+
+
+def _permanent_operators(pipe, draw):
+    """{analyzer pattern: R} from permanents of the draw's restricted transfer
+    matrix W (12 x 10).  Rows: the C1 and C2 alphabet modes and the E1 and
+    E2 analyzer vectors; columns: the A1 and A2 alphabet modes and the
+    auxiliary vector on B1 and B2.  Inputs and kept outputs sit on distinct
+    paths, one photon each, so R[(x, y), (m, n)] = perm W[[C1 x, C2 y, E1 s1,
+    E2 s2], [A1 m, B1, B2, A2 n]] with no sqrt(k!) factors."""
+    sp = pipe.space
+    u = np.eye(sp.dim, dtype=complex)
+    for t in _noisy_chain(pipe, draw):
+        u = t.matrix @ u
+    rows = [np.eye(sp.dim)[sp.index(Mode(path, "H", l))]
+            for path in ("C1", "C2") for l in LEVEL_TO_OAM]
+    for path in ("E1", "E2"):
+        for _sign, v in pipe.stage.analyzer_basis(path):
+            row = np.zeros(sp.dim, dtype=complex)
+            row[sp.path_indices(path)] = v.conj()
+            rows.append(row)
+    cols = [np.eye(sp.dim)[:, sp.index(Mode("A1", "H", l))] for l in LEVEL_TO_OAM]
+    cols += [sum(a * np.eye(sp.dim)[:, sp.index(Mode(b, pol, l))]
+                 for (pol, l), a in AUX_TARGET_TERMS.items()) for b in ("B1", "B2")]
+    cols += [np.eye(sp.dim)[:, sp.index(Mode("A2", "H", l))] for l in LEVEL_TO_OAM]
+    w = np.array(rows) @ u @ np.array(cols).T
+    out = {}
+    for i, (s1, _) in enumerate(pipe.stage.analyzer_basis("E1")):
+        for j, (s2, _) in enumerate(pipe.stage.analyzer_basis("E2")):
+            sub = np.array([[w[np.ix_([x, 4 + y, 8 + i, 10 + j], [m, 4, 5, 6 + n])]
+                             for m in range(4) for n in range(4)]
+                            for x in range(4) for y in range(4)])
+            out[(s1, s2)] = sub[..., np.arange(4), _PERMUTATIONS].prod(-1).sum(-1)
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=_noise_specs)
+def test_heralded_amplitudes_are_permanents(pipe, spec):
+    """The pipeline's uncorrected per-pattern operators, built by the Fock
+    engine, equal the permanents of one restricted transfer matrix."""
+    for draw in [IDEAL_DRAW] + spec.draws(1):
+        fock_ops = pipe._pattern_operators(draw)
+        for pattern, r in _permanent_operators(pipe, draw).items():
+            expected = fock_ops.get(pattern, np.zeros((16, 16)))
+            assert np.max(np.abs(r - expected)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=_noise_specs)
+def test_kraus_completeness(pipe, spec):
+    """Heralding is input independent: for every unlost draw, the operators
+    of each outcome sum to K^dag K = I/16."""
+    for draw in [IDEAL_DRAW] + spec.draws(2):
+        by_outcome = {}
+        for (outcome, _pattern), k in pipe.transfer_operators(draw).items():
+            by_outcome[outcome] = by_outcome.get(outcome, 0) + k.conj().T @ k
+        assert set(by_outcome) == {BellOutcome.PhiPlus, BellOutcome.PhiMinus}
+        for gram in by_outcome.values():
+            assert np.max(np.abs(gram - np.eye(16) / 16)) < 1e-12
 
 
 def test_run_rejects_patterns_heralding_different_states(pipe, monkeypatch):

@@ -65,6 +65,11 @@ def test_transform_kind_checks():
     ModeTransform(sp, proj, "projector")
     with pytest.raises(ConventionError):
         ModeTransform(sp, proj + 0.5 * np.eye(sp.dim), "projector")
+    nan = eye.astype(complex)
+    nan[0, 1] = np.nan
+    for kind in ("unitary", "projector"):
+        with pytest.raises(ConventionError):
+            ModeTransform(sp, nan, kind)
 
 
 def test_compose_identity_and_kind():
