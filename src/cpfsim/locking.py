@@ -58,10 +58,12 @@ class LockParams:
             raise ValueError("mod_depth must be non-negative")
         if self.mod_freq <= 0:
             raise ValueError("mod_freq must be positive")
-        if self.cutoff_hz >= self.mod_freq / (2 * math.pi):
-            raise ValueError("low-pass cutoff must sit below the modulation frequency")
-        if self.sample_dt >= self.mod_period / 10.0:
-            raise ValueError("dt must resolve the modulation (>= 10 samples/period)")
+        if math.sin(self.demod_phase) == 0:
+            raise ValueError("demod_phase leaves no error signal (sin(demod_phase) = 0)")
+        if not 0 < self.cutoff_hz < self.mod_freq / (2 * math.pi):
+            raise ValueError("low-pass cutoff must be positive and below the modulation frequency")
+        if not 0 < self.sample_dt < self.mod_period / 10.0:
+            raise ValueError("dt must be positive and resolve the modulation (>= 10 samples/period)")
 
 
 def intensity(t, zeta, p: LockParams):

@@ -4,19 +4,24 @@ A netlist is a sequence of ``[section]`` blocks holding ``key value`` lines;
 element descriptors reuse the grammar of :mod:`cpfsim.elements`.  Parsing is
 total: malformed input never raises, it accumulates diagnostics with line and
 column positions, and a netlist object is produced whenever no error-level
-diagnostic occurred (defaults filled in).
+diagnostic occurred (defaults filled in).  :data:`SCHEMA` lists every key.
 
 A JSON object with the same structure is accepted as an alternative
-front-end for programmatic use (:func:`parse_netlist_json`).
+front-end for programmatic use (:func:`parse_netlist_json`); both front ends
+pass every value through :func:`_set`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
 
 from .elements import DescriptorError, parse_descriptor, spec_problem
 from .gate_d4 import PREPARATION_TABLE
+from .locking import DriftModel, LockParams, PidGains
+from .noise import NoiseSpec
 from .protocol import BellOutcome
 
 KNOWN_TASKS = ("cpf_d4", "circuit", "fidelity", "lock")
@@ -70,24 +75,159 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.netlist is not None and not any(
-            d.severity == "error" for d in self.diagnostics
-        )
+        return self.netlist is not None     # parsing keeps no netlist that has an error
 
 
-def _num(raw: str):
+# Value readers take line text or a JSON value and raise ValueError or
+# TypeError on anything the run could not honour.
+
+
+def _integer(minimum=-math.inf, maximum=math.inf):
+    """An integer in [minimum, maximum]; JSON may give it as an integral float."""
+    bound = ("" if minimum == -math.inf else f" >= {minimum}" if maximum == math.inf
+             else f" in [{minimum}, {maximum}]")
+
+    def read(raw) -> int:
+        if isinstance(raw, float) and raw.is_integer():
+            raw = int(raw)
+        try:
+            value = None if isinstance(raw, (bool, float)) else int(raw)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not minimum <= value <= maximum:
+            raise ValueError(f"expects an integer{bound}, got {raw!r}")
+        return value
+    return read
+
+
+def _number(raw) -> float:
+    """A finite float."""
     try:
-        return int(raw)
-    except ValueError:
-        return float(raw)
+        value = math.nan if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expects a finite number, got {raw!r}")
+    if value == 0 and isinstance(raw, str):
+        with suppress(ValueError):
+            return float(int(raw))      # integer text reads as int did: "-0" is 0
+    return value
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"expects a string, got {raw!r}")
+    return raw
+
+
+def _choice(noun: str, options: tuple):
+    def read(raw):
+        if raw not in options:
+            raise ValueError(f"unknown {noun} {raw!r}")
+        return raw
+    return read
+
+
+def _paths(raw) -> tuple:
+    paths = tuple(raw.split() if isinstance(raw, str) else raw)
+    if not all(isinstance(p, str) for p in paths) or len(set(paths)) < len(paths):
+        raise ValueError(f"expects distinct path names, got {raw!r}")
+    return paths
+
+
+def _pattern(raw) -> dict:
+    if isinstance(raw, str):
+        entries = [tok.partition("=") for tok in raw.split()]
+        for path, eq, count in entries:
+            if not eq:
+                raise ValueError(f"pattern entry {path!r} is not path=count")
+        raw = {path: count for path, _, count in entries}
+    if not isinstance(raw, dict):
+        raise ValueError(f"expects path=count entries, got {raw!r}")
+    count = _integer(0)
+    return {path: count(c) for path, c in raw.items()}
+
+
+def _accept(raw) -> tuple:
+    names = raw.split() if isinstance(raw, str) else raw
+    bad = [n for n in names if n not in _BELL_NAMES]
+    if bad:
+        raise ValueError(f"unknown Bell outcome(s) {bad}")
+    return tuple(_BELL_NAMES[n] for n in names)
+
+
+def _fields(prefix: str, cls, skip=()) -> dict:
+    """Netlist keys of a dataclass: ``str`` fields read text, the rest numbers."""
+    return {prefix + f.name: _text if f.type in ("str", str) else _number
+            for f in fields(cls) if f.name not in skip}
+
+
+# section -> key -> reader; "" is the top level.  The noise.*, [lock], drift.*
+# and pid.* keys are the fields of NoiseSpec (less seed, plus draws),
+# LockParams, DriftModel and PidGains, whose validate() checks their ranges.
+# A dotted key ``group.name`` lands in the Netlist dict ``group``, a plain
+# [lock] key in ``Netlist.lock``, a [source] key on its SourceSpec and every
+# other key on the Netlist.
+SCHEMA = {
+    "": {"version": _integer()},
+    "space": {"paths": _paths, "truncation": _integer(0)},
+    # the JSON form writes an unset recipe as ""; text has no empty values
+    "source": {"path": _text, "recipe": _choice("recipe", ("", *KNOWN_RECIPES))},
+    "detect": {"pattern": _pattern, "accept": _accept},
+    "run": {
+        "task": _choice("task", KNOWN_TASKS),
+        "mode": _choice("mode", ("analytic", "shots")),
+        "shots": _integer(0, 2**63 - 1),        # numpy's multinomial takes a C long
+        "seed": _integer(0),
+        "duration": _number, "setpoint": _number,
+        **_fields("noise.", NoiseSpec, skip=("seed",)), "noise.draws": _integer(1),
+    },
+    "lock": {**_fields("", LockParams), **_fields("drift.", DriftModel),
+             **_fields("pid.", PidGains)},
+}
+
+
+def _set(nl: Netlist, section: str, arg, key: str, raw) -> str | None:
+    """Read, check and store one value; return the problem, if any."""
+    read = SCHEMA[section].get(key)
+    group, dot, name = str(key).partition(".")
+    if read is None:
+        if dot and any(k.startswith(group + ".") for k in SCHEMA[section]):
+            return f"unknown {group} key {name!r}"
+        return f"unknown key {key!r} " + (f"in [{section}]" if section else "outside any section")
+    try:
+        value = read(raw)
+    except (TypeError, ValueError) as e:
+        return f"{key}: {e}"
+    if dot:
+        getattr(nl, group)[name] = value
+    elif section == "lock":
+        nl.lock[key] = value
+    else:
+        setattr(nl.sources[arg] if section == "source" else nl, key, value)
+    return None
+
+
+def _add_element(nl: Netlist, text) -> tuple[int, str] | None:
+    """Parse, check and append one descriptor; return (column, problem)."""
+    if not isinstance(text, str):
+        return 0, f"expects an element descriptor, got {text!r}"
+    try:
+        spec = parse_descriptor(text)
+    except DescriptorError as e:
+        return e.col, str(e)
+    problem = spec_problem(spec)
+    if problem:
+        return 0, problem
+    nl.elements.append(spec)
+    return None
 
 
 def parse_netlist(text: str) -> ParseResult:
     diags: list[Diagnostic] = []
     nl = Netlist()
-    section = None
+    section = ""             # None: lines under a rejected header are skipped
     section_arg = None
-    seen_sources: set[str] = set()
 
     def err(line_no, col, msg, severity="error"):
         diags.append(Diagnostic(line_no, col, msg, severity))
@@ -106,127 +246,39 @@ def parse_netlist(text: str) -> ParseResult:
             parts = inner.split(None, 1)
             section = parts[0].lower() if parts else ""
             section_arg = parts[1].strip() if len(parts) > 1 else None
-            if section not in ("space", "source", "elements", "detect", "run", "lock"):
+            if not section or section not in SCHEMA and section != "elements":
                 err(line_no, indent, f"unknown section [{inner}]")
                 section = None
             elif section == "source":
                 if not section_arg:
                     err(line_no, indent, "source section needs a photon name")
-                elif section_arg in seen_sources:
+                    section = None
+                elif section_arg in nl.sources:
                     err(line_no, indent, f"duplicate source id {section_arg!r}")
                 else:
-                    seen_sources.add(section_arg)
                     nl.sources[section_arg] = SourceSpec(section_arg, "", "")
             continue
         if section is None:
-            # top-level keys
-            key, _, value = stripped.partition(" ")
-            if key == "version":
-                try:
-                    nl.version = int(value)
-                except ValueError:
-                    err(line_no, indent + len(key) + 1, f"bad version {value!r}")
-            else:
-                err(line_no, indent, f"line outside any section: {stripped!r}")
             continue
         if section == "elements":
-            try:
-                spec = parse_descriptor(stripped)
-            except DescriptorError as e:
-                err(line_no, indent + e.col, str(e))
-                continue
-            problem = spec_problem(spec)
+            problem = _add_element(nl, stripped)
             if problem:
-                err(line_no, indent, problem)
-                continue
-            nl.elements.append(spec)
+                err(line_no, indent + problem[0], problem[1])
             continue
         key, _, value = stripped.partition(" ")
         value = value.strip()
-        if not value:
+        known = key in SCHEMA[section]
+        if known and not value:
             err(line_no, indent + len(key), f"missing value for {key!r}")
             continue
-        try:
-            _parse_kv(nl, section, section_arg, key, value)
-        except _KvError as e:
-            err(line_no, indent + len(key) + 1, str(e))
-
-    _validate(nl, diags)
-    has_error = any(d.severity == "error" for d in diags)
-    return ParseResult(None if has_error else nl, diags)
+        problem = _set(nl, section, section_arg, key, value)
+        if problem:
+            err(line_no, indent + (len(key) + 1 if known else 0), problem)
+    return _finish(nl, diags)
 
 
-class _KvError(ValueError):
-    pass
-
-
-def _parse_kv(nl: Netlist, section: str, arg, key: str, value: str):
-    if section == "space":
-        if key == "paths":
-            nl.paths = tuple(value.split())
-        elif key == "truncation":
-            nl.truncation = int(value)
-        else:
-            raise _KvError(f"unknown key {key!r} in [space]")
-    elif section == "source":
-        src = nl.sources[arg]
-        if key == "path":
-            src.path = value
-        elif key == "recipe":
-            src.recipe = value
-        else:
-            raise _KvError(f"unknown key {key!r} in [source]")
-    elif section == "detect":
-        if key == "pattern":
-            pattern = {}
-            for tok in value.split():
-                if "=" not in tok:
-                    raise _KvError(f"pattern entry {tok!r} is not path=count")
-                path, _, count = tok.partition("=")
-                pattern[path] = int(count)
-            nl.pattern = pattern
-        elif key == "accept":
-            names = value.split()
-            bad = [n for n in names if n not in _BELL_NAMES]
-            if bad:
-                raise _KvError(f"unknown Bell outcome(s) {bad}")
-            nl.accept = tuple(_BELL_NAMES[n] for n in names)
-        else:
-            raise _KvError(f"unknown key {key!r} in [detect]")
-    elif section == "run":
-        if key == "task":
-            if value not in KNOWN_TASKS:
-                raise _KvError(f"unknown task {value!r}")
-            nl.task = value
-        elif key == "mode":
-            if value not in ("analytic", "shots"):
-                raise _KvError(f"unknown mode {value!r}")
-            nl.mode = value
-        elif key == "shots":
-            nl.shots = int(value)
-        elif key == "seed":
-            nl.seed = int(value)
-        elif key == "duration":
-            nl.duration = float(value)
-        elif key == "setpoint":
-            nl.setpoint = float(value)
-        elif key.startswith("noise."):
-            nl.noise[key[6:]] = _num(value)
-        else:
-            raise _KvError(f"unknown key {key!r} in [run]")
-    elif section == "lock":
-        if key.startswith("drift."):
-            nl.drift[key[6:]] = value if key == "drift.kind" else _num(value)
-        elif key.startswith("pid."):
-            nl.pid[key[4:]] = _num(value)
-        else:
-            nl.lock[key] = _num(value)
-
-
-_NOISE_KEYS = {"sigma_zeta", "oam_dephasing", "loss", "visibility", "draws"}
-
-
-def _validate(nl: Netlist, diags: list):
+def _finish(nl: Netlist, diags: list) -> ParseResult:
+    """Checks across values (declared paths, the dataclasses' ranges)."""
     def err(msg, severity="error"):
         diags.append(Diagnostic(0, 0, msg, severity))
 
@@ -238,18 +290,18 @@ def _validate(nl: Netlist, diags: list):
     for name, src in nl.sources.items():
         if declared and src.path and src.path not in declared:
             err(f"source {name!r} placed on undeclared path {src.path!r}")
-        if src.recipe and src.recipe not in KNOWN_RECIPES:
-            err(f"source {name!r} uses unknown recipe {src.recipe!r}")
-    for path, count in nl.pattern.items():
+    for path in nl.pattern:
         if declared and path not in declared:
             err(f"detection pattern names undeclared path {path!r}")
-        if count < 0:
-            err(f"detection pattern count for {path!r} is negative")
-    for k in nl.noise:
-        if k not in _NOISE_KEYS:
-            err(f"unknown noise key {k!r}")
-    if nl.shots < 0:
-        err("shots must be non-negative")
+    noise = {k: v for k, v in nl.noise.items() if k != "draws"}
+    for group, cls, values in (("noise", NoiseSpec, noise), ("lock", LockParams, nl.lock),
+                               ("drift", DriftModel, nl.drift), ("pid", PidGains, nl.pid)):
+        try:
+            cls(**values).validate()
+        except ValueError as e:
+            err(f"{group}: {e}")
+    has_error = any(d.severity == "error" for d in diags)
+    return ParseResult(None if has_error else nl, diags)
 
 
 def netlist_to_json_dict(nl: Netlist) -> dict:
@@ -277,8 +329,13 @@ def netlist_to_json_dict(nl: Netlist) -> dict:
     }
 
 
+# JSON objects nested in a section, and the key prefix their entries take.
+_JSON_GROUPS = {("run", "noise"): "noise.", ("lock", "params"): "",
+                ("lock", "drift"): "drift.", ("lock", "pid"): "pid."}
+
+
 def parse_netlist_json(text: str | dict) -> ParseResult:
-    """Parse the JSON front-end; same validation and diagnostics."""
+    """Parse the JSON front-end; same schema, validation and diagnostics."""
     diags: list[Diagnostic] = []
     if isinstance(text, str):
         try:
@@ -288,55 +345,42 @@ def parse_netlist_json(text: str | dict) -> ParseResult:
     else:
         obj = text
     nl = Netlist()
-    try:
-        nl.version = int(obj.get("version", 1))
-        space = obj.get("space", {})
-        nl.paths = tuple(space.get("paths", ()))
-        nl.truncation = int(space.get("truncation", 4))
-        for name, src in obj.get("sources", {}).items():
-            nl.sources[name] = SourceSpec(name, src.get("path", ""),
-                                          src.get("recipe", ""))
-        for i, desc in enumerate(obj.get("elements", ())):
-            try:
-                spec = parse_descriptor(desc)
-            except DescriptorError as e:
-                diags.append(Diagnostic(0, i, str(e)))
-                continue
-            problem = spec_problem(spec)
-            if problem:
-                diags.append(Diagnostic(0, i, problem))
-                continue
-            nl.elements.append(spec)
-        detect = obj.get("detect", {})
-        nl.pattern = {k: int(v) for k, v in detect.get("pattern", {}).items()}
-        accept = detect.get("accept")
-        if accept is not None:
-            bad = [n for n in accept if n not in _BELL_NAMES]
-            if bad:
-                diags.append(Diagnostic(0, 0, f"unknown Bell outcome(s) {bad}"))
-            else:
-                nl.accept = tuple(_BELL_NAMES[n] for n in accept)
-        run = obj.get("run", {})
-        nl.task = run.get("task", nl.task)
-        if nl.task not in KNOWN_TASKS:
-            diags.append(Diagnostic(0, 0, f"unknown task {nl.task!r}"))
-            nl.task = "cpf_d4"
-        nl.mode = run.get("mode", nl.mode)
-        nl.shots = int(run.get("shots", 0))
-        nl.seed = int(run.get("seed", 0))
-        nl.duration = float(run.get("duration", nl.duration))
-        nl.setpoint = float(run.get("setpoint", nl.setpoint))
-        nl.noise = dict(run.get("noise", {}))
-        lock = obj.get("lock", {})
-        nl.lock = dict(lock.get("params", {}))
-        nl.drift = dict(lock.get("drift", {}))
-        nl.pid = dict(lock.get("pid", {}))
-    except (TypeError, ValueError) as e:
-        diags.append(Diagnostic(0, 0, f"malformed JSON netlist: {e}"))
-        return ParseResult(None, diags)
-    _validate(nl, diags)
-    has_error = any(d.severity == "error" for d in diags)
-    return ParseResult(None if has_error else nl, diags)
+
+    def entries(value, where: str):
+        if isinstance(value, dict):
+            return value.items()
+        diags.append(Diagnostic(0, 0, f"{where} must be a JSON object"))
+        return ()
+
+    def feed(section, key, raw, arg=None):
+        problem = _set(nl, section, arg, key, raw)
+        if problem:
+            diags.append(Diagnostic(0, 0, problem))
+
+    for name, body in entries(obj, "a JSON netlist"):
+        if name == "version":
+            feed("", name, body)
+        elif name == "elements":
+            for i, desc in enumerate(body if isinstance(body, list) else [body]):
+                problem = _add_element(nl, desc)
+                if problem:
+                    diags.append(Diagnostic(0, i, problem[1]))
+        elif name == "sources":
+            for src, keys in entries(body, "sources"):
+                nl.sources[src] = SourceSpec(src, "", "")
+                for key, raw in entries(keys, f"source {src!r}"):
+                    feed("source", key, raw, src)
+        elif name in ("space", "detect", "run", "lock"):
+            for key, raw in entries(body, name):
+                prefix = _JSON_GROUPS.get((name, key))
+                if prefix is None:
+                    feed(name, key, raw)
+                else:
+                    for sub, value in entries(raw, f"{name}.{key}"):
+                        feed(name, prefix + str(sub), value)
+        else:
+            diags.append(Diagnostic(0, 0, f"unknown section [{name}]"))
+    return _finish(nl, diags)
 
 
 def serialize(nl: Netlist) -> str:
@@ -365,16 +409,10 @@ def serialize(nl: Netlist) -> str:
             f"shots {nl.shots}", f"seed {nl.seed}"]
     if nl.task == "lock":
         out += [f"duration {nl.duration:.12g}", f"setpoint {nl.setpoint:.12g}"]
-    for k in sorted(nl.noise):
-        out.append(f"noise.{k} {nl.noise[k]:.12g}")
+    out += [f"noise.{k} {v:.12g}" for k, v in sorted(nl.noise.items())]
     if nl.lock or nl.drift or nl.pid:
-        out += ["", "[lock]"]
-        for k in sorted(nl.lock):
-            out.append(f"{k} {nl.lock[k]:.12g}")
-        for k in sorted(nl.drift):
-            v = nl.drift[k]
-            out.append(f"drift.{k} {v}" if isinstance(v, str)
-                       else f"drift.{k} {v:.12g}")
-        for k in sorted(nl.pid):
-            out.append(f"pid.{k} {nl.pid[k]:.12g}")
+        out += ["", "[lock]"] + [
+            f"{prefix}{k} {v if isinstance(v, str) else format(v, '.12g')}"
+            for prefix, values in (("", nl.lock), ("drift.", nl.drift), ("pid.", nl.pid))
+            for k, v in sorted(values.items())]
     return "\n".join(out) + "\n"

@@ -26,11 +26,11 @@ from .fock import (
     post_select,
     sample_counts,
 )
-from .gate_d4 import (DEFAULT_TRUNCATION, prepare_auxiliary, prepare_input,
-                      qudit_amplitudes, run_cpf_d4)
+from .gate_d4 import (DEFAULT_TRUNCATION, encode_qudit_vector, prepare_auxiliary,
+                      prepare_input, qudit_amplitudes, run_cpf_d4)
 from .locking import DriftModel, LockParams, PidGains, simulate_lock
 from .modes import ModeSpace
-from .netlist import Netlist, ParseResult, parse_netlist, serialize
+from .netlist import Netlist, ParseResult, parse_netlist, parse_netlist_json, serialize
 from .noise import NoiseSpec
 
 
@@ -82,47 +82,28 @@ def _provenance(nl: Netlist) -> dict:
 
 
 def _noise_spec(nl: Netlist) -> NoiseSpec | None:
-    if not nl.noise:
-        return None
-    spec = NoiseSpec(
-        sigma_zeta=float(nl.noise.get("sigma_zeta", 0.0)),
-        oam_dephasing=float(nl.noise.get("oam_dephasing", 0.0)),
-        loss=float(nl.noise.get("loss", 0.0)),
-        visibility=float(nl.noise.get("visibility", 1.0)),
-        seed=nl.seed,
-    )
+    spec = NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"}, seed=nl.seed)
     spec.validate()
     return None if spec.trivial else spec
 
 
-def _state_complex(state) -> list:
-    return state.to_json_entries()
-
-
 def execute(netlist: Netlist | ParseResult) -> RunResult:
     """Dispatch one netlist to the matching engine."""
-    if isinstance(netlist, ParseResult):
-        if not netlist.ok:
-            raise NetlistError(
-                "netlist has errors: "
-                + "; ".join(str(d) for d in netlist.diagnostics)
-            )
-        netlist = netlist.netlist
     nl = netlist
+    if isinstance(nl, ParseResult):
+        if not nl.ok:
+            raise NetlistError("netlist has errors: " + "; ".join(str(d) for d in nl.diagnostics))
+        nl = nl.netlist
     if nl.elements and nl.task != "circuit":
         raise NetlistError(f"task {nl.task} runs no [elements] block; only task circuit does")
+    run = {"cpf_d4": _run_cpf, "fidelity": _run_fidelity, "lock": _run_lock,
+           "circuit": _run_circuit}.get(nl.task)
+    if run is None:
+        raise NetlistError(f"unknown task {nl.task!r}")
     try:
-        if nl.task == "cpf_d4":
-            return _run_cpf(nl)
-        if nl.task == "fidelity":
-            return _run_fidelity(nl)
-        if nl.task == "lock":
-            return _run_lock(nl)
-        if nl.task == "circuit":
-            return _run_circuit(nl)
+        return run(nl)
     except CpfSimError as e:
         raise NetlistError(f"{nl.task}: {e}") from e
-    raise NetlistError(f"unknown task {nl.task!r}")
 
 
 def _input_vector(recipe: str) -> np.ndarray:
@@ -146,9 +127,7 @@ def _run_cpf(nl: Netlist) -> RunResult:
             raise NetlistError(f"source {name!r} must be a data-state recipe")
     v1 = _input_vector(nl.sources["photon1"].recipe)
     v4 = _input_vector(nl.sources["photon4"].recipe)
-    noise = _noise_spec(nl)
-    run = run_cpf_d4(v1, v4, accepted=frozenset(nl.accept),
-                     noise=noise)
+    run = run_cpf_d4(v1, v4, accepted=frozenset(nl.accept), noise=_noise_spec(nl))
     tallies: dict = {}
     if nl.mode == "shots" and nl.shots:
         dist = dict(run.pattern_probs)
@@ -158,7 +137,7 @@ def _run_cpf(nl: Netlist) -> RunResult:
             for k, v in sample_counts(dist, nl.shots, nl.seed).items()
         }
     states = {
-        outcome.value: _state_complex(state)
+        outcome.value: state.to_json_entries()
         for outcome, (state, _p) in run.per_outcome.items()
     }
     summary = {
@@ -175,11 +154,10 @@ def _run_cpf(nl: Netlist) -> RunResult:
 
 
 def _run_fidelity(nl: Netlist) -> RunResult:
-    noise = _noise_spec(nl)
     shots = nl.shots if nl.mode == "shots" else 0
+    draws = {"n_draws": nl.noise["draws"]} if "draws" in nl.noise else {}
     report = full_fidelity_report(
-        shots=shots, noise=noise, accepted=frozenset(nl.accept),
-        n_draws=int(nl.noise.get("draws", 32)), seed=nl.seed,
+        shots=shots, noise=_noise_spec(nl), accepted=frozenset(nl.accept), seed=nl.seed, **draws,
     )
     fid = report.to_json_dict()
     fid["outcome_rows"] = [
@@ -195,24 +173,8 @@ def _run_fidelity(nl: Netlist) -> RunResult:
 
 
 def _run_lock(nl: Netlist) -> RunResult:
-    params = LockParams(**{
-        k: float(v) for k, v in nl.lock.items()
-        if k in ("mod_depth", "mod_freq", "demod_phase", "e0h", "e0v",
-                 "lpf_cutoff", "dt")
-    })
-    drift = DriftModel(
-        kind=str(nl.drift.get("kind", "random-walk")),
-        magnitude=float(nl.drift.get("magnitude", 0.5)),
-        period=float(nl.drift.get("period", 1.0)),
-        step_time=float(nl.drift.get("step_time", 0.0)),
-    )
-    gains = PidGains(
-        kp=float(nl.pid.get("kp", PidGains.kp)),
-        ki=float(nl.pid.get("ki", PidGains.ki)),
-        kd=float(nl.pid.get("kd", PidGains.kd)),
-    )
-    trace = simulate_lock(params, drift, gains, duration=nl.duration,
-                          setpoint=nl.setpoint, seed=nl.seed)
+    trace = simulate_lock(LockParams(**nl.lock), DriftModel(**nl.drift), PidGains(**nl.pid),
+                          duration=nl.duration, setpoint=nl.setpoint, seed=nl.seed)
     summary = {
         "rms_open": trace.rms_open(),
         "rms_closed": trace.rms_closed(),
@@ -233,10 +195,7 @@ def _run_circuit(nl: Netlist) -> RunResult:
         if src.recipe == "aux":
             photons.append(prepare_auxiliary(space, src.path))
         else:
-            levels = _input_vector(src.recipe)
-            from .gate_d4 import encode_qudit_vector
-
-            photons.append(encode_qudit_vector(space, src.path, levels))
+            photons.append(encode_qudit_vector(space, src.path, _input_vector(src.recipe)))
     if not photons:
         raise NetlistError("circuit task needs at least one source")
     state = inject_product(photons)
@@ -314,7 +273,5 @@ def load_netlist(path: str | Path) -> ParseResult:
     path = Path(path)
     text = path.read_text()
     if path.suffix.lower() == ".json":
-        from .netlist import parse_netlist_json
-
         return parse_netlist_json(text)
     return parse_netlist(text)

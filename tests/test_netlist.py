@@ -1,11 +1,20 @@
+import inspect
+import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpfsim.analysis import full_fidelity_report
+from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE
-from cpfsim.netlist import Netlist, parse_netlist, serialize
+from cpfsim.locking import DriftModel, LockParams, PidGains
+from cpfsim.netlist import (SCHEMA, Netlist, parse_netlist, parse_netlist_json,
+                            serialize)
+from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
 from cpfsim.runner import NetlistError, execute
 
@@ -49,7 +58,39 @@ def test_missing_parameter_value_diagnostic_with_position():
     assert diag.col > 0
 
 
-@pytest.mark.parametrize("body,needle", [
+# [run], [space], [detect] and [lock] keys and values that no run can honour.
+_VALUE_DEFECTS = [
+    ("[run]\nseed abc", "seed: expects an integer >= 0"),
+    ("[space]\ntruncation x", "truncation: expects an integer >= 0"),
+    ("[run]\nshots 1.5", "shots: expects an integer"),
+    ("[detect]\npattern C1=x", "pattern: expects an integer >= 0"),
+    ("[run]\nnoise.loss abc", "noise.loss: expects a finite number"),
+    ("[lock]\nmod_freq abc", "mod_freq: expects a finite number"),
+    ("[lock]\ndrift.magnitude abc", "drift.magnitude: expects a finite number"),
+    ("[lock]\nmod_freqq 1", "unknown key 'mod_freqq' in [lock]"),
+    ("[lock]\ndrift.kindd step", "unknown drift key 'kindd'"),
+    ("[lock]\npid.out_maxx 1", "unknown pid key 'out_maxx'"),
+    ("[run]\nnoise.loss 2", "loss must be a probability"),
+    ("[run]\nnoise.sigma_zeta -1", "noise magnitudes must be non-negative"),
+    ("[run]\nnoise.visibility 3", "visibility must lie in [0, 1]"),
+    ("[lock]\ndrift.kind bogus", "unknown drift kind 'bogus'"),
+    ("[lock]\ndrift.magnitude -1", "drift magnitude must be non-negative"),
+    ("[lock]\npid.kp nan", "pid.kp: expects a finite number"),
+    ("[space]\ntruncation -1", "truncation: expects an integer >= 0"),
+    ("[run]\nduration nan", "duration: expects a finite number"),
+    ("[run]\nnoise.draws 0", "noise.draws: expects an integer >= 1"),
+    ("[run]\nnoise.draws -3", "noise.draws: expects an integer >= 1"),
+    ("[run]\nnoise.draws 2.5", "noise.draws: expects an integer >= 1"),
+    ("[run]\nmode shotz", "unknown mode 'shotz'"),
+    ("[run]\nseed -1", "seed: expects an integer >= 0"),
+    ("[space]\npaths A A", "expects distinct path names"),
+    ("[lock]\npid.out_min 60", "output limits must be ordered"),
+    ("[lock]\ndt 0", "dt must be positive"),
+    ("[lock]\nlpf_cutoff 0", "cutoff must be positive"),
+    ("[lock]\ndemod_phase 0", "demod_phase leaves no error signal"),
+]
+
+_DIAGNOSTIC_ROWS = [
     ("[elements]\nFROBULATOR(x=1) @ A", "unknown element"),
     ("[space]\npaths A\n[elements]\nHWP(angle=0.1) @ Z", "undeclared path"),
     ("[source p1]\npath A\nrecipe z0\n[source p1]\npath B\nrecipe z1",
@@ -70,7 +111,11 @@ def test_missing_parameter_value_diagnostic_with_position():
     ("[elements]\nHWP(angle=0.1) @ A,B", "path binding"),
     ("[elements]\nQP(q=1e308) @ A", "finite number"),
     ("[elements]\nHWP(angle=0.1,angle=0.2) @ A", "repeats parameter"),
-])
+    *_VALUE_DEFECTS,
+]
+
+
+@pytest.mark.parametrize("body,needle", _DIAGNOSTIC_ROWS)
 def test_validation_diagnostics(body, needle):
     res = parse_netlist("version 1\n" + body + "\n")
     assert not res.ok
@@ -78,8 +123,103 @@ def test_validation_diagnostics(body, needle):
         str(d) for d in res.diagnostics]
 
 
+def _json_value(key: str, text: str, typed: bool):
+    """The JSON value of a text line's value: lists and objects for the
+    structured keys, a number where ``text`` reads as one (nan and inf
+    included), else the text itself, which is all that ``typed=False`` gives."""
+    if not typed:
+        return text
+    if key in ("paths", "accept"):
+        return text.split()
+    if key == "pattern":
+        return {p: _json_value("", c, typed) for p, _, c in (t.partition("=") for t in text.split())}
+    for read in (json.loads, float):
+        try:
+            value = read(text)
+        except ValueError:
+            continue
+        if isinstance(value, (int, float)):
+            return value
+    return text
+
+
+def _json_form(body: str, typed: bool = True) -> dict:
+    """The JSON netlist holding the sections, keys and values of ``body``."""
+    obj: dict = {}
+    section, arg = "", None
+    for line in body.splitlines():
+        if line.startswith("["):
+            section, _, arg = line[1:-1].partition(" ")
+            continue
+        if section == "elements":
+            obj.setdefault("elements", []).append(line)
+            continue
+        key, _, text = line.partition(" ")
+        value = _json_value(key, text, typed)
+        group, dot, name = key.partition(".")
+        if section == "":
+            obj[key] = value
+        elif section == "source":
+            obj.setdefault("sources", {}).setdefault(arg, {})[key] = value
+        elif section == "lock":
+            obj.setdefault("lock", {}).setdefault(group if dot else "params", {})[
+                name if dot else key] = value
+        elif dot:
+            obj.setdefault(section, {}).setdefault(group, {})[name] = value
+        else:
+            obj.setdefault(section, {})[key] = value
+    return obj
+
+
+_JSON_ROWS = [
+    *[(_json_form(body), needle) for body, needle in _DIAGNOSTIC_ROWS
+      if needle != "duplicate source id"],          # a JSON object cannot repeat a name
+    ({"run": {"mode": "shotz"}}, "unknown mode 'shotz'"),
+    ({"run": {"colour": 1}}, "unknown key 'colour' in [run]"),
+    ({"flavour": {}}, "unknown section [flavour]"),
+    ({"run": {"shots": True}}, "shots: expects an integer"),
+    ({"lock": {"pid": {"kp": float("inf")}}}, "pid.kp: expects a finite number"),
+    ({"run": {"noise": [1]}}, "run.noise must be a JSON object"),
+    ({"elements": [3]}, "expects an element descriptor"),
+]
+
+
+@pytest.mark.parametrize("obj,needle", _JSON_ROWS,
+                         ids=[json.dumps(obj) for obj, _ in _JSON_ROWS])
+def test_validation_diagnostics_json(obj, needle):
+    res = parse_netlist_json(json.dumps(obj))
+    assert not res.ok
+    assert any(needle in d.message for d in res.diagnostics), [
+        str(d) for d in res.diagnostics]
+
+
+def test_value_diagnostics_carry_positions():
+    text = "version 1\n[run]\n  noise.loss abc\n[lock]\nmod_freqq 3\n"
+    diags = {d.message: (d.line, d.col) for d in parse_netlist(text).diagnostics}
+    assert diags == {
+        "noise.loss: expects a finite number, got 'abc'": (3, 13),
+        "unknown key 'mod_freqq' in [lock]": (5, 0),
+    }
+
+
+@pytest.mark.parametrize("body", [body for body, _ in _VALUE_DEFECTS])
+def test_cli_rejects_defect_netlists(body, tmp_path, capsys):
+    """Both front ends: validate and every run command exit 1, no traceback."""
+    for name, text in (("bad.netlist", "version 1\n" + body + "\n"),
+                       ("bad.json", json.dumps(_json_form(body)))):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli_main(["validate", "--netlist", str(path)]) == 1
+        for command in ("simulate", "lock", "fidelity"):
+            assert cli_main([command, "--netlist", str(path), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "bad.netlist"]
+
+
 def test_parsing_is_total_on_garbage():
-    for text in ("", "[[[", "key", "[elements]\n)(", "version x\nstuff"):
+    for text in ("", "[[[", "key", "[elements]\n)(", "version x\nstuff",
+                 "[source]\npath A"):
         res = parse_netlist(text)  # must not raise
         assert res.diagnostics or res.netlist is not None
 
@@ -120,6 +260,70 @@ def test_validated_elements_run(kind, params, paths):
         execute(res.netlist)
     except NetlistError:
         pass
+
+
+_SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+_SCHEMA_VALUES = st.one_of(
+    st.sampled_from(["abc", "nan", "-inf", "1e400", "-0", "0", "1", "-1", "-3", "2.5",
+                     "1e-320", "A", "A B", "A A", "A=1 B=2", "C1=x", "C1=-1",
+                     "PhiPlus", "Quux", "cpf_d4", "lock", "analytic", "shots",
+                     "random-walk", "sinusoidal", "step", "z0", "aux"]),
+    st.integers(-10**20, 10**20).map(str),
+    st.floats().map(repr),
+    st.fractions(max_denominator=8).map(lambda q: repr(float(q))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SCHEMA_KEYS + [("lock", "pid.gain")]),
+                          _SCHEMA_VALUES),
+                max_size=8, unique_by=lambda entry: entry[0]))
+def test_schema_values_parse_or_diagnose(entries):
+    """Keys from the schema with junk, negative, non-finite and fractional
+    values: parsing never raises, the JSON front end agrees with the text one,
+    and a netlist that parses builds and validates its four dataclasses (lock
+    runs are not executed: a long duration would allocate without bound)."""
+    sections: dict = {}
+    for (section, key), value in entries:
+        sections.setdefault(section, []).append(f"{key} {value}")
+    text = "\n".join(sections.pop("", []) + [
+        line for section, lines in sections.items()
+        for line in ("[source p]" if section == "source" else f"[{section}]", *lines)])
+    res = parse_netlist(text)
+    js = parse_netlist_json(_json_form(text, typed=False))
+    assert sorted(d.message for d in js.diagnostics) == sorted(
+        d.message for d in res.diagnostics)
+    assert js.netlist == res.netlist
+    if res.ok:
+        nl = res.netlist
+        NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"},
+                  seed=nl.seed).validate()
+        LockParams(**nl.lock).validate()
+        DriftModel(**nl.drift).validate()
+        PidGains(**nl.pid).validate()
+
+
+def test_readme_key_table_matches_schema():
+    """The README "Netlist format" table lists exactly the schema's keys, and
+    every numeric default it shows is the one the run uses."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| (top level|`\[(\w+)[^\]]*\]`) \| `([\w.]+)` \| [^|]* \| ([^|]*) \|$",
+                      readme, re.MULTILINE)
+    listed = [("" if where == "top level" else section, key) for where, section, key, _ in rows]
+    assert sorted(listed) == sorted(_SCHEMA_KEYS)
+    defaults = {key: getattr(Netlist(), key) for key in SCHEMA[""] | SCHEMA["run"]
+                | SCHEMA["space"] if "." not in key}
+    for prefix, cls in (("noise.", NoiseSpec), ("", LockParams), ("drift.", DriftModel),
+                        ("pid.", PidGains)):
+        defaults.update({prefix + f.name: f.default for f in fields(cls)})
+    defaults["noise.draws"] = inspect.signature(full_fidelity_report).parameters[
+        "n_draws"].default
+    for _, _, key, cell in rows:
+        try:
+            shown = float(cell.strip().strip("`"))
+        except ValueError:
+            continue
+        assert shown == defaults[key], (key, cell)
 
 
 @pytest.mark.parametrize("name", ("cpf_d4.netlist", "lock.netlist"))

@@ -97,6 +97,18 @@ seed 5
     assert sum(rr.tallies.values()) == 1000
 
 
+def test_lock_honours_pid_output_limits(lock_netlist):
+    text = serialize(lock_netlist).replace("duration 4\n", "duration 1\n")
+    free = execute(parse_netlist(text))
+    clamped = execute(parse_netlist(text + "pid.out_min -0.05\npid.out_max 0.05\n"))
+
+    def actuation(rr):
+        return [float(row.split(",")[4]) for row in rr.trace_csv.splitlines()[1:]]
+
+    assert max(map(abs, actuation(free))) > 0.05
+    assert max(actuation(clamped)) == 0.05 and min(actuation(clamped)) >= -0.05
+
+
 def test_execute_rejects_bad_netlist():
     res = parse_netlist("version 1\n[run]\ntask warp\n")
     with pytest.raises(NetlistError):
