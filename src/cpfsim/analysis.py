@@ -29,6 +29,10 @@ from .protocol import BellOutcome, QuditState, cpf_oracle
 #: preparation table.
 STATE_VECTORS = {key: np.array(recipe.target) for key, recipe in PREPARATION_TABLE.items()}
 
+#: Noise draws averaged by default in the fidelity experiments and noisy
+#: ``cpf_d4`` runs.
+DEFAULT_DRAWS = 32
+
 Z_ORDER = ("z0", "z1", "z2", "z3")
 X_ORDER = ("x02+", "x02-", "x13+", "x13-")
 _X_FLIP = {"x13+": "x13-", "x13-": "x13+", "x02+": "x02+", "x02-": "x02-"}
@@ -145,7 +149,7 @@ def run_fidelity_experiment(
     shots: int = 0,
     noise: NoiseSpec | None = None,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
-    n_draws: int = 32,
+    n_draws: int = DEFAULT_DRAWS,
     seed: int = 0,
 ) -> BasisRun:
     """Measure the flip pattern of one basis table on the heralded channel.
@@ -237,7 +241,7 @@ def full_fidelity_report(
     shots: int = 0,
     noise: NoiseSpec | None = None,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
-    n_draws: int = 32,
+    n_draws: int = DEFAULT_DRAWS,
     seed: int = 0,
 ) -> FidelityReport:
     channel = _heralded_channel(noise, n_draws, accepted)
@@ -296,7 +300,7 @@ class SuiteEntry:
 def superposition_suite(
     noise: NoiseSpec | None = None,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
-    n_draws: int = 32,
+    n_draws: int = DEFAULT_DRAWS,
 ) -> list[SuiteEntry]:
     """Score the seven superposition inputs.
 
@@ -333,6 +337,7 @@ class HeraldedChannel:
     """Kraus form of the noise-averaged heralded gate (unnormalized)."""
 
     kraus: list                # 16x16 operators, weights folded in
+    labels: list               # (BellOutcome, analyzer pattern) of each operator
     herald_probability: float  # trace factor, input independent
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -356,7 +361,7 @@ def build_heralded_channel(
 
 def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> HeraldedChannel:
     """Kraus operators of the draw-averaged heralded gate, each weighted by
-    its draw's share.  The draws without noise share one weighted operator
+    its draw's share and labelled with its (outcome, pattern).  The draws without noise share one weighted operator
     set; lost draws herald nothing, so every draw lost gives no operators
     and herald probability 0."""
     draws = noise_draws(noise, n_draws)
@@ -365,13 +370,41 @@ def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> Herald
     weighted = [(w * n_ideal, IDEAL_DRAW)] if n_ideal else []
     weighted += [(w, d) for d in draws if not (d.trivial or d.lost)]
     pipe = pipeline()
-    kraus = [math.sqrt(weight) * k
-             for weight, draw in weighted
-             for (outcome, _pattern), k in pipe.transfer_operators(draw).items()
-             if outcome in accepted]
+    labelled = [(label, math.sqrt(weight) * k)
+                for weight, draw in weighted
+                for label, k in pipe.transfer_operators(draw).items()
+                if label[0] in accepted]
+    kraus = [k for _label, k in labelled]
     gram = sum(k.conj().T @ k for k in kraus)
     herald = float(np.trace(gram).real / 16.0) if kraus else 0.0
-    return HeraldedChannel(kraus, herald)
+    return HeraldedChannel(kraus, [label for label, _k in labelled], herald)
+
+
+def heralded_ensemble(noise: NoiseSpec, v: np.ndarray, accepted,
+                      n_draws: int = DEFAULT_DRAWS) -> tuple[dict, dict]:
+    """The gate on joint input ``v``, averaged over ``n_draws`` noise draws.
+
+    Returns the analyzer-pattern probabilities sum ||K v||^2 over both
+    distinguishable outcomes, and for each accepted outcome that heralds,
+    (rho, probability) with rho = sum K v v^dag K^dag / probability over
+    that outcome's operators.  Lost draws herald nothing.
+    """
+    stage = pipeline().stage
+    accepted = stage.require_distinguishable(accepted)
+    channel = _heralded_channel(noise, n_draws, stage.distinguishable)
+    pattern_probs: dict = {}
+    outputs: dict = {}
+    for (outcome, pattern), k in zip(channel.labels, channel.kraus):
+        out = k @ v
+        pattern_probs[pattern] = pattern_probs.get(pattern, 0.0) + float(np.vdot(out, out).real)
+        if outcome in accepted:
+            outputs[outcome] = outputs.get(outcome, 0.0) + np.outer(out, out.conj())
+    per_outcome = {}
+    for outcome, rho in outputs.items():
+        prob = float(np.trace(rho).real)
+        if prob > 1e-30:
+            per_outcome[outcome] = (rho / prob, prob)
+    return {p: q for p, q in pattern_probs.items() if q > 1e-30}, per_outcome
 
 
 def _outcome_probs(channel: HeraldedChannel, v: np.ndarray, outputs) -> tuple:

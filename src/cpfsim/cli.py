@@ -14,7 +14,7 @@ import sys
 from .errors import CpfSimError
 from .gate_d4 import build_hd_beamsplitter, transcript_check
 from .modes import ModeSpace
-from .netlist import Netlist
+from .netlist import Netlist, _set
 from .runner import NetlistError, RunResult, emit, execute, load_netlist
 
 
@@ -59,14 +59,18 @@ def _resolve_netlist(args, default_task: str) -> tuple[Netlist | None, int]:
         if default_task == "cpf_d4":
             print("simulate requires --netlist", file=sys.stderr)
             return None, 1
+    overrides = []
     if args.seed is not None:
-        nl.seed = args.seed
+        overrides.append(("seed", args.seed))
     if args.shots is not None:
-        nl.shots = args.shots
-        nl.mode = "shots" if args.shots > 0 else "analytic"
+        overrides += [("shots", args.shots), ("mode", "shots" if args.shots > 0 else "analytic")]
     if args.analytic:
-        nl.mode = "analytic"
-        nl.shots = 0
+        overrides += [("mode", "analytic"), ("shots", 0)]
+    for key, value in overrides:
+        problem = _set(nl, "run", None, key, value)
+        if problem:
+            print(f"command line: error: {problem}", file=sys.stderr)
+            return None, 1
     return nl, 0
 
 

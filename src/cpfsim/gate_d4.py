@@ -45,7 +45,7 @@ from .modes import (
     apply_to_single_photon,
     compose_transforms,
 )
-from .noise import IDEAL_DRAW, NoiseDraw, NoiseSpec
+from .noise import IDEAL_DRAW, NoiseDraw
 from .protocol import BellOutcome, QuditState, correction_unitary
 
 # Qudit alphabet: level index -> azimuthal index.
@@ -445,6 +445,18 @@ class BsmStage:
     def distinguishable(self) -> frozenset:
         return frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
 
+    def require_distinguishable(self, outcomes) -> frozenset:
+        """``outcomes`` as a frozenset; EncodingError if the stage cannot
+        tell one of them apart."""
+        outcomes = frozenset(outcomes)
+        unknown = outcomes - self.distinguishable
+        if unknown:
+            raise EncodingError(
+                f"outcomes {sorted(o.value for o in unknown)} are not"
+                " unambiguously distinguished by the measurement stage"
+            )
+        return outcomes
+
 
 def build_bsm_stage(
     space: ModeSpace, d_paths=("D1", "D2"), out_paths=("E1", "E2")
@@ -650,20 +662,13 @@ class CpfPipeline:
         self,
         c_matrix: np.ndarray,
         accepted=frozenset({BellOutcome.PhiPlus}),
-        draw: NoiseDraw = IDEAL_DRAW,
     ) -> HeraldedRun:
-        """Heralded outcomes of one joint input under one noise draw.
+        """Heralded outcomes of one joint input through the noise-free gate.
 
         Each outcome keeps its first pattern's state; a second pattern of the
         same outcome must herald the same state up to a global phase.
         """
-        accepted = frozenset(accepted)
-        unknown = accepted - self.stage.distinguishable
-        if unknown:
-            raise EncodingError(
-                f"outcomes {sorted(o.value for o in unknown)} are not"
-                " unambiguously distinguished by the measurement stage"
-            )
+        accepted = self.stage.require_distinguishable(accepted)
         c = np.asarray(c_matrix, dtype=complex)
         if c.shape != (4, 4):
             raise EncodingError("joint input must be a 4x4 amplitude matrix")
@@ -671,7 +676,7 @@ class CpfPipeline:
         port_prob = 0.0
         pattern_probs = {}
         collected: dict[BellOutcome, list] = {}
-        for (outcome, pattern), k in self.transfer_operators(draw).items():
+        for (outcome, pattern), k in self.transfer_operators(IDEAL_DRAW).items():
             amps = k @ c
             joint = float(np.vdot(amps, amps).real)
             port_prob += joint
@@ -735,23 +740,16 @@ def run_cpf_d4(
     *,
     joint=None,
     accepted=frozenset({BellOutcome.PhiPlus}),
-    noise: NoiseSpec | None = None,
-    draw: NoiseDraw | None = None,
 ) -> HeraldedRun:
-    """Run the d=4 heralded gate on a product or joint two-qudit input.
+    """Run the noise-free d=4 heralded gate on a product or joint two-qudit
+    input.
 
-    Analytic single-shot run; ``noise`` draws one imperfection sample, or
-    pass an explicit ``draw``.  Inputs are H-polarized alphabet photons (as
-    SinglePhotonState or 4 level amplitudes) or a joint 4x4 amplitude matrix.
+    Inputs are H-polarized alphabet photons (as SinglePhotonState or 4 level
+    amplitudes) or a joint 4x4 amplitude matrix.  Noisy runs average the
+    heralded channel over draws: :func:`cpfsim.analysis.heralded_ensemble`.
     """
     c = _coerce_input(in1, in4, joint)
     norm = np.linalg.norm(c)
     if abs(norm - 1.0) > 1e-9:
         c = c / norm
-    if draw is None:
-        if noise is not None:
-            noise.validate()
-            draw = noise.draw(noise.rng())
-        else:
-            draw = IDEAL_DRAW
-    return pipeline().run(c, accepted=accepted, draw=draw)
+    return pipeline().run(c, accepted=accepted)

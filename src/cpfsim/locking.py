@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import InsufficientTrace
 
+#: Most samples one lock run may simulate (duration / sample_dt); the default
+#: 4 s run takes 256 000.
+MAX_LOCK_SAMPLES = 10**7
+
 
 @dataclass(frozen=True)
 class LockParams:
@@ -64,6 +68,18 @@ class LockParams:
             raise ValueError("low-pass cutoff must be positive and below the modulation frequency")
         if not 0 < self.sample_dt < self.mod_period / 10.0:
             raise ValueError("dt must be positive and resolve the modulation (>= 10 samples/period)")
+
+
+def check_lock_run(p: LockParams, duration: float) -> None:
+    """Validate ``p`` and bound the run's work: ``duration`` must be positive
+    and span at most :data:`MAX_LOCK_SAMPLES` samples of ``p.sample_dt``."""
+    p.validate()
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    samples = duration / p.sample_dt
+    if samples > MAX_LOCK_SAMPLES:
+        raise ValueError(f"duration {duration:g} s spans {samples:.3g} samples of"
+                         f" {p.sample_dt:.3g} s; at most {MAX_LOCK_SAMPLES:.0e}")
 
 
 def intensity(t, zeta, p: LockParams):
@@ -263,7 +279,7 @@ def simulate_lock(
     frequency) so it does not dominate the loop delay; the first ``warmup``
     periods only settle the filter, with the actuator held.
     """
-    p.validate()
+    check_lock_run(p, duration)
     drift.validate()
     gains.validate()
     dt = p.sample_dt

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from .elements import DescriptorError, parse_descriptor, spec_problem
 from .gate_d4 import PREPARATION_TABLE
-from .locking import DriftModel, LockParams, PidGains
+from .locking import DriftModel, LockParams, PidGains, check_lock_run
 from .noise import NoiseSpec
 from .protocol import BellOutcome
 
@@ -293,11 +293,13 @@ def _finish(nl: Netlist, diags: list) -> ParseResult:
     for path in nl.pattern:
         if declared and path not in declared:
             err(f"detection pattern names undeclared path {path!r}")
-    noise = {k: v for k, v in nl.noise.items() if k != "draws"}
-    for group, cls, values in (("noise", NoiseSpec, noise), ("lock", LockParams, nl.lock),
-                               ("drift", DriftModel, nl.drift), ("pid", PidGains, nl.pid)):
+    noise = NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"})
+    for group, check in (("noise", noise.validate),
+                         ("lock", lambda: check_lock_run(LockParams(**nl.lock), nl.duration)),
+                         ("drift", DriftModel(**nl.drift).validate),
+                         ("pid", PidGains(**nl.pid).validate)):
         try:
-            cls(**values).validate()
+            check()
         except ValueError as e:
             err(f"{group}: {e}")
     has_error = any(d.severity == "error" for d in diags)

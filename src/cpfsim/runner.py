@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import full_fidelity_report
+from .analysis import DEFAULT_DRAWS, full_fidelity_report, heralded_ensemble
 from .elements import element_transform
 from .errors import CpfSimError, EmptyPostSelection
 from .fock import (
@@ -26,8 +26,8 @@ from .fock import (
     post_select,
     sample_counts,
 )
-from .gate_d4 import (DEFAULT_TRUNCATION, encode_qudit_vector, prepare_auxiliary,
-                      prepare_input, qudit_amplitudes, run_cpf_d4)
+from .gate_d4 import (DEFAULT_TRUNCATION, CpfPipeline, encode_qudit_vector,
+                      prepare_auxiliary, prepare_input, qudit_amplitudes, run_cpf_d4)
 from .locking import DriftModel, LockParams, PidGains, simulate_lock
 from .modes import ModeSpace
 from .netlist import Netlist, ParseResult, parse_netlist, parse_netlist_json, serialize
@@ -87,6 +87,16 @@ def _noise_spec(nl: Netlist) -> NoiseSpec | None:
     return None if spec.trivial else spec
 
 
+# Netlist parts and the tasks that read them: a netlist that sets a part its
+# task does not read is refused, not run without it.
+_READERS = (
+    ("elements", "[elements] block", ("circuit",)),
+    ("sources", "[source] block", ("cpf_d4", "circuit")),
+    ("pattern", "detection pattern", ("cpf_d4", "circuit")),
+    ("noise", "noise.* key", ("cpf_d4", "fidelity")),
+)
+
+
 def execute(netlist: Netlist | ParseResult) -> RunResult:
     """Dispatch one netlist to the matching engine."""
     nl = netlist
@@ -94,8 +104,10 @@ def execute(netlist: Netlist | ParseResult) -> RunResult:
         if not nl.ok:
             raise NetlistError("netlist has errors: " + "; ".join(str(d) for d in nl.diagnostics))
         nl = nl.netlist
-    if nl.elements and nl.task != "circuit":
-        raise NetlistError(f"task {nl.task} runs no [elements] block; only task circuit does")
+    for part, noun, readers in _READERS:
+        if getattr(nl, part) and nl.task not in readers:
+            raise NetlistError(f"task {nl.task} runs no {noun}; tasks that do: "
+                               + ", ".join(readers))
     run = {"cpf_d4": _run_cpf, "fidelity": _run_fidelity, "lock": _run_lock,
            "circuit": _run_circuit}.get(nl.task)
     if run is None:
@@ -114,8 +126,9 @@ def _input_vector(recipe: str) -> np.ndarray:
 def _run_cpf(nl: Netlist) -> RunResult:
     if nl.truncation != DEFAULT_TRUNCATION:
         raise NetlistError(f"task cpf_d4 runs at truncation {DEFAULT_TRUNCATION} only")
-    if "draws" in nl.noise:
-        raise NetlistError("task cpf_d4 runs one noise draw; noise.draws is for task fidelity")
+    if nl.pattern and nl.pattern != dict.fromkeys(CpfPipeline.PORTS, 1):
+        raise NetlistError("task cpf_d4 heralds one photon in each of "
+                           + ", ".join(CpfPipeline.PORTS) + " only")
     for name in ("photon2", "photon3"):
         src = nl.sources.get(name)
         if src is not None and src.recipe != "aux":
@@ -127,37 +140,50 @@ def _run_cpf(nl: Netlist) -> RunResult:
             raise NetlistError(f"source {name!r} must be a data-state recipe")
     v1 = _input_vector(nl.sources["photon1"].recipe)
     v4 = _input_vector(nl.sources["photon4"].recipe)
-    run = run_cpf_d4(v1, v4, accepted=frozenset(nl.accept), noise=_noise_spec(nl))
+    accepted = frozenset(nl.accept)
+    noise = _noise_spec(nl)
+    summary: dict = {"accepted": [o.value for o in nl.accept]}
+    if noise is None:
+        run = run_cpf_d4(v1, v4, accepted=accepted)
+        pattern_probs, port_prob = run.pattern_probs, run.port_pattern_prob
+        per_outcome = {o: p for o, (_s, p) in run.per_outcome.items()}
+        states = {o.value: s.to_json_entries() for o, (s, _p) in run.per_outcome.items()}
+    else:
+        pattern_probs, outputs = heralded_ensemble(
+            noise, np.kron(v1, v4), accepted, nl.noise.get("draws", DEFAULT_DRAWS))
+        port_prob = float(sum(pattern_probs.values()))
+        per_outcome = {o: p for o, (_rho, p) in outputs.items()}
+        states = None
+        summary["density"] = {o.value: _density_entries(rho)
+                              for o, (rho, _p) in outputs.items()}
     tallies: dict = {}
     if nl.mode == "shots" and nl.shots:
-        dist = dict(run.pattern_probs)
+        dist = dict(pattern_probs)
         dist[("no-herald",)] = max(1.0 - sum(dist.values()), 0.0)
         tallies = {
             "|".join(k): v
             for k, v in sample_counts(dist, nl.shots, nl.seed).items()
         }
-    states = {
-        outcome.value: state.to_json_entries()
-        for outcome, (state, _p) in run.per_outcome.items()
-    }
-    summary = {
-        "accepted": [o.value for o in nl.accept],
-        "per_outcome_probability": {
-            o.value: p for o, (_s, p) in run.per_outcome.items()
-        },
-        "port_pattern_probability": run.port_pattern_prob,
-    }
+    summary["per_outcome_probability"] = {o.value: p for o, p in per_outcome.items()}
+    summary["port_pattern_probability"] = port_prob
     return RunResult(
-        "cpf_d4", run.heralding_probability, tallies, None, states, None,
+        "cpf_d4", float(sum(per_outcome.values())), tallies, None, states, None,
         summary, _provenance(nl),
     )
 
 
+def _density_entries(rho: np.ndarray) -> list:
+    """[i, j, re, im] for each entry of a 16x16 density matrix above 1e-15,
+    with i = 4 m + n indexing the qudit pair (m, n)."""
+    return [[i, j, rho[i, j].real, rho[i, j].imag]
+            for i in range(16) for j in range(16) if abs(rho[i, j]) > 1e-15]
+
+
 def _run_fidelity(nl: Netlist) -> RunResult:
     shots = nl.shots if nl.mode == "shots" else 0
-    draws = {"n_draws": nl.noise["draws"]} if "draws" in nl.noise else {}
     report = full_fidelity_report(
-        shots=shots, noise=_noise_spec(nl), accepted=frozenset(nl.accept), seed=nl.seed, **draws,
+        shots=shots, noise=_noise_spec(nl), accepted=frozenset(nl.accept), seed=nl.seed,
+        n_draws=nl.noise.get("draws", DEFAULT_DRAWS),
     )
     fid = report.to_json_dict()
     fid["outcome_rows"] = [

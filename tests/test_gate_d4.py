@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpfsim import elements as el
+from cpfsim.analysis import heralded_ensemble
 from cpfsim.errors import EncodingError, PatternMismatch
 from cpfsim.fock import (
     DetectionPattern,
@@ -352,28 +353,58 @@ def _fock_patterns(pipe, c, draw):
 
 def test_run_matches_direct_fock_evolution(pipe):
     """``run`` is algebra on transfer operators built from basis inputs; on
-    random joint inputs and noisy draws it must agree with evolving the
-    input itself through the Fock engine."""
+    random joint inputs it must agree with evolving the input itself through
+    the Fock engine."""
     rng = np.random.default_rng(2026)
-    spec = NoiseSpec(sigma_zeta=0.4, oam_dephasing=0.3, visibility=0.8, seed=17)
-    for draw in [IDEAL_DRAW] + spec.draws(3):
-        for _ in range(2):
-            c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            c /= np.linalg.norm(c)
-            run = pipe.run(c, accepted=BOTH, draw=draw)
-            direct = _fock_patterns(pipe, c, draw)
-            assert set(run.pattern_probs) == set(direct)
-            assert abs(run.port_pattern_prob - sum(p for p, _ in direct.values())) < 1e-12
-            for pattern, (p, amps) in direct.items():
-                assert abs(run.pattern_probs[pattern] - p) < 1e-12
-                state = run.heralded_state(pipe.stage.decode(pattern)).amps
-                assert abs(abs(np.vdot(state, amps)) ** 2 / p - 1.0) < 1e-12
-            for outcome, (state, p) in run.per_outcome.items():
-                first = next(pt for pt in direct if pipe.stage.decode(pt) == outcome)
-                p_first, amps = direct[first]
-                assert np.max(np.abs(state.amps - amps / math.sqrt(p_first))) < 1e-12
-                assert abs(p - sum(q for pt, (q, _) in direct.items()
-                                   if pipe.stage.decode(pt) == outcome)) < 1e-12
+    for _ in range(2):
+        c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        c /= np.linalg.norm(c)
+        run = pipe.run(c, accepted=BOTH)
+        direct = _fock_patterns(pipe, c, IDEAL_DRAW)
+        assert set(run.pattern_probs) == set(direct)
+        assert abs(run.port_pattern_prob - sum(p for p, _ in direct.values())) < 1e-12
+        for pattern, (p, amps) in direct.items():
+            assert abs(run.pattern_probs[pattern] - p) < 1e-12
+            state = run.heralded_state(pipe.stage.decode(pattern)).amps
+            assert abs(abs(np.vdot(state, amps)) ** 2 / p - 1.0) < 1e-12
+        for outcome, (state, p) in run.per_outcome.items():
+            first = next(pt for pt in direct if pipe.stage.decode(pt) == outcome)
+            p_first, amps = direct[first]
+            assert np.max(np.abs(state.amps - amps / math.sqrt(p_first))) < 1e-12
+            assert abs(p - sum(q for pt, (q, _) in direct.items()
+                               if pipe.stage.decode(pt) == outcome)) < 1e-12
+
+
+def test_ensemble_matches_direct_fock_evolution(pipe):
+    """The draw-averaged run of a noisy ``cpf_d4`` netlist agrees with
+    evolving each random joint input through every unlost draw's noisy chain
+    on the Fock engine: pattern probabilities are the mean of the draws',
+    and each outcome's density matrix the mean of its heralded projectors."""
+    rng = np.random.default_rng(2026)
+    spec = NoiseSpec(sigma_zeta=0.4, oam_dephasing=0.3, visibility=0.8, loss=0.1, seed=17)
+    draws = spec.draws(4)
+    assert 0 < sum(d.lost for d in draws) < len(draws)
+    for _ in range(2):
+        c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        c /= np.linalg.norm(c)
+        pattern_probs, per_outcome = heralded_ensemble(spec, c.reshape(-1), BOTH, n_draws=4)
+        want_probs: dict = {}
+        want_rho: dict = {}
+        for draw in draws:
+            if draw.lost:
+                continue
+            for pattern, (p, amps) in _fock_patterns(pipe, c, draw).items():
+                want_probs[pattern] = want_probs.get(pattern, 0.0) + p / len(draws)
+                outcome = pipe.stage.decode(pattern)
+                want_rho[outcome] = (want_rho.get(outcome, 0.0)
+                                     + np.outer(amps, amps.conj()) / len(draws))
+        assert set(pattern_probs) == set(want_probs)
+        for pattern, p in want_probs.items():
+            assert abs(pattern_probs[pattern] - p) < 1e-12
+        assert set(per_outcome) == set(want_rho)
+        for outcome, (rho, p) in per_outcome.items():
+            assert abs(p - np.trace(want_rho[outcome]).real) < 1e-12
+            assert np.max(np.abs(rho * p - want_rho[outcome])) < 1e-12
 
 
 _noise_specs = st.builds(

@@ -6,11 +6,13 @@ from scipy.special import j1
 
 from cpfsim.errors import InsufficientTrace
 from cpfsim.locking import (
+    MAX_LOCK_SAMPLES,
     DriftModel,
     LockParams,
     PidGains,
     PidState,
     calibrate_gain,
+    check_lock_run,
     demodulate_error,
     intensity,
     measured_error,
@@ -107,6 +109,17 @@ def test_param_validation():
         DriftModel(kind="brownian").validate()
     with pytest.raises(ValueError):
         PidGains(out_min=1.0, out_max=-1.0).validate()
+
+
+def test_lock_work_is_bounded():
+    """A run needs a positive duration of at most MAX_LOCK_SAMPLES samples;
+    simulate_lock refuses the rest before it allocates anything."""
+    p = LockParams()
+    check_lock_run(p, 4.0)
+    check_lock_run(p, 0.999 * MAX_LOCK_SAMPLES * p.sample_dt)
+    for duration in (0.0, -1.0, 1e9, 1.001 * MAX_LOCK_SAMPLES * p.sample_dt):
+        with pytest.raises(ValueError, match="duration"):
+            simulate_lock(p, DriftModel(), PidGains(), duration=duration)
 
 
 def test_pid_basics():

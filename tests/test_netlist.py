@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cpfsim.analysis import full_fidelity_report
 from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE
-from cpfsim.locking import DriftModel, LockParams, PidGains
+from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
 from cpfsim.netlist import (SCHEMA, Netlist, parse_netlist, parse_netlist_json,
                             serialize)
 from cpfsim.noise import NoiseSpec
@@ -88,6 +88,10 @@ _VALUE_DEFECTS = [
     ("[lock]\ndt 0", "dt must be positive"),
     ("[lock]\nlpf_cutoff 0", "cutoff must be positive"),
     ("[lock]\ndemod_phase 0", "demod_phase leaves no error signal"),
+    ("[run]\nduration -1", "lock: duration must be positive"),
+    ("[run]\nduration 0", "lock: duration must be positive"),
+    ("[run]\nduration 1e9", "lock: duration 1e+09 s spans 6.4e+13 samples"),
+    ("[lock]\ndt 1e-9", "lock: duration 4 s spans 4e+09 samples"),
 ]
 
 _DIAGNOSTIC_ROWS = [
@@ -217,6 +221,32 @@ def test_cli_rejects_defect_netlists(body, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "bad.netlist"]
 
 
+# Command lines that no run can honour: overrides outside the schema, and
+# shipped netlists handed to a task that does not read some of their parts.
+_COMMAND_DEFECTS = [
+    (["lock", "--seed", "-1"], "lock.netlist", None),
+    (["simulate", "--shots", "99999999999999999999"], "cpf_d4.netlist", None),
+    (["simulate", "--shots", "-5"], "cpf_d4.netlist", None),
+    (["fidelity"], "cpf_d4.netlist", None),
+    (["lock"], "cpf_d4.netlist", None),
+    (["simulate"], "cpf_d4.netlist", ("E1=1", "E1=2")),
+]
+
+
+@pytest.mark.parametrize("argv,fixture,edit", _COMMAND_DEFECTS,
+                         ids=[" ".join(argv) + " " + fixture + (" " + edit[1] if edit else "")
+                              for argv, fixture, edit in _COMMAND_DEFECTS])
+def test_cli_rejects_defect_commands(argv, fixture, edit, tmp_path, capsys):
+    text = (FIXTURES / fixture).read_text()
+    path = tmp_path / fixture
+    path.write_text(text.replace(*edit) if edit else text)
+    out = tmp_path / "out"
+    assert cli_main([argv[0], "--netlist", str(path), "--out", str(out), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "error" in captured.err and "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_parsing_is_total_on_garbage():
     for text in ("", "[[[", "key", "[elements]\n)(", "version x\nstuff",
                  "[source]\npath A"):
@@ -281,8 +311,8 @@ _SCHEMA_VALUES = st.one_of(
 def test_schema_values_parse_or_diagnose(entries):
     """Keys from the schema with junk, negative, non-finite and fractional
     values: parsing never raises, the JSON front end agrees with the text one,
-    and a netlist that parses builds and validates its four dataclasses (lock
-    runs are not executed: a long duration would allocate without bound)."""
+    and a netlist that parses builds and validates its four dataclasses, with
+    its lock run's work inside the bound (lock runs are not executed)."""
     sections: dict = {}
     for (section, key), value in entries:
         sections.setdefault(section, []).append(f"{key} {value}")
@@ -298,7 +328,7 @@ def test_schema_values_parse_or_diagnose(entries):
         nl = res.netlist
         NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"},
                   seed=nl.seed).validate()
-        LockParams(**nl.lock).validate()
+        check_lock_run(LockParams(**nl.lock), nl.duration)
         DriftModel(**nl.drift).validate()
         PidGains(**nl.pid).validate()
 

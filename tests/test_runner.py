@@ -1,13 +1,22 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpfsim.analysis import DEFAULT_DRAWS, STATE_VECTORS, heralded_ensemble
 from cpfsim.cli import main as cli_main
 from cpfsim.netlist import parse_netlist, serialize
+from cpfsim.noise import NoiseSpec
+from cpfsim.protocol import BellOutcome
 from cpfsim.runner import NetlistError, emit, execute, load_netlist
+
+BOTH = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
 
 FIXTURES = Path(__file__).resolve().parent.parent / "netlists"
 
@@ -129,11 +138,121 @@ def test_cpf_rejects_other_truncation(cpf_netlist):
         execute(nl)
 
 
-def test_cpf_rejects_noise_draws(cpf_netlist):
-    nl = parse_netlist(serialize(cpf_netlist)).netlist
-    nl.noise["draws"] = 8
-    with pytest.raises(NetlistError, match="draws"):
-        execute(nl)
+def _noisy_cpf(cpf_netlist, spec: NoiseSpec, draws=None, accept="PhiPlus PhiMinus",
+               mode="analytic", shots=0):
+    """The shipped cpf_d4 netlist under ``spec`` (its seed included)."""
+    lines = [line for line in serialize(cpf_netlist).splitlines()
+             if not line.startswith("noise.")]
+    text = "\n".join(lines).replace("seed 7", f"seed {spec.seed}").replace(
+        "accept PhiPlus PhiMinus", f"accept {accept}").replace(
+        "mode analytic\nshots 0", f"mode {mode}\nshots {shots}") + "\n"
+    text += "".join(f"noise.{k} {getattr(spec, k)!r}\n"
+                    for k in ("sigma_zeta", "oam_dephasing", "loss", "visibility"))
+    if draws is not None:
+        text += f"noise.draws {draws}\n"
+    res = parse_netlist(text)
+    assert res.ok, [str(d) for d in res.diagnostics]
+    return execute(res)
+
+
+def _density(entries) -> np.ndarray:
+    rho = np.zeros((16, 16), dtype=complex)
+    for i, j, real, imag in entries:
+        rho[i, j] = complex(real, imag)
+    return rho
+
+
+def _cpf_input(cpf_netlist) -> np.ndarray:
+    return np.kron(STATE_VECTORS[cpf_netlist.sources["photon1"].recipe],
+                   STATE_VECTORS[cpf_netlist.sources["photon4"].recipe])
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_noisy_cpf_reports_the_draw_average(cpf_netlist, seed):
+    """z3 x x13+ under loss 0.3 and sigma_zeta 0.5, PhiPlus: each unlost
+    draw heralds 1/16 (Kraus completeness), so the run heralds the unlost
+    share of the default draws times 1/16, not one draw's 0 or 1/16."""
+    spec = NoiseSpec(sigma_zeta=0.5, loss=0.3, seed=seed)
+    rr = _noisy_cpf(cpf_netlist, spec, accept="PhiPlus")
+    unlost = sum(not d.lost for d in spec.draws(DEFAULT_DRAWS))
+    assert abs(rr.heralding_probability - unlost / DEFAULT_DRAWS / 16) < 1e-12
+    assert rr.states is None
+    assert set(rr.summary["density"]) == ({"PhiPlus"} if unlost else set())
+
+
+@settings(max_examples=4, deadline=None)
+@given(spec=st.builds(NoiseSpec, sigma_zeta=st.floats(0.0, 2.0),
+                      oam_dephasing=st.floats(0.0, 2.0), loss=st.floats(0.0, 0.5),
+                      visibility=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1)),
+       draws=st.integers(1, 6), both=st.booleans())
+def test_noisy_cpf_ensemble_properties(cpf_netlist, pipe, spec, draws, both):
+    """For any noise: herald = (unlost draws)/N x |accept|/16, and each
+    outcome's density matrix is Hermitian, of unit trace and positive."""
+    accept = "PhiPlus PhiMinus" if both else "PhiMinus"
+    rr = _noisy_cpf(cpf_netlist, spec, draws, accept)
+    unlost = sum(not d.lost for d in spec.draws(draws)) if not spec.trivial else draws
+    assert abs(rr.heralding_probability - unlost / draws * len(accept.split()) / 16) < 1e-12
+    for entries in rr.summary.get("density", {}).values():
+        rho = _density(entries)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
+def test_noisy_cpf_one_draw_is_that_draw(cpf_netlist, pipe):
+    """``noise.draws 1`` reproduces the draw's heralded run: herald,
+    per-outcome and pattern probabilities from its transfer operators, and
+    rho = |psi><psi| of its first-pattern state."""
+    spec = NoiseSpec(sigma_zeta=0.7, oam_dephasing=0.4, visibility=0.8, loss=0.2, seed=4)
+    draw = spec.draws(1)[0]
+    assert not draw.lost
+    c = _cpf_input(cpf_netlist)
+    pattern_want: dict = {}
+    outcome_want: dict = {}
+    first: dict = {}
+    for (outcome, pattern), k in pipe.transfer_operators(draw).items():
+        amps = k @ c
+        pattern_want[pattern] = np.vdot(amps, amps).real
+        outcome_want[outcome] = outcome_want.get(outcome, 0.0) + pattern_want[pattern]
+        first.setdefault(outcome, amps / np.linalg.norm(amps))
+    pattern_probs, _ = heralded_ensemble(spec, c, BOTH, n_draws=1)
+    assert set(pattern_probs) == set(pattern_want)
+    for pattern, p in pattern_want.items():
+        assert abs(pattern_probs[pattern] - p) < 1e-12
+    rr = _noisy_cpf(cpf_netlist, spec, draws=1)
+    assert abs(rr.heralding_probability - sum(outcome_want.values())) < 1e-12
+    assert abs(rr.summary["port_pattern_probability"] - sum(pattern_want.values())) < 1e-12
+    assert set(rr.summary["density"]) == {o.value for o in outcome_want}
+    for outcome, p in outcome_want.items():
+        assert abs(rr.summary["per_outcome_probability"][outcome.value] - p) < 1e-12
+        psi = first[outcome]
+        rho = _density(rr.summary["density"][outcome.value])
+        assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-11
+
+
+def test_noisy_cpf_loss_only_keeps_the_ideal_state(cpf_netlist, pipe):
+    """Loss deletes whole shots: every surviving draw heralds the noiseless
+    state, so rho = |psi><psi| of the noise-free run."""
+    ideal = execute(cpf_netlist)
+    rr = _noisy_cpf(cpf_netlist, NoiseSpec(loss=0.2, seed=3), draws=8)
+    assert rr.heralding_probability > 0
+    assert set(rr.summary["density"]) == set(ideal.states)
+    for outcome, entries in ideal.states.items():
+        psi = np.zeros(16, dtype=complex)
+        for m, n, re, im in entries:
+            psi[4 * m + n] = complex(re, im)
+        rho = _density(rr.summary["density"][outcome])
+        assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-11
+
+
+@pytest.mark.parametrize("mode,shots", [("analytic", 0), ("shots", 100)])
+def test_noisy_cpf_with_every_draw_lost(cpf_netlist, mode, shots):
+    rr = _noisy_cpf(cpf_netlist, NoiseSpec(loss=1.0, seed=3), draws=4, mode=mode, shots=shots)
+    assert rr.heralding_probability == 0.0
+    assert rr.summary["density"] == {} and rr.summary["per_outcome_probability"] == {}
+    assert rr.summary["port_pattern_probability"] == 0
+    assert rr.tallies == ({"no-herald": shots} if shots else {})
+    json.loads(rr.to_json())
 
 
 @pytest.mark.parametrize("mode,shots", [("analytic", 0), ("shots", 100)])
@@ -157,6 +276,25 @@ def test_elements_rejected_outside_circuit(task):
     assert res.ok
     with pytest.raises(NetlistError, match="elements"):
         execute(res)
+
+
+@pytest.mark.parametrize("task,body,needle", [
+    *[(task, "[source p]\npath A\nrecipe z0", "[source] block") for task in ("fidelity", "lock")],
+    *[(task, "[detect]\npattern A=1", "detection pattern") for task in ("fidelity", "lock")],
+    *[(task, "[run]\nnoise.loss 0", "noise.* key") for task in ("circuit", "lock")],
+])
+def test_parts_a_task_does_not_read_are_rejected(task, body, needle):
+    res = parse_netlist(f"version 1\n{body}\n[run]\ntask {task}\n")
+    assert res.ok
+    with pytest.raises(NetlistError, match=re.escape(needle)):
+        execute(res)
+
+
+@pytest.mark.parametrize("pattern", ["E1=2", "C1=1 C2=1 E1=1", "C1=1 C2=1 E1=1 E2=1 X1=0"])
+def test_cpf_rejects_other_patterns(cpf_netlist, pattern):
+    text = serialize(cpf_netlist).replace("pattern C1=1 C2=1 E1=1 E2=1", f"pattern {pattern}")
+    with pytest.raises(NetlistError, match="C1, C2, E1, E2 only"):
+        execute(parse_netlist(text))
 
 
 def test_emit_files(tmp_path, cpf_netlist, pipe):
