@@ -391,7 +391,7 @@ def heralded_ensemble(noise: NoiseSpec, v: np.ndarray, accepted,
     """
     stage = pipeline().stage
     accepted = stage.require_distinguishable(accepted)
-    channel = _heralded_channel(noise, n_draws, stage.distinguishable)
+    channel = _heralded_channel(noise, n_draws, stage.DISTINGUISHABLE)
     pattern_probs: dict = {}
     outputs: dict = {}
     for (outcome, pattern), k in zip(channel.labels, channel.kraus):

@@ -102,10 +102,8 @@ def main(argv=None) -> int:
         nl, code = _resolve_netlist(args, default_task)
         if nl is None:
             return code
-        if args.command == "fidelity":
-            nl.task = "fidelity"
-        elif args.command == "lock":
-            nl.task = "lock"
+        if args.command != "simulate":
+            nl.task = default_task
         result = execute(nl)
         _emit(result, args)
         return 0

@@ -38,19 +38,6 @@ from .modes import (
 )
 
 
-@dataclass(frozen=True)
-class OccupationConfig:
-    """Sorted multiset of modes holding the photons of one basis term."""
-
-    indices: tuple
-
-    def modes(self, space: ModeSpace):
-        return tuple(space.mode(i) for i in self.indices)
-
-    def label(self, space: ModeSpace) -> str:
-        return ",".join(str(m) for m in self.modes(space))
-
-
 def _sqrt_fact(config: tuple) -> float:
     out = 1.0
     run = 1
@@ -129,7 +116,7 @@ class MultiPhotonState:
         """Canonical text form, one line per term: modes then re and im."""
         lines = []
         for cfg, amp in sorted(self.terms.items()):
-            label = OccupationConfig(cfg).label(self.space)
+            label = ",".join(str(self.space.mode(i)) for i in cfg)
             lines.append(f"{label} {amp.real:.15g} {amp.imag:.15g}")
         return "\n".join(lines) + "\n"
 
@@ -248,23 +235,18 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
 
 @dataclass(frozen=True)
 class DetectionPattern:
-    """Required photon count per path; other paths are unconstrained.
+    """Required photon count per path; other paths, polarizations and OAM
+    values are unconstrained."""
 
-    With ``marginalize_pol_oam`` (the default) only path occupation counts
-    matter; when False the keys of ``required`` are full ``path:pol:l`` mode
-    strings and counts apply per mode.
-    """
-
-    required: tuple  # ((key, count), ...)
-    marginalize_pol_oam: bool = True
+    required: tuple  # ((path, count), ...)
 
     @classmethod
-    def from_dict(cls, required: Mapping[str, int], marginalize_pol_oam: bool = True):
+    def from_dict(cls, required: Mapping[str, int]):
         items = tuple(sorted(required.items()))
         for _, c in items:
             if c < 0:
                 raise ValueError("photon counts must be non-negative")
-        return cls(items, marginalize_pol_oam)
+        return cls(items)
 
 
 def post_select(
@@ -278,16 +260,8 @@ def post_select(
         )
     kept: dict[tuple, complex] = {}
     for cfg, amp in s.terms.items():
-        if p.marginalize_pol_oam:
-            counts = s.path_counts(cfg)
-            ok = all(counts.get(path, 0) == c for path, c in required.items())
-        else:
-            counts: dict[str, int] = {}
-            for i in cfg:
-                key = str(s.space.mode(i))
-                counts[key] = counts.get(key, 0) + 1
-            ok = all(counts.get(key, 0) == c for key, c in required.items())
-        if ok:
+        counts = s.path_counts(cfg)
+        if all(counts.get(path, 0) == c for path, c in required.items()):
             kept[cfg] = amp
     prob = float(sum(abs(a) ** 2 for a in kept.values()))
     total = s.norm2()

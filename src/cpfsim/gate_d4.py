@@ -94,8 +94,6 @@ class HdBeamSplitter:
     paths: SplitterPaths
     stages: list
     transform: ModeTransform
-    has_b_leg: bool
-    has_d_tail: bool
 
     def apply(self, state):
         if isinstance(state, SinglePhotonState):
@@ -152,8 +150,7 @@ def build_hd_beamsplitter(
             el.dove_prism(space, p.d, quarter),
         ])))
     transform = compose_transforms([st.transform for st in stages])
-    return HdBeamSplitter(space, paths, stages, transform,
-                          include_b_leg, include_d_tail)
+    return HdBeamSplitter(space, paths, stages, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +250,20 @@ def transcript_check(bs: HdBeamSplitter, ports=("A", "B")) -> TranscriptReport:
 
 @dataclass(frozen=True)
 class PreparationRecipe:
-    """Element chain preparing one alphabet state from |H, l=0>.
+    """Element chain preparing one alphabet state from |H, l=0>; the
+    prepared photon then passes an H polarizer.
 
     ``direct`` rows (the fractional q-plate preparations) construct their
     target superposition analytically instead of running elements.
     """
 
-    key: str
     target: tuple                    # qudit amplitudes, length 4
     elements: tuple = ()             # descriptor strings, in application order
-    postselect_h: bool = True
     direct: bool = False
 
 
-def _recipe(key, target, elements=(), direct=False):
+def _recipe(target, elements=(), direct=False):
     return PreparationRecipe(
-        key=key,
         target=tuple(complex(x) for x in target),
         elements=tuple(elements),
         direct=direct,
@@ -283,30 +278,30 @@ _PI8 = math.pi / 8
 #: the four same-parity superpositions, and the two neighbour superpositions
 #: prepared directly (their wave-plate route needs a fractional q-plate).
 PREPARATION_TABLE = {
-    "z0": _recipe("z0", (1, 0, 0, 0), (
+    "z0": _recipe((1, 0, 0, 0), (
         f"QWP(angle={-_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={-_PI4}) @ S",
         "SPP(dl=-1) @ S")),
-    "z1": _recipe("z1", (0, 1, 0, 0), (
+    "z1": _recipe((0, 1, 0, 0), (
         f"QWP(angle={-_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={-_PI4}) @ S")),
-    "z2": _recipe("z2", (0, 0, 1, 0), (
+    "z2": _recipe((0, 0, 1, 0), (
         f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={_PI4}) @ S",
         "SPP(dl=-1) @ S")),
-    "z3": _recipe("z3", (0, 0, 0, 1), (
+    "z3": _recipe((0, 0, 0, 1), (
         f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={_PI4}) @ S")),
-    "x02+": _recipe("x02+", (_S, 0, _S, 0), (
+    "x02+": _recipe((_S, 0, _S, 0), (
         f"HWP(angle={_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
         f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S", "SPP(dl=-1) @ S")),
-    "x02-": _recipe("x02-", (_S, 0, -_S, 0), (
+    "x02-": _recipe((_S, 0, -_S, 0), (
         f"HWP(angle={-_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
         f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S", "SPP(dl=-1) @ S")),
-    "x13+": _recipe("x13+", (0, _S, 0, _S), (
+    "x13+": _recipe((0, _S, 0, _S), (
         f"HWP(angle={_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
         f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S")),
-    "x13-": _recipe("x13-", (0, _S, 0, -_S), (
+    "x13-": _recipe((0, _S, 0, -_S), (
         f"HWP(angle={-_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
         f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S")),
-    "s12": _recipe("s12", (0, _S, _S, 0), direct=True),
-    "s23": _recipe("s23", (0, 0, _S, _S), direct=True),
+    "s12": _recipe((0, _S, _S, 0), direct=True),
+    "s23": _recipe((0, 0, _S, _S), direct=True),
 }
 
 
@@ -359,8 +354,7 @@ def prepare_input(recipe: PreparationRecipe | str):
     state = SinglePhotonState.from_terms(space, {Mode("S", "H", 0): 1.0})
     for desc in recipe.elements:
         state = apply_to_single_photon(el.element_transform(desc, space), state)
-    if recipe.postselect_h:
-        state = apply_to_single_photon(el.polarizer(space, "S", 0.0), state)
+    state = apply_to_single_photon(el.polarizer(space, "S", 0.0), state)
     prob = state.norm2()
     amps = state.amps / math.sqrt(prob)
     return SinglePhotonState(space, amps, normalized=True), prob
@@ -404,20 +398,20 @@ def auxiliary_target(space: ModeSpace, path: str) -> SinglePhotonState:
 class BsmStage:
     """OAM-to-polarization conversion arms, measurement splitter, decoder.
 
-    Stage input: photons on the two D paths in the converted form
+    Stage input: photons on D1 and D2, in the converted form
     |p> = |V, l=-1>, |d-1> = |H, l=+1>.  The photon-3 arm folds the two-level
     Hadamard into its exit plate; the Dove-prism pairs set the arm phases so
     the coincidence patterns decode the PhiPlus and PhiMinus branches (the
-    Psi branches bunch into one output port and stay ambiguous).
+    Psi branches bunch into one output port and stay ambiguous); the
+    analyzers sit on E1 and E2.
     """
 
     space: ModeSpace
-    d_paths: tuple
-    out_paths: tuple
     photon2_arm: ModeTransform
     photon3_arm: ModeTransform
     transform: ModeTransform
 
+    DISTINGUISHABLE = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
     PATTERN_TO_OUTCOME = {
         ("+", "+"): BellOutcome.PhiPlus,
         ("-", "-"): BellOutcome.PhiPlus,
@@ -441,15 +435,11 @@ class BsmStage:
         )
         return [("+", plus), ("-", minus)]
 
-    @property
-    def distinguishable(self) -> frozenset:
-        return frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
-
     def require_distinguishable(self, outcomes) -> frozenset:
         """``outcomes`` as a frozenset; EncodingError if the stage cannot
         tell one of them apart."""
         outcomes = frozenset(outcomes)
-        unknown = outcomes - self.distinguishable
+        unknown = outcomes - self.DISTINGUISHABLE
         if unknown:
             raise EncodingError(
                 f"outcomes {sorted(o.value for o in unknown)} are not"
@@ -458,10 +448,8 @@ class BsmStage:
         return outcomes
 
 
-def build_bsm_stage(
-    space: ModeSpace, d_paths=("D1", "D2"), out_paths=("E1", "E2")
-) -> BsmStage:
-    d1, d2 = d_paths
+def build_bsm_stage(space: ModeSpace) -> BsmStage:
+    d1, d2 = "D1", "D2"
     arm2 = compose_transforms([
         el.qwp(space, d1, -_PI4),
         el.qplate(space, d1, 0.5),
@@ -483,10 +471,10 @@ def build_bsm_stage(
         el.dove_prism(space, d2, _PI4),
         el.dove_prism(space, d2, 0.0),
     ])
-    measurement_pbs = el.pbs(space, (d1, d2), out_paths)
+    measurement_pbs = el.pbs(space, (d1, d2), ("E1", "E2"))
     transform = compose_transforms([lam2, arm2, lam3, arm3, measurement_pbs])
     transform.provenance = "BSM stage"
-    return BsmStage(space, tuple(d_paths), tuple(out_paths), arm2, arm3, transform)
+    return BsmStage(space, arm2, arm3, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +487,6 @@ class HeraldedRun:
 
     per_outcome: dict            # BellOutcome -> (QuditState, probability)
     pattern_probs: dict          # analyzer pattern -> probability
-    accepted: frozenset
     port_pattern_prob: float     # one photon in each of C1, C2, E1, E2
 
     @property
@@ -514,18 +501,21 @@ class CpfPipeline:
     """The assembled four-photon gate: two splitter cores, fold mirrors, the
     Bell-measurement stage, port post-selection, decoding, and corrections."""
 
+    PATHS = (
+        "A1", "B1", "P11", "P21", "C1", "D1", "X1",
+        "A2", "B2", "P12", "P22", "C2", "D2", "X2",
+        "E1", "E2",
+    )
     PORTS = ("C1", "C2", "E1", "E2")
+    #: Input path of each photon: the data photons enter the splitters at A,
+    #: the auxiliaries at B.
+    INPUTS = {"photon1": "A1", "photon2": "B1", "photon3": "B2", "photon4": "A2"}
 
     def __init__(self):
-        paths = (
-            "A1", "B1", "P11", "P21", "C1", "D1", "X1",
-            "A2", "B2", "P12", "P22", "C2", "D2", "X2",
-            "E1", "E2",
-        )
-        self.space = ModeSpace(paths, DEFAULT_TRUNCATION)
+        self.space = ModeSpace(self.PATHS, DEFAULT_TRUNCATION)
         self.bs1_paths = SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1")
         self.bs2_paths = SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2")
-        self.stage = build_bsm_stage(self.space, ("D1", "D2"), ("E1", "E2"))
+        self.stage = build_bsm_stage(self.space)
 
         def core(paths):
             bs = build_hd_beamsplitter(
@@ -566,13 +556,14 @@ class CpfPipeline:
         c_matrix = np.asarray(c_matrix, dtype=complex)
         if c_matrix.shape != (4, 4):
             raise EncodingError("joint input must be a 4x4 amplitude matrix")
+        a1, b1, b2, a2 = self.INPUTS.values()
         aux = [(Mode(b, "V", LEVEL_TO_OAM[AUX_P]), Mode(b, "H", LEVEL_TO_OAM[AUX_TOP]))
-               for b in ("B1", "B2")]
+               for b in (b1, b2)]
         slots = [
-            [Mode("A1", "H", LEVEL_TO_OAM[m]) for m in range(4)],
+            [Mode(a1, "H", LEVEL_TO_OAM[m]) for m in range(4)],
             list(aux[0]),
             list(aux[1]),
-            [Mode("A2", "H", LEVEL_TO_OAM[n]) for n in range(4)],
+            [Mode(a2, "H", LEVEL_TO_OAM[n]) for n in range(4)],
         ]
         tensor = np.einsum(
             "mn,a,b->mabn",
@@ -694,7 +685,7 @@ class CpfPipeline:
                         f"analyzer patterns of {outcome.value} herald different states")
             prob = float(sum(np.sum(np.abs(a) ** 2) for a in chunks))
             per_outcome[outcome] = (QuditState(4, first), prob)
-        return HeraldedRun(per_outcome, pattern_probs, accepted, port_prob)
+        return HeraldedRun(per_outcome, pattern_probs, port_prob)
 
     def _reduced_to_qudits(self, reduced: MultiPhotonState) -> np.ndarray:
         """Two-photon state on (C1, C2) as a 4x4 qudit amplitude matrix."""

@@ -21,6 +21,10 @@ from .errors import InsufficientTrace
 #: Most samples one lock run may simulate (duration / sample_dt); the default
 #: 4 s run takes 256 000.
 MAX_LOCK_SAMPLES = 10**7
+#: Modulation periods of the fixed-phase trace that calibrates the error
+#: gain, and control periods that only settle the servo filter.
+CALIBRATION_PERIODS = 200
+WARMUP_PERIODS = 8
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,10 @@ def intensity(t, zeta, p: LockParams):
 class _SinglePoleLpf:
     """First-order IIR low-pass, y += alpha (x - y)."""
 
-    def __init__(self, cutoff_hz: float, dt: float, y0: float = 0.0):
+    def __init__(self, cutoff_hz: float, dt: float):
         rc = 1.0 / (2 * math.pi * cutoff_hz)
         self.alpha = dt / (rc + dt)
-        self.y = y0
+        self.y = 0.0
 
     def run(self, samples: np.ndarray) -> np.ndarray:
         out = np.empty_like(samples)
@@ -112,7 +116,7 @@ class _SinglePoleLpf:
         return out
 
 
-def demodulate_error(samples: np.ndarray, p: LockParams, t0: float = 0.0) -> float:
+def demodulate_error(samples: np.ndarray, p: LockParams) -> float:
     """Mix an intensity trace with the reference and low-pass filter it.
 
     The trace must span at least 10 modulation periods; the returned error is
@@ -127,7 +131,7 @@ def demodulate_error(samples: np.ndarray, p: LockParams, t0: float = 0.0) -> flo
         raise InsufficientTrace(
             f"trace spans {n_periods} modulation periods, need at least 10"
         )
-    t = t0 + dt * np.arange(len(samples))
+    t = dt * np.arange(len(samples))
     mixed = samples * np.cos(p.mod_freq * t + p.demod_phase)
     filtered = _SinglePoleLpf(p.cutoff_hz, dt).run(mixed)
     tail_periods = max(n_periods // 4, 1)
@@ -135,22 +139,23 @@ def demodulate_error(samples: np.ndarray, p: LockParams, t0: float = 0.0) -> flo
     return float(np.mean(tail))
 
 
-def measured_error(zeta: float, p: LockParams, n_periods: int = 200) -> float:
-    """Generate a trace at fixed interferometer phase and demodulate it."""
+def measured_error(zeta: float, p: LockParams) -> float:
+    """Generate a trace of :data:`CALIBRATION_PERIODS` modulation periods at
+    fixed interferometer phase and demodulate it."""
     dt = p.sample_dt
-    n = int(round(n_periods * p.mod_period / dt))
+    n = int(round(CALIBRATION_PERIODS * p.mod_period / dt))
     t = dt * np.arange(n)
     return demodulate_error(intensity(t, zeta, p), p)
 
 
-def calibrate_gain(p: LockParams, n_periods: int = 200) -> float:
+def calibrate_gain(p: LockParams) -> float:
     """Error-signal gain G in  error = G sin(zeta) sin(demod_phase).
 
     Measured at zeta = pi/2 with the mixer reference in quadrature, where the
     product of sines is one.
     """
     quad = replace(p, demod_phase=math.pi / 2)
-    return measured_error(math.pi / 2, quad, n_periods)
+    return measured_error(math.pi / 2, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +270,6 @@ def simulate_lock(
     setpoint: float = 0.0,
     seed: int = 0,
     zeta0: float = 0.0,
-    loop_cutoff: float | None = None,
-    warmup: int = 8,
 ) -> LockTrace:
     """Co-simulate the free-running and servo-locked interferometer phase.
 
@@ -275,9 +278,10 @@ def simulate_lock(
     filtered (the filter holds state across periods), compared against the
     DC offset that encodes the setpoint, and fed to the PID whose output adds
     to the compensating phase.  The servo path uses a faster filter corner
-    than the reporting demodulator (default one eighth of the modulation
-    frequency) so it does not dominate the loop delay; the first ``warmup``
-    periods only settle the filter, with the actuator held.
+    than the reporting demodulator (one eighth of the modulation frequency)
+    so it does not dominate the loop delay; the first
+    :data:`WARMUP_PERIODS` periods only settle the filter, with the actuator
+    held.
     """
     check_lock_run(p, duration)
     drift.validate()
@@ -295,9 +299,7 @@ def simulate_lock(
     # servo sign does not depend on the hardware constants.
     slope = gain * math.sin(p.demod_phase)
 
-    if loop_cutoff is None:
-        loop_cutoff = p.mod_freq / (2 * math.pi * 8.0)
-    lpf = _SinglePoleLpf(loop_cutoff, dt)
+    lpf = _SinglePoleLpf(p.mod_freq / (2 * math.pi * 8.0), dt)
     pid = PidState()
     actuation = 0.0
     sub_t = dt * np.arange(per_period)
@@ -319,7 +321,7 @@ def simulate_lock(
         # fixed-phase sample would alias into a systematic offset
         raw_error = float(np.mean(filtered))
         norm_error = (raw_error - offset) / slope
-        if k >= warmup:
+        if k >= WARMUP_PERIODS:
             pid, u = pid_update(pid, -norm_error, control_dt, gains)
             actuation = u
         t_out[k] = t0

@@ -19,7 +19,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 from .elements import DescriptorError, parse_descriptor, spec_problem
-from .gate_d4 import PREPARATION_TABLE
+from .gate_d4 import DEFAULT_TRUNCATION, PREPARATION_TABLE, BsmStage, CpfPipeline
 from .locking import DriftModel, LockParams, PidGains, check_lock_run
 from .noise import NoiseSpec
 from .protocol import BellOutcome
@@ -187,6 +187,67 @@ SCHEMA = {
 }
 
 
+# Netlist parts, their Netlist fields and the tasks that read them.  A part
+# is set when one of its fields differs from the Netlist() default; a netlist
+# that sets a part its task does not read is refused, never run without it.
+TASK_TABLE = (
+    ("[space] block", ("paths", "truncation"), ("circuit", "cpf_d4")),
+    ("[source] block", ("sources",), ("circuit", "cpf_d4")),
+    ("[elements] block", ("elements",), ("circuit",)),
+    ("detection pattern", ("pattern",), ("circuit", "cpf_d4")),
+    ("accept list", ("accept",), ("cpf_d4", "fidelity")),
+    ("mode or shots", ("mode", "shots"), ("circuit", "cpf_d4", "fidelity")),
+    ("duration or setpoint", ("duration", "setpoint"), ("lock",)),
+    ("noise.* key", ("noise",), ("cpf_d4", "fidelity")),
+    ("[lock] block", ("lock", "drift", "pid"), ("lock",)),
+    ("task, seed or version", ("task", "seed", "version"), KNOWN_TASKS),
+)
+_DEFAULT = Netlist()
+_CPF_AUX = ("photon2", "photon3")        # the other cpf_d4 inputs carry data
+
+
+def task_problems(nl: Netlist) -> list[str]:
+    """Why task ``nl.task`` cannot run ``nl``: the parts it sets that the task
+    does not read (:data:`TASK_TABLE`) and the task's rules on those it does,
+    for cpf_d4 the gate's fixed wiring.  Never raises."""
+    if nl.task not in KNOWN_TASKS:
+        return [f"unknown task {nl.task!r}"]
+    problems = [f"task {nl.task} runs no {part}; tasks that do: {', '.join(readers)}"
+                for part, names, readers in TASK_TABLE if nl.task not in readers
+                and any(getattr(nl, n) != getattr(_DEFAULT, n) for n in names)]
+    for name, src in sorted(nl.sources.items()):
+        if not src.recipe:
+            problems.append(f"source {name!r} has no recipe")
+        if nl.task == "circuit" and not src.path:
+            problems.append(f"source {name!r} has no path")
+    if nl.task == "circuit" and not (nl.paths and nl.sources):
+        problems.append("task circuit needs [space] paths and at least one source")
+    if nl.task != "cpf_d4":
+        return problems
+    pipe = CpfPipeline
+    if nl.truncation != DEFAULT_TRUNCATION:
+        problems.append(f"task cpf_d4 runs at truncation {DEFAULT_TRUNCATION} only")
+    if nl.paths and set(nl.paths) != set(pipe.PATHS):
+        problems.append(f"task cpf_d4 runs on the paths {' '.join(pipe.PATHS)} only")
+    if nl.pattern and nl.pattern != dict.fromkeys(pipe.PORTS, 1):
+        problems.append(f"task cpf_d4 heralds one photon in each of {', '.join(pipe.PORTS)} only")
+    if set(nl.accept) - BsmStage.DISTINGUISHABLE:
+        problems.append("task cpf_d4 tells apart " + " and ".join(
+            o.value for o in BellOutcome if o in BsmStage.DISTINGUISHABLE) + " only")
+    problems += [f"task cpf_d4 has no source {name!r}; its sources are {', '.join(pipe.INPUTS)}"
+                 for name in sorted(nl.sources.keys() - pipe.INPUTS.keys())]
+    for name, path in pipe.INPUTS.items():
+        src, aux = nl.sources.get(name), name in _CPF_AUX
+        if src is None and not aux:
+            problems.append(f"task cpf_d4 requires a [source {name}] block")
+        if src and src.path not in ("", path):
+            problems.append(f"source {name!r} enters the gate at {path}, not {src.path}")
+        if src and src.recipe and (src.recipe == "aux") != aux:
+            problems.append(f"source {name!r} must use "
+                            + ("the auxiliary recipe" if aux else "a data-state recipe"))
+    return problems
+
+
 def _set(nl: Netlist, section: str, arg, key: str, raw) -> str | None:
     """Read, check and store one value; return the problem, if any."""
     read = SCHEMA[section].get(key)
@@ -278,7 +339,8 @@ def parse_netlist(text: str) -> ParseResult:
 
 
 def _finish(nl: Netlist, diags: list) -> ParseResult:
-    """Checks across values (declared paths, the dataclasses' ranges)."""
+    """Checks across values (declared paths, the dataclasses' ranges) and,
+    once every value has read, the task's (:func:`task_problems`)."""
     def err(msg, severity="error"):
         diags.append(Diagnostic(0, 0, msg, severity))
 
@@ -302,6 +364,8 @@ def _finish(nl: Netlist, diags: list) -> ParseResult:
             check()
         except ValueError as e:
             err(f"{group}: {e}")
+    if not any(d.severity == "error" for d in diags):   # a value that failed kept its default
+        diags += [Diagnostic(0, 0, problem) for problem in task_problems(nl)]
     has_error = any(d.severity == "error" for d in diags)
     return ParseResult(None if has_error else nl, diags)
 

@@ -26,11 +26,12 @@ from .fock import (
     post_select,
     sample_counts,
 )
-from .gate_d4 import (DEFAULT_TRUNCATION, CpfPipeline, encode_qudit_vector,
-                      prepare_auxiliary, prepare_input, qudit_amplitudes, run_cpf_d4)
+from .gate_d4 import (encode_qudit_vector, prepare_auxiliary, prepare_input,
+                      qudit_amplitudes, run_cpf_d4)
 from .locking import DriftModel, LockParams, PidGains, simulate_lock
 from .modes import ModeSpace
-from .netlist import Netlist, ParseResult, parse_netlist, parse_netlist_json, serialize
+from .netlist import (Netlist, ParseResult, parse_netlist, parse_netlist_json, serialize,
+                      task_problems)
 from .noise import NoiseSpec
 
 
@@ -87,31 +88,19 @@ def _noise_spec(nl: Netlist) -> NoiseSpec | None:
     return None if spec.trivial else spec
 
 
-# Netlist parts and the tasks that read them: a netlist that sets a part its
-# task does not read is refused, not run without it.
-_READERS = (
-    ("elements", "[elements] block", ("circuit",)),
-    ("sources", "[source] block", ("cpf_d4", "circuit")),
-    ("pattern", "detection pattern", ("cpf_d4", "circuit")),
-    ("noise", "noise.* key", ("cpf_d4", "fidelity")),
-)
-
-
 def execute(netlist: Netlist | ParseResult) -> RunResult:
-    """Dispatch one netlist to the matching engine."""
+    """Dispatch one netlist to the matching engine.  The task's rules are
+    checked here too: the run commands may set the task after parsing."""
     nl = netlist
     if isinstance(nl, ParseResult):
         if not nl.ok:
             raise NetlistError("netlist has errors: " + "; ".join(str(d) for d in nl.diagnostics))
         nl = nl.netlist
-    for part, noun, readers in _READERS:
-        if getattr(nl, part) and nl.task not in readers:
-            raise NetlistError(f"task {nl.task} runs no {noun}; tasks that do: "
-                               + ", ".join(readers))
+    problems = task_problems(nl)
+    if problems:
+        raise NetlistError("; ".join(problems))
     run = {"cpf_d4": _run_cpf, "fidelity": _run_fidelity, "lock": _run_lock,
-           "circuit": _run_circuit}.get(nl.task)
-    if run is None:
-        raise NetlistError(f"unknown task {nl.task!r}")
+           "circuit": _run_circuit}[nl.task]
     try:
         return run(nl)
     except CpfSimError as e:
@@ -124,20 +113,6 @@ def _input_vector(recipe: str) -> np.ndarray:
 
 
 def _run_cpf(nl: Netlist) -> RunResult:
-    if nl.truncation != DEFAULT_TRUNCATION:
-        raise NetlistError(f"task cpf_d4 runs at truncation {DEFAULT_TRUNCATION} only")
-    if nl.pattern and nl.pattern != dict.fromkeys(CpfPipeline.PORTS, 1):
-        raise NetlistError("task cpf_d4 heralds one photon in each of "
-                           + ", ".join(CpfPipeline.PORTS) + " only")
-    for name in ("photon2", "photon3"):
-        src = nl.sources.get(name)
-        if src is not None and src.recipe != "aux":
-            raise NetlistError(f"source {name!r} must use the auxiliary recipe")
-    for name in ("photon1", "photon4"):
-        if name not in nl.sources:
-            raise NetlistError(f"task cpf_d4 requires a [source {name}] block")
-        if nl.sources[name].recipe == "aux":
-            raise NetlistError(f"source {name!r} must be a data-state recipe")
     v1 = _input_vector(nl.sources["photon1"].recipe)
     v4 = _input_vector(nl.sources["photon4"].recipe)
     accepted = frozenset(nl.accept)
@@ -212,8 +187,6 @@ def _run_lock(nl: Netlist) -> RunResult:
 
 
 def _run_circuit(nl: Netlist) -> RunResult:
-    if not nl.paths:
-        raise NetlistError("circuit task needs a [space] block")
     space = ModeSpace(nl.paths, nl.truncation)
     photons = []
     for name in sorted(nl.sources):
@@ -222,8 +195,6 @@ def _run_circuit(nl: Netlist) -> RunResult:
             photons.append(prepare_auxiliary(space, src.path))
         else:
             photons.append(encode_qudit_vector(space, src.path, _input_vector(src.recipe)))
-    if not photons:
-        raise NetlistError("circuit task needs at least one source")
     state = inject_product(photons)
     for spec in nl.elements:
         state = apply_transform(element_transform(spec, space), state)

@@ -171,15 +171,6 @@ def test_post_select_degenerate_pattern():
         post_select(st_, DetectionPattern.from_dict({"a": 2}))
 
 
-def test_post_select_mode_resolved():
-    sp = small_space()
-    st_ = inject_product([ket(sp, "a", "H", 0), ket(sp, "b", "V", 1)])
-    pat = DetectionPattern.from_dict({"a:H:+0": 1, "b:V:+1": 1},
-                                     marginalize_pol_oam=False)
-    kept, prob = post_select(st_, pat)
-    assert abs(prob - 1.0) < 1e-12
-
-
 def test_outcome_distribution_single_photon_examples():
     sp = small_space()
     hv = [("H", group_basis_vector(sp, ("a",), {(Mode("a", "H", 0),): 1.0})),

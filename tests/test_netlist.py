@@ -12,8 +12,8 @@ from cpfsim.analysis import full_fidelity_report
 from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
-from cpfsim.netlist import (SCHEMA, Netlist, parse_netlist, parse_netlist_json,
-                            serialize)
+from cpfsim.netlist import (KNOWN_TASKS, SCHEMA, TASK_TABLE, Netlist, parse_netlist,
+                            parse_netlist_json, serialize)
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
 from cpfsim.runner import NetlistError, execute
@@ -36,6 +36,9 @@ HWP(angle=0.3927) @ A
 
 [detect]
 pattern A=1
+
+[run]
+task circuit
 """
 
 
@@ -43,7 +46,7 @@ def test_minimal_netlist_fills_defaults():
     res = parse_netlist(MINIMAL)
     assert res.ok, [str(d) for d in res.diagnostics]
     nl = res.netlist
-    assert nl.task == "cpf_d4" and nl.mode == "analytic" and nl.shots == 0
+    assert nl.task == "circuit" and nl.mode == "analytic" and nl.shots == 0
     assert nl.accept == (BellOutcome.PhiPlus, BellOutcome.PhiMinus)
     assert nl.pattern == {"A": 1}
     assert len(nl.elements) == 1
@@ -58,8 +61,32 @@ def test_missing_parameter_value_diagnostic_with_position():
     assert diag.col > 0
 
 
-# [run], [space], [detect] and [lock] keys and values that no run can honour.
+# The two data photons a cpf_d4 netlist needs.
+_CPF_SOURCES = "[source photon1]\npath A1\nrecipe z3\n[source photon4]\npath A2\nrecipe x13+\n"
+
+# [run], [space], [detect], [source] and [lock] keys and values that no run
+# can honour, and parts that the netlist's task does not read.
 _VALUE_DEFECTS = [
+    ("[source p]\npath A", "source 'p' has no recipe"),
+    ("[space]\npaths A\n[source p]\npath A\n[run]\ntask circuit", "source 'p' has no recipe"),
+    ("[space]\npaths A\n[source p]\nrecipe z0\n[run]\ntask circuit", "source 'p' has no path"),
+    ("[space]\npaths A\n[run]\ntask circuit", "needs [space] paths and at least one source"),
+    ("[run]\ntask fidelity\n[lock]\nmod_depth 0.2\ndrift.magnitude 0.5\npid.kp 0.3",
+     "task fidelity runs no [lock] block"),
+    ("[run]\ntask lock\nmode shots", "task lock runs no mode or shots"),
+    ("[run]\ntask lock\nshots 100", "task lock runs no mode or shots"),
+    ("[detect]\naccept PhiPlus\n[run]\ntask lock", "task lock runs no accept list"),
+    ("[space]\ntruncation 2\n[run]\ntask fidelity", "task fidelity runs no [space] block"),
+    ("[space]\npaths A\n[run]\ntask lock", "task lock runs no [space] block"),
+    (_CPF_SOURCES + "[lock]\npid.kp 0.2", "task cpf_d4 runs no [lock] block"),
+    (_CPF_SOURCES + "[run]\nduration 9", "task cpf_d4 runs no duration or setpoint"),
+    (_CPF_SOURCES + "[source photon5]\nrecipe z0", "task cpf_d4 has no source 'photon5'"),
+    (_CPF_SOURCES.replace("A1", "E2"), "source 'photon1' enters the gate at A1, not E2"),
+    (_CPF_SOURCES + "[space]\npaths A1 A2", "task cpf_d4 runs on the paths"),
+    (_CPF_SOURCES + "[detect]\naccept PsiPlus", "task cpf_d4 tells apart"),
+    (_CPF_SOURCES.replace("z3", "aux"), "source 'photon1' must use a data-state recipe"),
+    (_CPF_SOURCES + "[source photon2]\nrecipe z0", "source 'photon2' must use the auxiliary"),
+    ("[source photon4]\nrecipe z0", "task cpf_d4 requires a [source photon1] block"),
     ("[run]\nseed abc", "seed: expects an integer >= 0"),
     ("[space]\ntruncation x", "truncation: expects an integer >= 0"),
     ("[run]\nshots 1.5", "shots: expects an integer"),
@@ -247,6 +274,81 @@ def test_cli_rejects_defect_commands(argv, fixture, edit, tmp_path, capsys):
     assert not out.exists()
 
 
+_PIPELINE_SPACE = ("[space]\npaths A1 B1 P11 P21 C1 D1 X1 A2 B2 P12 P22 C2 D2 X2 E1 E2\n"
+                   "truncation 4\n")
+# Netlist part -> (the name diagnostics give it, lines that set it to a value
+# every task that reads the part can run).
+_PARTS = {
+    "space": ("[space] block", _PIPELINE_SPACE),
+    "source": ("[source] block", "[source photon2]\npath B1\nrecipe aux"),
+    "elements": ("[elements] block", "[elements]\nMIRROR() @ A1"),
+    "pattern": ("detection pattern", "[detect]\npattern C1=1 C2=1 E1=1 E2=1"),
+    "accept": ("accept list", "[detect]\naccept PhiPlus"),
+    "mode/shots": ("mode or shots", "[run]\nmode shots\nshots 100"),
+    "duration/setpoint": ("duration or setpoint", "[run]\nduration 0.5\nsetpoint 0.1"),
+    "noise": ("noise.* key", "[run]\nnoise.loss 0.1\nnoise.draws 2"),
+    "lock": ("[lock] block", "[lock]\npid.kp 0.2"),
+    "seed/version": (None, "[run]\nseed 5"),
+}
+# Which task reads which part, written out by hand (1 reads, 0 refuses).
+_READS = {  #  space source elements pattern accept mode duration noise lock seed
+    "cpf_d4":   (1, 1, 0, 1, 1, 1, 0, 1, 0, 1),
+    "circuit":  (1, 1, 1, 1, 0, 1, 0, 0, 0, 1),
+    "fidelity": (0, 0, 0, 0, 1, 1, 0, 1, 0, 1),
+    "lock":     (0, 0, 0, 0, 0, 0, 1, 0, 1, 1),
+}
+# What each task needs before any part is added.
+_BASES = {"cpf_d4": _CPF_SOURCES,
+          "circuit": _PIPELINE_SPACE + "[source photon1]\npath A1\nrecipe z3\n",
+          "fidelity": "", "lock": ""}
+_COMMANDS = {"cpf_d4": "simulate", "circuit": "simulate", "fidelity": "fidelity", "lock": "lock"}
+
+
+def _task_netlist(task: str, part: str) -> str:
+    text = f"{_BASES[task]}[run]\ntask {task}\n{_PARTS[part][1]}"
+    return "".join(line + "\n" for line in text.splitlines() if line)
+
+
+@pytest.mark.parametrize("task,part", [(t, p) for t in _READS for p in _PARTS])
+def test_task_table(task, part, tmp_path, capsys):
+    """Each task with one part added: both front ends, ``execute`` after the
+    task is set on a parsed netlist, and the CLI accept exactly the parts the
+    task reads, and name the part when they refuse."""
+    reads = _READS[task][list(_PARTS).index(part)]
+    noun = _PARTS[part][0]
+    needle = f"task {task} runs no {noun}"
+    body = _task_netlist(task, part)
+    for res in (parse_netlist("version 1\n" + body), parse_netlist_json(_json_form(body))):
+        assert res.ok == bool(reads), [str(d) for d in res.diagnostics]
+        assert reads or any(needle in d.message for d in res.diagnostics)
+    # The CLI override path: a netlist parsed under a task that reads the
+    # part, handed to ``execute`` with its task changed.
+    reader = task if reads else next(t for t in ("fidelity", "lock", "cpf_d4", "circuit")
+                                     if _READS[t][list(_PARTS).index(part)])
+    res = parse_netlist("version 1\n" + _task_netlist(reader, part))
+    assert res.ok, [str(d) for d in res.diagnostics]
+    res.netlist.task = task
+    if reads:
+        assert execute(res.netlist).task == task
+        return
+    with pytest.raises(NetlistError, match=re.escape(needle)):
+        execute(res.netlist)
+    out = tmp_path / "out"
+    own, other = tmp_path / "own.netlist", tmp_path / "other.netlist"
+    own.write_text("version 1\n" + body)
+    other.write_text("version 1\n" + _task_netlist(reader, part))
+    assert cli_main(["validate", "--netlist", str(own)]) == 1
+    runs = [(_COMMANDS[task], own)]
+    if task in ("fidelity", "lock"):
+        runs.append((task, other))          # the command sets the task after parsing
+    for command, path in runs:
+        assert cli_main([command, "--netlist", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert needle in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_parsing_is_total_on_garbage():
     for text in ("", "[[[", "key", "[elements]\n)(", "version x\nstuff",
                  "[source]\npath A"):
@@ -333,14 +435,26 @@ def test_schema_values_parse_or_diagnose(entries):
         PidGains(**nl.pid).validate()
 
 
+def _field(section: str, key: str) -> str:
+    """The Netlist field a schema key lands in."""
+    group, dot, _ = key.partition(".")
+    return ("sources" if section == "source" else group if dot
+            else "lock" if section == "lock" else key)
+
+
 def test_readme_key_table_matches_schema():
-    """The README "Netlist format" table lists exactly the schema's keys, and
-    every numeric default it shows is the one the run uses."""
+    """The README "Netlist format" table lists exactly the schema's keys, every
+    numeric default it shows is the one the run uses, and its "read by"
+    column is the task table's."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    rows = re.findall(r"^\| (top level|`\[(\w+)[^\]]*\]`) \| `([\w.]+)` \| [^|]* \| ([^|]*) \|$",
-                      readme, re.MULTILINE)
-    listed = [("" if where == "top level" else section, key) for where, section, key, _ in rows]
+    rows = re.findall(r"^\| (top level|`\[(\w+)[^\]]*\]`) \| `([\w.]+)` \| [^|]* \| ([^|]*) \|"
+                      r" ([^|]*) \|$", readme, re.MULTILINE)
+    listed = [("" if where == "top level" else section, key) for where, section, key, _, _ in rows]
     assert sorted(listed) == sorted(_SCHEMA_KEYS)
+    readers = {name: tasks for _, names, tasks in TASK_TABLE for name in names}
+    for (section, key), (*_, read_by) in zip(listed, rows):
+        shown = KNOWN_TASKS if read_by == "every task" else re.findall(r"`(\w+)`", read_by)
+        assert sorted(shown) == sorted(readers[_field(section, key)]), (key, read_by)
     defaults = {key: getattr(Netlist(), key) for key in SCHEMA[""] | SCHEMA["run"]
                 | SCHEMA["space"] if "." not in key}
     for prefix, cls in (("noise.", NoiseSpec), ("", LockParams), ("drift.", DriftModel),
@@ -348,7 +462,7 @@ def test_readme_key_table_matches_schema():
         defaults.update({prefix + f.name: f.default for f in fields(cls)})
     defaults["noise.draws"] = inspect.signature(full_fidelity_report).parameters[
         "n_draws"].default
-    for _, _, key, cell in rows:
+    for _, _, key, cell, _ in rows:
         try:
             shown = float(cell.strip().strip("`"))
         except ValueError:
