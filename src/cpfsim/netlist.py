@@ -187,8 +187,10 @@ SCHEMA = {
 }
 
 
-# Netlist parts, their Netlist fields and the tasks that read them.  A part
-# is set when one of its fields differs from the Netlist() default; a netlist
+# Netlist parts, their Netlist fields and the tasks that read them; every task
+# reads the fields not listed (task, seed, version).  A part is set when one of
+# its fields differs from the Netlist() default: a scalar set to its default
+# value is not set, a noise.* or [lock] key is whatever its value.  A netlist
 # that sets a part its task does not read is refused, never run without it.
 TASK_TABLE = (
     ("[space] block", ("paths", "truncation"), ("circuit", "cpf_d4")),
@@ -200,10 +202,8 @@ TASK_TABLE = (
     ("duration or setpoint", ("duration", "setpoint"), ("lock",)),
     ("noise.* key", ("noise",), ("cpf_d4", "fidelity")),
     ("[lock] block", ("lock", "drift", "pid"), ("lock",)),
-    ("task, seed or version", ("task", "seed", "version"), KNOWN_TASKS),
 )
 _DEFAULT = Netlist()
-_CPF_AUX = ("photon2", "photon3")        # the other cpf_d4 inputs carry data
 
 
 def task_problems(nl: Netlist) -> list[str]:
@@ -237,7 +237,7 @@ def task_problems(nl: Netlist) -> list[str]:
     problems += [f"task cpf_d4 has no source {name!r}; its sources are {', '.join(pipe.INPUTS)}"
                  for name in sorted(nl.sources.keys() - pipe.INPUTS.keys())]
     for name, path in pipe.INPUTS.items():
-        src, aux = nl.sources.get(name), name in _CPF_AUX
+        src, aux = nl.sources.get(name), path.startswith("B")    # auxiliaries enter at B
         if src is None and not aux:
             problems.append(f"task cpf_d4 requires a [source {name}] block")
         if src and src.path not in ("", path):

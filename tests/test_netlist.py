@@ -3,6 +3,7 @@ import json
 import re
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,9 @@ from cpfsim.analysis import full_fidelity_report
 from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
-from cpfsim.netlist import (KNOWN_TASKS, SCHEMA, TASK_TABLE, Netlist, parse_netlist,
-                            parse_netlist_json, serialize)
+from cpfsim import netlist
+from cpfsim.netlist import (KNOWN_TASKS, SCHEMA, TASK_TABLE, Diagnostic, Netlist,
+                            parse_netlist, parse_netlist_json, serialize, task_problems)
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
 from cpfsim.runner import NetlistError, execute
@@ -398,7 +400,8 @@ _SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in ke
 _SCHEMA_VALUES = st.one_of(
     st.sampled_from(["abc", "nan", "-inf", "1e400", "-0", "0", "1", "-1", "-3", "2.5",
                      "1e-320", "A", "A B", "A A", "A=1 B=2", "C1=x", "C1=-1",
-                     "PhiPlus", "Quux", "cpf_d4", "lock", "analytic", "shots",
+                     "PhiPlus", "Quux", "cpf_d4", "circuit", "fidelity", "lock",
+                     "analytic", "shots",
                      "random-walk", "sinusoidal", "step", "z0", "aux"]),
     st.integers(-10**20, 10**20).map(str),
     st.floats().map(repr),
@@ -412,9 +415,10 @@ _SCHEMA_VALUES = st.one_of(
                 max_size=8, unique_by=lambda entry: entry[0]))
 def test_schema_values_parse_or_diagnose(entries):
     """Keys from the schema with junk, negative, non-finite and fractional
-    values: parsing never raises, the JSON front end agrees with the text one,
-    and a netlist that parses builds and validates its four dataclasses, with
-    its lock run's work inside the bound (lock runs are not executed)."""
+    values: parsing never raises and the JSON front end agrees with the text
+    one.  A netlist whose values all read builds and validates its four
+    dataclasses, with its lock run's work inside the bound (lock runs are not
+    executed), and its task's problems are its only further diagnostics."""
     sections: dict = {}
     for (section, key), value in entries:
         sections.setdefault(section, []).append(f"{key} {value}")
@@ -426,13 +430,21 @@ def test_schema_values_parse_or_diagnose(entries):
     assert sorted(d.message for d in js.diagnostics) == sorted(
         d.message for d in res.diagnostics)
     assert js.netlist == res.netlist
-    if res.ok:
-        nl = res.netlist
-        NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"},
-                  seed=nl.seed).validate()
-        check_lock_run(LockParams(**nl.lock), nl.duration)
-        DriftModel(**nl.drift).validate()
-        PidGains(**nl.pid).validate()
+    # Most generated netlists set parts their task does not read; the value
+    # checks are reached with the task's left out.
+    with mock.patch.object(netlist, "task_problems", return_value=[]):
+        values = parse_netlist(text)
+    if not values.ok:
+        assert res.diagnostics == values.diagnostics
+        return
+    nl = values.netlist
+    assert res.diagnostics == values.diagnostics + [
+        Diagnostic(0, 0, problem) for problem in task_problems(nl)]
+    NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"},
+              seed=nl.seed).validate()
+    check_lock_run(LockParams(**nl.lock), nl.duration)
+    DriftModel(**nl.drift).validate()
+    PidGains(**nl.pid).validate()
 
 
 def _field(section: str, key: str) -> str:
@@ -454,7 +466,8 @@ def test_readme_key_table_matches_schema():
     readers = {name: tasks for _, names, tasks in TASK_TABLE for name in names}
     for (section, key), (*_, read_by) in zip(listed, rows):
         shown = KNOWN_TASKS if read_by == "every task" else re.findall(r"`(\w+)`", read_by)
-        assert sorted(shown) == sorted(readers[_field(section, key)]), (key, read_by)
+        tasks = readers.get(_field(section, key), KNOWN_TASKS)    # unlisted: every task
+        assert sorted(shown) == sorted(tasks), (key, read_by)
     defaults = {key: getattr(Netlist(), key) for key in SCHEMA[""] | SCHEMA["run"]
                 | SCHEMA["space"] if "." not in key}
     for prefix, cls in (("noise.", NoiseSpec), ("", LockParams), ("drift.", DriftModel),
