@@ -349,7 +349,7 @@ class HeraldedChannel:
 
 def build_heralded_channel(
     noise: NoiseSpec | None = None,
-    n_draws: int = 8,
+    n_draws: int = DEFAULT_DRAWS,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
 ) -> HeraldedChannel:
     """Average the per-draw heralded transfer operators into one channel."""
@@ -361,15 +361,17 @@ def build_heralded_channel(
 
 def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> HeraldedChannel:
     """Kraus operators of the draw-averaged heralded gate, each weighted by
-    its draw's share and labelled with its (outcome, pattern).  The draws without noise share one weighted operator
-    set; lost draws herald nothing, so every draw lost gives no operators
-    and herald probability 0."""
+    its draw's share and labelled with its (outcome, pattern).  The draws
+    without noise share one weighted operator set; lost draws herald nothing,
+    so every draw lost gives no operators and herald probability 0.
+    EncodingError if the Bell stage cannot tell an accepted outcome apart."""
+    pipe = pipeline()
+    accepted = pipe.stage.require_distinguishable(accepted)
     draws = noise_draws(noise, n_draws)
     w = 1.0 / len(draws)
     n_ideal = sum(d.trivial for d in draws)
     weighted = [(w * n_ideal, IDEAL_DRAW)] if n_ideal else []
     weighted += [(w, d) for d in draws if not (d.trivial or d.lost)]
-    pipe = pipeline()
     labelled = [(label, math.sqrt(weight) * k)
                 for weight, draw in weighted
                 for label, k in pipe.transfer_operators(draw).items()

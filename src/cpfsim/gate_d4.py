@@ -93,7 +93,6 @@ class HdBeamSplitter:
     space: ModeSpace
     paths: SplitterPaths
     stages: list
-    transform: ModeTransform
 
     def apply(self, state):
         if isinstance(state, SinglePhotonState):
@@ -149,8 +148,7 @@ def build_hd_beamsplitter(
             el.hwp(space, p.d, quarter),
             el.dove_prism(space, p.d, quarter),
         ])))
-    transform = compose_transforms([st.transform for st in stages])
-    return HdBeamSplitter(space, paths, stages, transform)
+    return HdBeamSplitter(space, paths, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +318,11 @@ def encode_qudit_vector(space: ModeSpace, path: str, levels) -> SinglePhotonStat
     return SinglePhotonState.from_terms(space, terms, normalize=False)
 
 
-def qudit_amplitudes(state: SinglePhotonState, path: str | None = None) -> np.ndarray:
+def qudit_amplitudes(state: SinglePhotonState) -> np.ndarray:
     """Extract level amplitudes from an H-polarized alphabet photon."""
     levels = np.zeros(4, dtype=complex)
     seen_path = None
     for mode, amp in state.terms():
-        if path is not None and mode.path != path:
-            raise EncodingError(f"photon occupies path {mode.path!r}, expected {path!r}")
         if seen_path is None:
             seen_path = mode.path
         elif mode.path != seen_path:
@@ -463,16 +459,12 @@ def build_bsm_stage(space: ModeSpace) -> BsmStage:
         el.phase_plate(space, d2, conv.BSM_ARM3_TRIM),
     ])
     arm3.provenance = f"BSM arm 3 @ {d2}"
-    lam2 = compose_transforms([
-        el.dove_prism(space, d1, _PI8),
-        el.dove_prism(space, d1, 0.0),
+    # Each arm's Dove-prism pair sets its phase ahead of the conversion.
+    transform = compose_transforms([
+        el.dove_prism(space, d1, _PI8), el.dove_prism(space, d1, 0.0), arm2,
+        el.dove_prism(space, d2, _PI4), el.dove_prism(space, d2, 0.0), arm3,
+        el.pbs(space, (d1, d2), ("E1", "E2")),
     ])
-    lam3 = compose_transforms([
-        el.dove_prism(space, d2, _PI4),
-        el.dove_prism(space, d2, 0.0),
-    ])
-    measurement_pbs = el.pbs(space, (d1, d2), ("E1", "E2"))
-    transform = compose_transforms([lam2, arm2, lam3, arm3, measurement_pbs])
     transform.provenance = "BSM stage"
     return BsmStage(space, arm2, arm3, transform)
 
@@ -498,8 +490,9 @@ class HeraldedRun:
 
 
 class CpfPipeline:
-    """The assembled four-photon gate: two splitter cores, fold mirrors, the
-    Bell-measurement stage, port post-selection, decoding, and corrections."""
+    """The assembled four-photon gate: two splitters without B leg and D tail,
+    fold mirrors, the Bell-measurement stage, port post-selection, decoding,
+    and corrections."""
 
     PATHS = (
         "A1", "B1", "P11", "P21", "C1", "D1", "X1",
@@ -513,41 +506,36 @@ class CpfPipeline:
 
     def __init__(self):
         self.space = ModeSpace(self.PATHS, DEFAULT_TRUNCATION)
-        self.bs1_paths = SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1")
-        self.bs2_paths = SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2")
+        # Each splitter's stage list is cut at PBS3: arm-phase jitter enters
+        # inside the loop, ahead of the recombining splitter.
+        pre, post, self._jitter_paths = [], [], ()
+        for paths in (SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1"),
+                      SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2")):
+            stages = build_hd_beamsplitter(
+                self.space, paths, include_b_leg=False, include_d_tail=False).stages
+            cut = [st.label for st in stages].index("PBS3")
+            pre += [st.transform for st in stages[:cut]]
+            post += [st.transform for st in stages[cut:]]
+            self._jitter_paths += (paths.p2,)
+        self._pre = compose_transforms(pre)
+        # Each stage is a dense 288x288 matrix: free the composed ones before
+        # the Bell stage and _post are built, so they do not raise the peak
+        # memory of the build.
+        del pre, stages
         self.stage = build_bsm_stage(self.space)
-
-        def core(paths):
-            bs = build_hd_beamsplitter(
-                self.space, paths, include_b_leg=False, include_d_tail=False
-            )
-            labels = {st.label: st.transform for st in bs.stages}
-            pre = compose_transforms([
-                labels["O1@A"], labels["PBS1"], labels["O2@P2"],
-                labels["PBS2"], labels["O2MP@P2"],
-            ])
-            post = compose_transforms([labels["PBS3"], labels["O1@C"]])
-            return pre, post
-
-        pre1, post1 = core(self.bs1_paths)
-        pre2, post2 = core(self.bs2_paths)
-        folds = compose_transforms([
-            el.mirror(self.space, "D1"), el.mirror(self.space, "D2"),
-        ])
-        # Segments split where arm-phase jitter enters (inside each loop,
-        # ahead of the recombining splitter).
-        self._pre = compose_transforms([pre1, pre2])
-        self._post = compose_transforms([post1, post2, folds, self.stage.transform])
+        # The D outputs fold onto the Bell stage's inputs.
+        post += [el.mirror(self.space, "D1"), el.mirror(self.space, "D2"), self.stage.transform]
+        self._post = compose_transforms(post)
         # Noise enters as diagonal phases, so the overflow set of the composed
         # chain is draw independent.
-        self._overflow = compose_transforms([self._pre, self._post]).overflow
-        self._jitter_paths = ("P21", "P22")
+        ideal = compose_transforms([self._pre, self._post])
+        self._overflow = ideal.overflow
         self._analyzers = (self.stage.analyzer_basis("E1"),
                            self.stage.analyzer_basis("E2"))
         self._pattern = DetectionPattern.from_dict({p: 1 for p in self.PORTS})
         # Noise-free draws all share these operators: loss deletes whole
         # shots and never touches amplitudes.
-        self._ideal = self._pattern_operators(IDEAL_DRAW)
+        self._ideal = self._pattern_operators(ideal)
 
     # -- state assembly ----------------------------------------------------
 
@@ -573,9 +561,9 @@ class CpfPipeline:
         )
         return from_joint_amplitudes(self.space, slots, tensor)
 
-    def _draw_matrix(self, draw: NoiseDraw) -> np.ndarray:
-        pre = self._pre.matrix
-        post = self._post.matrix
+    def _draw_transform(self, draw: NoiseDraw) -> ModeTransform:
+        """The composed chain of one noisy draw: dephasing and visibility
+        phases on the input paths, ``_pre``, arm jitter, ``_post``."""
         col_scale = np.ones(self.space.dim, dtype=complex)
         for photon_axis, path in ((0, "A1"), (1, "A2")):
             for level, phi in enumerate(draw.dephasing[photon_axis]):
@@ -590,22 +578,19 @@ class CpfPipeline:
         for z, path in zip(draw.zeta, self._jitter_paths):
             if z:
                 row_scale[self.space.path_indices(path)] = np.exp(1j * z)
-        return post @ (row_scale[:, None] * pre * col_scale[None, :])
-
-    def _composed(self, draw: NoiseDraw) -> ModeTransform:
-        return ModeTransform(self.space, self._draw_matrix(draw), "unitary",
-                             "pipeline", self._overflow)
+        matrix = self._post.matrix @ (row_scale[:, None] * self._pre.matrix * col_scale[None, :])
+        return ModeTransform(self.space, matrix, "unitary", "pipeline", self._overflow)
 
     # -- runs ----------------------------------------------------------------
 
-    def _pattern_operators(self, draw: NoiseDraw) -> dict:
-        """The Fock-engine pipeline, one basis input at a time.
+    def _pattern_operators(self, composed: ModeTransform) -> dict:
+        """The Fock-engine pipeline, one basis input at a time, through one
+        draw's composed chain.
 
         Returns {analyzer pattern: R} with R the 16x16 matrix taking joint
         input amplitudes to the uncorrected (C1, C2) amplitudes that pattern
         heralds, in analyzer order; patterns that never fire are dropped.
         """
-        composed = self._composed(draw)
         e1, e2 = self._analyzers
         ops = {(s1, s2): np.zeros((16, 16), dtype=complex)
                for s1, _ in e1 for s2, _ in e2}
@@ -641,7 +626,7 @@ class CpfPipeline:
         """
         if draw.lost:
             return {}
-        raw = self._ideal if draw.trivial else self._pattern_operators(draw)
+        raw = self._ideal if draw.trivial else self._pattern_operators(self._draw_transform(draw))
         kraus = {}
         for pattern, r in raw.items():
             outcome = self.stage.decode(pattern)

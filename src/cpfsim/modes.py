@@ -85,9 +85,6 @@ class ModeSpace:
         s, o = divmod(rest, self._oam_count)
         return Mode(self.paths[p], POLS[s], o - self.truncation)
 
-    def modes(self):
-        return (self.mode(i) for i in range(self.dim))
-
     def path_indices(self, path: str) -> np.ndarray:
         """All dense indices living on one path."""
         base = self._path_index[path] * 2 * self._oam_count

@@ -222,6 +222,13 @@ def task_problems(nl: Netlist) -> list[str]:
             problems.append(f"source {name!r} has no path")
     if nl.task == "circuit" and not (nl.paths and nl.sources):
         problems.append("task circuit needs [space] paths and at least one source")
+    reads = {n for _part, names, readers in TASK_TABLE if nl.task in readers for n in names}
+    if "accept" in reads and set(nl.accept) - BsmStage.DISTINGUISHABLE:
+        problems.append(f"task {nl.task} tells apart " + " and ".join(
+            o.value for o in BellOutcome if o in BsmStage.DISTINGUISHABLE) + " only")
+    if "shots" in reads and (nl.mode == "shots") != (nl.shots > 0):
+        problems.append(f"mode {nl.mode} with shots {nl.shots}: mode shots needs"
+                        " shots > 0, mode analytic shots 0")
     if nl.task != "cpf_d4":
         return problems
     pipe = CpfPipeline
@@ -231,9 +238,6 @@ def task_problems(nl: Netlist) -> list[str]:
         problems.append(f"task cpf_d4 runs on the paths {' '.join(pipe.PATHS)} only")
     if nl.pattern and nl.pattern != dict.fromkeys(pipe.PORTS, 1):
         problems.append(f"task cpf_d4 heralds one photon in each of {', '.join(pipe.PORTS)} only")
-    if set(nl.accept) - BsmStage.DISTINGUISHABLE:
-        problems.append("task cpf_d4 tells apart " + " and ".join(
-            o.value for o in BellOutcome if o in BsmStage.DISTINGUISHABLE) + " only")
     problems += [f"task cpf_d4 has no source {name!r}; its sources are {', '.join(pipe.INPUTS)}"
                  for name in sorted(nl.sources.keys() - pipe.INPUTS.keys())]
     for name, path in pipe.INPUTS.items():

@@ -132,7 +132,7 @@ def _run_cpf(nl: Netlist) -> RunResult:
         summary["density"] = {o.value: _density_entries(rho)
                               for o, (rho, _p) in outputs.items()}
     tallies: dict = {}
-    if nl.mode == "shots" and nl.shots:
+    if nl.shots:
         dist = dict(pattern_probs)
         dist[("no-herald",)] = max(1.0 - sum(dist.values()), 0.0)
         tallies = {
@@ -155,9 +155,8 @@ def _density_entries(rho: np.ndarray) -> list:
 
 
 def _run_fidelity(nl: Netlist) -> RunResult:
-    shots = nl.shots if nl.mode == "shots" else 0
     report = full_fidelity_report(
-        shots=shots, noise=_noise_spec(nl), accepted=frozenset(nl.accept), seed=nl.seed,
+        shots=nl.shots, noise=_noise_spec(nl), accepted=frozenset(nl.accept), seed=nl.seed,
         n_draws=nl.noise.get("draws", DEFAULT_DRAWS),
     )
     fid = report.to_json_dict()
@@ -212,7 +211,7 @@ def _run_circuit(nl: Netlist) -> RunResult:
         "/".join(f"{p}:{c}" for p, c in key): prob for key, prob in dist.items()
     }
     tallies = {}
-    if nl.mode == "shots" and nl.shots:
+    if nl.shots:
         tallies = {
             "/".join(f"{p}:{c}" for p, c in key): v
             for key, v in sample_counts(dist, nl.shots, nl.seed).items()

@@ -21,6 +21,7 @@ from cpfsim.analysis import (
     superposition_suite,
     superposition_table,
 )
+from cpfsim.errors import EncodingError
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome, cpf_oracle
 
@@ -193,6 +194,19 @@ def test_noiseless_channel_is_the_gate():
     ch = build_heralded_channel()
     assert abs(ch.herald_probability - 0.125) < 1e-9
     assert abs(process_fidelity(ch, cpf_oracle(4)) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("outcome", [BellOutcome.PsiPlus, BellOutcome.PsiMinus])
+def test_channel_refuses_outcomes_the_stage_cannot_tell_apart(outcome):
+    """Every experiment on the heralded channel refuses a Psi outcome rather
+    than reporting that it never heralds."""
+    accepted = {BellOutcome.PhiPlus, outcome}
+    for run in (lambda: full_fidelity_report(accepted=accepted),
+                lambda: run_fidelity_experiment("ZX", accepted=accepted),
+                lambda: superposition_suite(accepted=accepted),
+                lambda: build_heralded_channel(accepted=accepted)):
+        with pytest.raises(EncodingError, match="not unambiguously distinguished"):
+            run()
 
 
 def test_noise_reduces_fidelity_keeps_heralding(rng):

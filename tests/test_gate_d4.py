@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from cpfsim.gate_d4 import (
     AUX_TARGET_TERMS,
     LEVEL_TO_OAM,
     PREPARATION_TABLE,
+    SplitterPaths,
     auxiliary_target,
     build_bsm_stage,
     build_hd_beamsplitter,
@@ -312,19 +314,34 @@ def test_accepted_subset_scales_probability(pipe):
     assert abs(run.heralding_probability - 1 / 16) < 1e-10
 
 
+@functools.cache
+def _gate_stages(sp):
+    """The gate's draw-independent stages, built here: both splitters'
+    stage lists as the gate runs them (no B leg, no D tail), then the D1/D2
+    fold mirrors and the Bell stage."""
+    splitters = [build_hd_beamsplitter(sp, paths, include_b_leg=False, include_d_tail=False)
+                 for paths in (SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1"),
+                               SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2"))]
+    return splitters, [el.mirror(sp, "D1"), el.mirror(sp, "D2"), build_bsm_stage(sp).transform]
+
+
 def _noisy_chain(pipe, draw):
-    """The draw's noisy pipeline built from element builders: dephasing and
-    visibility phases on the input paths, ``_pre``, arm jitter on P21 and
-    P22, ``_post``."""
+    """The draw's noisy gate, one element or stage at a time: dephasing and
+    visibility phases on the input paths, then each splitter's stages with
+    its arm jitter entering the loop arm P2 after O2MP@P2, then the fold
+    mirrors and the Bell stage."""
     sp = pipe.space
+    splitters, tail = _gate_stages(sp)
     chain = [el.oam_phase(sp, path, dict(zip(LEVEL_TO_OAM, phases)))
              for path, phases in zip(("A1", "A2"), draw.dephasing)]
     chain += [el.oam_phase(sp, path, {1: phi})
               for path, phi in zip(("B1", "B2"), draw.aux_phases)]
-    chain.append(pipe._pre)
-    chain += [el.path_phase(sp, path, z) for path, z in zip(("P21", "P22"), draw.zeta)]
-    chain.append(pipe._post)
-    return chain
+    for bs, z in zip(splitters, draw.zeta):
+        for st in bs.stages:
+            chain.append(st.transform)
+            if st.label == "O2MP@P2":
+                chain.append(el.path_phase(sp, bs.paths.p2, z))
+    return chain + tail
 
 
 def _fock_patterns(pipe, c, draw):
@@ -474,7 +491,7 @@ def test_heralded_amplitudes_are_permanents(pipe, spec):
     """The pipeline's uncorrected per-pattern operators, built by the Fock
     engine, equal the permanents of one restricted transfer matrix."""
     for draw in [IDEAL_DRAW] + spec.draws(1):
-        fock_ops = pipe._pattern_operators(draw)
+        fock_ops = pipe._pattern_operators(pipe._draw_transform(draw))
         for pattern, r in _permanent_operators(pipe, draw).items():
             expected = fock_ops.get(pattern, np.zeros((16, 16)))
             assert np.max(np.abs(r - expected)) < 1e-12

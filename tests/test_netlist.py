@@ -86,6 +86,9 @@ _VALUE_DEFECTS = [
     (_CPF_SOURCES.replace("A1", "E2"), "source 'photon1' enters the gate at A1, not E2"),
     (_CPF_SOURCES + "[space]\npaths A1 A2", "task cpf_d4 runs on the paths"),
     (_CPF_SOURCES + "[detect]\naccept PsiPlus", "task cpf_d4 tells apart"),
+    ("[detect]\naccept PsiPlus\n[run]\ntask fidelity", "task fidelity tells apart"),
+    (_CPF_SOURCES + "[run]\nshots 100", "mode analytic with shots 100"),
+    ("[run]\ntask fidelity\nmode shots", "mode shots with shots 0"),
     (_CPF_SOURCES.replace("z3", "aux"), "source 'photon1' must use a data-state recipe"),
     (_CPF_SOURCES + "[source photon2]\nrecipe z0", "source 'photon2' must use the auxiliary"),
     ("[source photon4]\nrecipe z0", "task cpf_d4 requires a [source photon1] block"),

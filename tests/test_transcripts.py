@@ -95,7 +95,7 @@ def test_missing_phase_plate_flagged_at_its_stage(splitter_space):
     (idx,) = [i for i, s in enumerate(stages) if s.label == "O2MP@P2"]
     without_pp = compose_transforms([el.o2_cnot(sp, "P2"), el.mirror(sp, "P2")])
     stages[idx] = Stage("O2MP@P2", without_pp)
-    broken = HdBeamSplitter(sp, bs.paths, stages, bs.transform)
+    broken = HdBeamSplitter(sp, bs.paths, stages)
     report = transcript_check(broken, ports=("A",))
     first = report.first_divergence()
     assert first is not None and first.label == "O2MP@P2"
