@@ -26,17 +26,8 @@ import numpy as np
 
 from . import conventions as conv
 from . import elements as el
-from .errors import (EmptyPostSelection, EncodingError, PatternMismatch,
-                     TruncationOverflow)
-from .fock import (
-    DetectionPattern,
-    MultiPhotonState,
-    from_joint_amplitudes,
-    group_basis_vector,
-    apply_transform,
-    post_select,
-    project_group,
-)
+from .errors import EncodingError, PatternMismatch, TruncationOverflow
+from .fock import MultiPhotonState, apply_transform, from_joint_amplitudes, group_basis_vector
 from .modes import (
     Mode,
     ModeSpace,
@@ -473,6 +464,14 @@ def build_bsm_stage(space: ModeSpace) -> BsmStage:
 # Full four-photon pipeline
 
 
+def _phased(state: MultiPhotonState, phase: np.ndarray) -> MultiPhotonState:
+    """``state`` after the per-mode phases ``phase``: each term times the
+    product of its modes' phases, repeated modes included."""
+    return MultiPhotonState(state.space, state.n,
+                            {cfg: amp * phase[list(cfg)].prod() for cfg, amp in state.terms.items()},
+                            normalized=state.normalized)
+
+
 @dataclass
 class HeraldedRun:
     """Outcome of one analytic pipeline run."""
@@ -526,16 +525,9 @@ class CpfPipeline:
         # The D outputs fold onto the Bell stage's inputs.
         post += [el.mirror(self.space, "D1"), el.mirror(self.space, "D2"), self.stage.transform]
         self._post = compose_transforms(post)
-        # Noise enters as diagonal phases, so the overflow set of the composed
-        # chain is draw independent.
-        ideal = compose_transforms([self._pre, self._post])
-        self._overflow = ideal.overflow
-        self._analyzers = (self.stage.analyzer_basis("E1"),
-                           self.stage.analyzer_basis("E2"))
-        self._pattern = DetectionPattern.from_dict({p: 1 for p in self.PORTS})
         # Noise-free draws all share these operators: loss deletes whole
         # shots and never touches amplitudes.
-        self._ideal = self._pattern_operators(ideal)
+        self._ideal = self._pattern_operators(IDEAL_DRAW)
 
     # -- state assembly ----------------------------------------------------
 
@@ -561,58 +553,55 @@ class CpfPipeline:
         )
         return from_joint_amplitudes(self.space, slots, tensor)
 
-    def _draw_transform(self, draw: NoiseDraw) -> ModeTransform:
-        """The composed chain of one noisy draw: dephasing and visibility
-        phases on the input paths, ``_pre``, arm jitter, ``_post``."""
-        col_scale = np.ones(self.space.dim, dtype=complex)
-        for photon_axis, path in ((0, "A1"), (1, "A2")):
-            for level, phi in enumerate(draw.dephasing[photon_axis]):
-                if phi:
-                    idx = self.space.index(Mode(path, "H", LEVEL_TO_OAM[level]))
-                    col_scale[idx] = np.exp(1j * phi)
-        for phi, path in zip(draw.aux_phases, ("B1", "B2")):
-            if phi:
-                idx = self.space.index(Mode(path, "H", 1))
-                col_scale[idx] = np.exp(1j * phi)
-        row_scale = np.ones(self.space.dim, dtype=complex)
-        for z, path in zip(draw.zeta, self._jitter_paths):
-            if z:
-                row_scale[self.space.path_indices(path)] = np.exp(1j * z)
-        matrix = self._post.matrix @ (row_scale[:, None] * self._pre.matrix * col_scale[None, :])
-        return ModeTransform(self.space, matrix, "unitary", "pipeline", self._overflow)
-
     # -- runs ----------------------------------------------------------------
 
-    def _pattern_operators(self, composed: ModeTransform) -> dict:
+    def _pattern_operators(self, draw: NoiseDraw) -> dict:
         """The Fock-engine pipeline, one basis input at a time, through one
-        draw's composed chain.
+        draw: its input phases (dephasing on the A1/A2 alphabet, visibility
+        on B1/B2 ``H, +1``), ``_pre``, its arm jitter on the loop arms,
+        ``_post``.  Noise enters only as single-mode phases, so both segments
+        serve every draw unchanged.
 
         Returns {analyzer pattern: R} with R the 16x16 matrix taking joint
         input amplitudes to the uncorrected (C1, C2) amplitudes that pattern
         heralds, in analyzer order; patterns that never fire are dropped.
         """
-        e1, e2 = self._analyzers
-        ops = {(s1, s2): np.zeros((16, 16), dtype=complex)
-               for s1, _ in e1 for s2, _ in e2}
+        sp = self.space
+        in_phase = np.ones(sp.dim, dtype=complex)
+        for path, phases in zip(("A1", "A2"), draw.dephasing):
+            for l, phi in zip(LEVEL_TO_OAM, phases):
+                in_phase[sp.index(Mode(path, "H", l))] = np.exp(1j * phi)
+        for path, phi in zip(("B1", "B2"), draw.aux_phases):
+            in_phase[sp.index(Mode(path, "H", 1))] = np.exp(1j * phi)
+        arm_phase = np.ones(sp.dim, dtype=complex)
+        for path, z in zip(self._jitter_paths, draw.zeta):
+            arm_phase[sp.path_indices(path)] = np.exp(1j * z)
+        # Each E path's first dense index and conjugated analyzer vectors,
+        # which live on that path's (pol, oam) block.
+        (e1_base, e1), (e2_base, e2) = (
+            (sp.path_indices(path)[0], [(s, v.conj()) for s, v in self.stage.analyzer_basis(path)])
+            for path in ("E1", "E2"))
+        ops = {(s1, s2): np.zeros((16, 16), dtype=complex) for s1, _ in e1 for s2, _ in e2}
+        ports = set(self.PORTS)
         for col in range(16):
             c = np.zeros(16, dtype=complex)
             c[col] = 1.0
-            state = apply_transform(composed, self.inject(c.reshape(4, 4)))
-            try:
-                selected, p_ports = post_select(state, self._pattern)
-            except EmptyPostSelection:
-                continue
-            for s1, v1 in e1:
-                partial, p1 = project_group(selected, ("E1",), v1)
-                if p1 <= 0.0:
+            state = _phased(self.inject(c.reshape(4, 4)), in_phase)
+            state = _phased(apply_transform(self._pre, state), arm_phase)
+            state = apply_transform(self._post, state)
+            for cfg, amp in state.terms.items():
+                at = {sp.mode(i).path: i for i in cfg}
+                if at.keys() != ports:      # four photons: one on each port
                     continue
-                for s2, v2 in e2:
-                    reduced, p2 = project_group(partial, ("E2",), v2)
-                    joint = p_ports * p1 * p2
-                    if joint > 1e-30:
-                        ops[(s1, s2)][:, col] = (
-                            self._reduced_to_qudits(reduced).reshape(-1)
-                            * math.sqrt(joint))
+                x, y = sp.mode(at["C1"]), sp.mode(at["C2"])
+                for mode in (x, y):
+                    if mode.pol != "H" or mode.oam not in OAM_TO_LEVEL:
+                        raise EncodingError(f"heralded photon left the alphabet: {mode}")
+                row = 4 * OAM_TO_LEVEL[x.oam] + OAM_TO_LEVEL[y.oam]
+                j1, j2 = at["E1"] - e1_base, at["E2"] - e2_base
+                for s1, v1 in e1:
+                    for s2, v2 in e2:
+                        ops[(s1, s2)][row, col] += amp * v1[j1] * v2[j2]
         return {p: k for p, k in ops.items() if k.any()}
 
     def transfer_operators(self, draw: NoiseDraw = IDEAL_DRAW) -> dict:
@@ -626,7 +615,7 @@ class CpfPipeline:
         """
         if draw.lost:
             return {}
-        raw = self._ideal if draw.trivial else self._pattern_operators(self._draw_transform(draw))
+        raw = self._ideal if draw.trivial else self._pattern_operators(draw)
         kraus = {}
         for pattern, r in raw.items():
             outcome = self.stage.decode(pattern)
@@ -671,19 +660,6 @@ class CpfPipeline:
             prob = float(sum(np.sum(np.abs(a) ** 2) for a in chunks))
             per_outcome[outcome] = (QuditState(4, first), prob)
         return HeraldedRun(per_outcome, pattern_probs, port_prob)
-
-    def _reduced_to_qudits(self, reduced: MultiPhotonState) -> np.ndarray:
-        """Two-photon state on (C1, C2) as a 4x4 qudit amplitude matrix."""
-        out = np.zeros((4, 4), dtype=complex)
-        for cfg, amp in reduced.terms.items():
-            levels = {}
-            for i in cfg:
-                mode = self.space.mode(i)
-                if mode.pol != "H" or mode.oam not in OAM_TO_LEVEL:
-                    raise EncodingError(f"heralded photon left the alphabet: {mode}")
-                levels[mode.path] = OAM_TO_LEVEL[mode.oam]
-            out[levels["C1"], levels["C2"]] = amp
-        return out
 
 
 @functools.cache

@@ -19,7 +19,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 from .elements import DescriptorError, parse_descriptor, spec_problem
-from .gate_d4 import DEFAULT_TRUNCATION, PREPARATION_TABLE, BsmStage, CpfPipeline
+from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
+                      BsmStage, CpfPipeline)
 from .locking import DriftModel, LockParams, PidGains, check_lock_run
 from .noise import NoiseSpec
 from .protocol import BellOutcome
@@ -27,6 +28,13 @@ from .protocol import BellOutcome
 KNOWN_TASKS = ("cpf_d4", "circuit", "fidelity", "lock")
 KNOWN_RECIPES = (*PREPARATION_TABLE, "aux")
 _BELL_NAMES = {o.value: o for o in BellOutcome}
+# The largest |l| a source recipe puts its photon in, the truncation a
+# circuit needs to hold it: a data row's target levels, the auxiliary's terms.
+_RECIPE_REACH = {
+    **{name: max(abs(LEVEL_TO_OAM[i]) for i, a in enumerate(row.target) if a)
+       for name, row in PREPARATION_TABLE.items()},
+    "aux": max(abs(l) for _pol, l in AUX_TARGET_TERMS),
+}
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,8 @@ def _pattern(raw) -> dict:
 
 def _accept(raw) -> tuple:
     names = raw.split() if isinstance(raw, str) else raw
+    if not names:
+        raise ValueError("expects at least one Bell outcome")
     bad = [n for n in names if n not in _BELL_NAMES]
     if bad:
         raise ValueError(f"unknown Bell outcome(s) {bad}")
@@ -220,6 +230,9 @@ def task_problems(nl: Netlist) -> list[str]:
             problems.append(f"source {name!r} has no recipe")
         if nl.task == "circuit" and not src.path:
             problems.append(f"source {name!r} has no path")
+        if nl.task == "circuit" and src.recipe and nl.truncation < _RECIPE_REACH[src.recipe]:
+            problems.append(f"source {name!r} with recipe {src.recipe} needs truncation"
+                            f" >= {_RECIPE_REACH[src.recipe]}")
     if nl.task == "circuit" and not (nl.paths and nl.sources):
         problems.append("task circuit needs [space] paths and at least one source")
     reads = {n for _part, names, readers in TASK_TABLE if nl.task in readers for n in names}

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cpfsim
 from cpfsim.gate_d4 import pipeline
 from cpfsim.modes import ModeSpace
 
@@ -14,6 +18,15 @@ def pipe():
 @pytest.fixture(scope="session")
 def splitter_space():
     return ModeSpace(("A", "B", "P1", "P2", "C", "D", "X"), 4)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment in which a child Python process imports the cpfsim under
+    test, installed or not."""
+    src = str(Path(cpfsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture()

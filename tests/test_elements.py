@@ -109,6 +109,18 @@ def test_spp_shift_and_boundary(sp):
         apply_to_single_photon(t, ket(sp, "A", "H", -4))
 
 
+@pytest.mark.parametrize("build", [lambda s: el.qplate(s, "A", 0.5), lambda s: el.spp(s, "A", 1)],
+                         ids=["qplate", "spp"])
+def test_every_column_overflowing_builds_and_refuses(build):
+    """At truncation 0 every column of a shifting element leaves the window:
+    the element builds, and applying it raises TruncationOverflow."""
+    sp0 = ModeSpace(("A",), 0)
+    t = build(sp0)
+    assert t.overflow == frozenset(range(sp0.dim))
+    with pytest.raises(TruncationOverflow):
+        apply_to_single_photon(t, ket(sp0, "A", "H", 0))
+
+
 def test_dove_prism_example(sp):
     out = apply_to_single_photon(el.dove_prism(sp, "A", math.pi / 4),
                                  ket(sp, "A", "H", 1))

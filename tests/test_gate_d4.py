@@ -491,7 +491,7 @@ def test_heralded_amplitudes_are_permanents(pipe, spec):
     """The pipeline's uncorrected per-pattern operators, built by the Fock
     engine, equal the permanents of one restricted transfer matrix."""
     for draw in [IDEAL_DRAW] + spec.draws(1):
-        fock_ops = pipe._pattern_operators(pipe._draw_transform(draw))
+        fock_ops = pipe._pattern_operators(draw)
         for pattern, r in _permanent_operators(pipe, draw).items():
             expected = fock_ops.get(pattern, np.zeros((16, 16)))
             assert np.max(np.abs(r - expected)) < 1e-12

@@ -13,7 +13,7 @@ from cpfsim.analysis import full_fidelity_report
 from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
-from cpfsim import netlist
+from cpfsim import netlist, runner
 from cpfsim.netlist import (KNOWN_TASKS, SCHEMA, TASK_TABLE, Diagnostic, Netlist,
                             parse_netlist, parse_netlist_json, serialize, task_problems)
 from cpfsim.noise import NoiseSpec
@@ -73,6 +73,8 @@ _VALUE_DEFECTS = [
     ("[space]\npaths A\n[source p]\npath A\n[run]\ntask circuit", "source 'p' has no recipe"),
     ("[space]\npaths A\n[source p]\nrecipe z0\n[run]\ntask circuit", "source 'p' has no path"),
     ("[space]\npaths A\n[run]\ntask circuit", "needs [space] paths and at least one source"),
+    ("[space]\npaths A\ntruncation 1\n[source p]\npath A\nrecipe z0\n[run]\ntask circuit",
+     "source 'p' with recipe z0 needs truncation >= 2"),
     ("[run]\ntask fidelity\n[lock]\nmod_depth 0.2\ndrift.magnitude 0.5\npid.kp 0.3",
      "task fidelity runs no [lock] block"),
     ("[run]\ntask lock\nmode shots", "task lock runs no mode or shots"),
@@ -217,6 +219,7 @@ _JSON_ROWS = [
     ({"lock": {"pid": {"kp": float("inf")}}}, "pid.kp: expects a finite number"),
     ({"run": {"noise": [1]}}, "run.noise must be a JSON object"),
     ({"elements": [3]}, "expects an element descriptor"),
+    ({"detect": {"accept": []}}, "accept: expects at least one Bell outcome"),
 ]
 
 
@@ -253,8 +256,9 @@ def test_cli_rejects_defect_netlists(body, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "bad.netlist"]
 
 
-# Command lines that no run can honour: overrides outside the schema, and
-# shipped netlists handed to a task that does not read some of their parts.
+# Command lines that no run can honour: overrides outside the schema, shipped
+# netlists handed to a task that does not read some of their parts, and a
+# netlist that fails at run time.
 _COMMAND_DEFECTS = [
     (["lock", "--seed", "-1"], "lock.netlist", None),
     (["simulate", "--shots", "99999999999999999999"], "cpf_d4.netlist", None),
@@ -262,14 +266,20 @@ _COMMAND_DEFECTS = [
     (["fidelity"], "cpf_d4.netlist", None),
     (["lock"], "cpf_d4.netlist", None),
     (["simulate"], "cpf_d4.netlist", ("E1=1", "E1=2")),
+    (["simulate"], "overflow.netlist", None),
 ]
+# Netlists that are not shipped files.  overflow.netlist validates but cannot
+# run: its element shifts the photon out of a truncation-0 window.
+_NETLIST_TEXTS = {"overflow.netlist": (
+    "version 1\n[space]\npaths A\ntruncation 0\n[source p0]\npath A\n"
+    "recipe z2\n[elements]\nQP(q=0.5) @ A\n[run]\ntask circuit\n")}
 
 
 @pytest.mark.parametrize("argv,fixture,edit", _COMMAND_DEFECTS,
                          ids=[" ".join(argv) + " " + fixture + (" " + edit[1] if edit else "")
                               for argv, fixture, edit in _COMMAND_DEFECTS])
 def test_cli_rejects_defect_commands(argv, fixture, edit, tmp_path, capsys):
-    text = (FIXTURES / fixture).read_text()
+    text = _NETLIST_TEXTS.get(fixture) or (FIXTURES / fixture).read_text()
     path = tmp_path / fixture
     path.write_text(text.replace(*edit) if edit else text)
     out = tmp_path / "out"
@@ -352,6 +362,24 @@ def test_task_table(task, part, tmp_path, capsys):
     assert needle in captured.out + captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe", netlist.KNOWN_RECIPES)
+def test_circuit_sources_need_their_truncation(recipe):
+    """A one-path circuit holding one source at truncation 0-4: validation
+    refuses it exactly when execution, with the task's rules left out, raises."""
+    for truncation in range(5):
+        text = (f"version 1\n[space]\npaths A\ntruncation {truncation}\n"
+                f"[source p]\npath A\nrecipe {recipe}\n[run]\ntask circuit\n")
+        refused = not parse_netlist(text).ok
+        with mock.patch.object(netlist, "task_problems", return_value=[]), \
+                mock.patch.object(runner, "task_problems", return_value=[]):
+            try:
+                execute(parse_netlist(text))
+                raised = False
+            except NetlistError:
+                raised = True
+        assert refused == raised, (recipe, truncation)
 
 
 def test_parsing_is_total_on_garbage():

@@ -356,17 +356,17 @@ def test_cli_lock(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_console_script_entrypoint(tmp_path):
+def test_console_script_entrypoint(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "cpfsim.cli", "validate", "--netlist",
          str(FIXTURES / "lock.netlist")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
 
 
-def test_cross_process_byte_identical_json(tmp_path):
+def test_cross_process_byte_identical_json(tmp_path, child_env):
     script = (
         "from cpfsim.runner import load_netlist, execute;"
         f"r = load_netlist(r'{FIXTURES / 'cpf_d4.netlist'}');"
@@ -375,7 +375,7 @@ def test_cross_process_byte_identical_json(tmp_path):
     outs = []
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
