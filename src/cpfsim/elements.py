@@ -1,8 +1,9 @@
 """Single-photon transformations of every optical element in the setup.
 
 Phase conventions are frozen in :mod:`cpfsim.conventions`; see that module for
-the full list.  Every constructor returns a :class:`~cpfsim.modes.ModeTransform`
-acting on the designated path(s) and as the identity elsewhere.
+the full list.  Every constructor but :func:`polarizer` returns a unitary
+:class:`~cpfsim.modes.ModeTransform` acting on the designated path(s) and as
+the identity elsewhere.
 
 Element descriptors serialize as ``NAME(key=value,...) @ path[,path...]``,
 e.g. ``HWP(angle=0.3927) @ A`` or ``PBS(in=[A,B],out=[C,D])``; the same grammar
@@ -19,21 +20,13 @@ import numpy as np
 
 from . import conventions as conv
 from .errors import CpfSimError, SpaceMismatch, UnknownElement
-from .modes import (
-    KIND_PROJECTOR,
-    KIND_UNITARY,
-    Mode,
-    ModeSpace,
-    ModeTransform,
-    POLS,
-    compose_transforms,
-)
+from .modes import Mode, ModeSpace, ModeTransform, POLS, compose_transforms
 
 OVERFLOW = object()  # sentinel: image of a mode leaves the truncation window
 _SHIFT_TOL = 1e-12  # an OAM shift this close to an integer is that integer
 
 
-def _single_path(space: ModeSpace, path: str, fn, kind, provenance) -> ModeTransform:
+def _single_path(space: ModeSpace, path: str, fn, provenance) -> ModeTransform:
     """Build identity-everywhere transform from a per-(pol, oam) map on one path.
 
     ``fn(pol, oam)`` returns an iterable of (pol', oam', amplitude) staying on
@@ -53,15 +46,15 @@ def _single_path(space: ModeSpace, path: str, fn, kind, provenance) -> ModeTrans
         for pol2, oam2, amp in images:
             i = space.index(Mode(path, pol2, oam2))
             m[i, j] += amp
-    return ModeTransform(space, m, kind, provenance, frozenset(overflow))
+    return ModeTransform(space, m, provenance, frozenset(overflow))
 
 
-def _pol_matrix_element(space, path, pol_matrix, provenance, kind=KIND_UNITARY):
+def _pol_matrix_element(space, path, pol_matrix, provenance):
     def fn(pol, oam):
         col = pol_matrix[:, POLS.index(pol)]
         return [(POLS[i], oam, col[i]) for i in range(2) if abs(col[i]) > 0]
 
-    return _single_path(space, path, fn, kind, provenance)
+    return _single_path(space, path, fn, provenance)
 
 
 def hwp_matrix(angle: float) -> np.ndarray:
@@ -120,7 +113,7 @@ def qplate(space, path, q) -> ModeTransform:
                     images.append((POLS[i], new_oam, a))
         return images
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"QP(q={q}) @ {path}")
+    return _single_path(space, path, fn, f"QP(q={q}) @ {path}")
 
 
 def spp(space, path, dl) -> ModeTransform:
@@ -133,7 +126,7 @@ def spp(space, path, dl) -> ModeTransform:
             return OVERFLOW
         return [(pol, oam + dl, 1.0)]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"SPP(dl={dl}) @ {path}")
+    return _single_path(space, path, fn, f"SPP(dl={dl}) @ {path}")
 
 
 def dove_prism(space, path, angle) -> ModeTransform:
@@ -142,7 +135,7 @@ def dove_prism(space, path, angle) -> ModeTransform:
     def fn(pol, oam):
         return [(pol, -oam, 1j * np.exp(2j * angle * oam))]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"DP(angle={angle:g}) @ {path}")
+    return _single_path(space, path, fn, f"DP(angle={angle:g}) @ {path}")
 
 
 def mirror(space, path) -> ModeTransform:
@@ -151,14 +144,14 @@ def mirror(space, path) -> ModeTransform:
     def fn(pol, oam):
         return [(pol, -oam, conv.MIRROR_PHASE)]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"MIRROR @ {path}")
+    return _single_path(space, path, fn, f"MIRROR @ {path}")
 
 
 def phase_plate(space, path, phase=conv.PHASE_PLATE_DEFAULT) -> ModeTransform:
     def fn(pol, oam):
         return [(pol, oam, np.exp(1j * phase))]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"PP(phase={phase:g}) @ {path}")
+    return _single_path(space, path, fn, f"PP(phase={phase:g}) @ {path}")
 
 
 def delay_line(space, path) -> ModeTransform:
@@ -167,7 +160,7 @@ def delay_line(space, path) -> ModeTransform:
     def fn(pol, oam):
         return [(pol, oam, 1.0)]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"DL @ {path}")
+    return _single_path(space, path, fn, f"DL @ {path}")
 
 
 def path_phase(space, path, phase) -> ModeTransform:
@@ -176,7 +169,7 @@ def path_phase(space, path, phase) -> ModeTransform:
     def fn(pol, oam):
         return [(pol, oam, np.exp(1j * phase))]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"PATHPHASE(phase={phase:g}) @ {path}")
+    return _single_path(space, path, fn, f"PATHPHASE(phase={phase:g}) @ {path}")
 
 
 def oam_phase(space, path, phases: dict) -> ModeTransform:
@@ -185,14 +178,20 @@ def oam_phase(space, path, phases: dict) -> ModeTransform:
     def fn(pol, oam):
         return [(pol, oam, np.exp(1j * phases.get(oam, 0.0)))]
 
-    return _single_path(space, path, fn, KIND_UNITARY, f"OAMPHASE @ {path}")
+    return _single_path(space, path, fn, f"OAMPHASE @ {path}")
 
 
-def polarizer(space, path, angle) -> ModeTransform:
-    """Linear polarizer projecting onto cos(a) H + sin(a) V."""
+def polarizer(space, path, angle) -> np.ndarray:
+    """Linear polarizer projecting onto cos(a) H + sin(a) V, as a dense matrix:
+    the Jones projector times the OAM identity on ``path``, the identity
+    elsewhere.  A projector is no unitary, hence no :class:`ModeTransform`."""
+    if path not in space.paths:
+        raise SpaceMismatch(f"path {path!r} not in space")
     vec = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
-    return _pol_matrix_element(space, path, np.outer(vec, vec.conj()),
-                               f"POL(angle={angle:g}) @ {path}", KIND_PROJECTOR)
+    idx = space.path_indices(path)
+    m = np.eye(space.dim, dtype=complex)
+    m[np.ix_(idx, idx)] = np.kron(np.outer(vec, vec.conj()), np.eye(2 * space.truncation + 1))
+    return m
 
 
 def pbs(space, in_ports, out_ports) -> ModeTransform:
@@ -267,7 +266,7 @@ def pbs(space, in_ports, out_ports) -> ModeTransform:
         m[i, j] = 1.0 if space.mode(i).oam == mode.oam else r
 
     prov = f"PBS(in=[{a},{b}],out=[{c},{d}])"
-    return ModeTransform(space, m, KIND_UNITARY, prov)
+    return ModeTransform(space, m, prov)
 
 
 def parity_interferometer(space, path, angle) -> ModeTransform:
@@ -283,9 +282,7 @@ def parity_interferometer(space, path, angle) -> ModeTransform:
             return [("V", -oam, g * 1j * np.exp(2j * angle * oam))]
         return [("H", -oam, g * 1j * np.exp(-2j * angle * oam))]
 
-    return _single_path(
-        space, path, fn, KIND_UNITARY, f"INTERF(angle={angle:g}) @ {path}"
-    )
+    return _single_path(space, path, fn, f"INTERF(angle={angle:g}) @ {path}")
 
 
 def o1_cnot(space, path) -> ModeTransform:
@@ -421,7 +418,8 @@ REQUIRED = object()  # default of a parameter the descriptor must give
 # Descriptor kind -> (builder name in this module, ((parameter, default), ...)).
 # PBS binds its ports through in=/out=; every other kind binds one ``@ path``.
 # Builders are looked up by name at call time, so a wrapped builder sees every
-# call.  POL is no descriptor: a projector cannot act inside an element chain.
+# call.  Every kind builds a unitary ModeTransform; the polarizer, a projector,
+# is no descriptor.
 CATALOGUE = {
     "HWP": ("hwp", (("angle", REQUIRED),)),
     "QWP": ("qwp", (("angle", REQUIRED),)),

@@ -28,14 +28,7 @@ from .errors import (
     SpaceMismatch,
     TruncationOverflow,
 )
-from .modes import (
-    KIND_PROJECTOR,
-    KIND_UNITARY,
-    Mode,
-    ModeSpace,
-    ModeTransform,
-    SinglePhotonState,
-)
+from .modes import Mode, ModeSpace, ModeTransform, SinglePhotonState
 
 
 def _sqrt_fact(config: tuple) -> float:
@@ -59,6 +52,22 @@ def _insert_sorted(config: tuple, k: int) -> tuple:
         else:
             hi = mid
     return config[:lo] + (k,) + config[lo:]
+
+
+def _expand(base: complex, factors) -> dict:
+    """Expand ``base`` times a product of creation operators, one photon at a
+    time, into sorted configurations.  ``factors`` holds one (mode indices,
+    amplitudes) pair per photon."""
+    branches: dict[tuple, complex] = {(): base}
+    for rows, amps in factors:
+        new: dict[tuple, complex] = {}
+        for partial, pamp in branches.items():
+            for k, a in zip(rows, amps):
+                key = _insert_sorted(partial, int(k))
+                v = new.get(key)
+                new[key] = pamp * a if v is None else v + pamp * a
+        branches = new
+    return branches
 
 
 class MultiPhotonState:
@@ -112,31 +121,6 @@ class MultiPhotonState:
             counts[p] = counts.get(p, 0) + 1
         return counts
 
-    def to_text(self) -> str:
-        """Canonical text form, one line per term: modes then re and im."""
-        lines = []
-        for cfg, amp in sorted(self.terms.items()):
-            label = ",".join(str(self.space.mode(i)) for i in cfg)
-            lines.append(f"{label} {amp.real:.15g} {amp.imag:.15g}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, space: ModeSpace, text: str) -> "MultiPhotonState":
-        terms: dict[tuple, complex] = {}
-        n = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, re_s, im_s = line.rsplit(" ", 2)
-            idx = tuple(sorted(space.index(Mode.parse(tok)) for tok in label.split(",")))
-            if n is None:
-                n = len(idx)
-            terms[idx] = terms.get(idx, 0.0) + complex(float(re_s), float(im_s))
-        if n is None:
-            raise ValueError("no terms in text")
-        return cls(space, n, terms, normalized=None)
-
 
 def inject_product(photons: Sequence[SinglePhotonState]) -> MultiPhotonState:
     """Symmetrized product of single-photon states, normalized.
@@ -150,15 +134,8 @@ def inject_product(photons: Sequence[SinglePhotonState]) -> MultiPhotonState:
     for ph in photons:
         if ph.space != space:
             raise SpaceMismatch("photons on different mode spaces")
-    branches: dict[tuple, complex] = {(): 1.0 + 0.0j}
-    for ph in photons:
-        nz = np.flatnonzero(np.abs(ph.amps) > PRUNE_TOL)
-        new: dict[tuple, complex] = {}
-        for partial, pamp in branches.items():
-            for k in nz:
-                key = _insert_sorted(partial, int(k))
-                new[key] = new.get(key, 0.0) + pamp * ph.amps[k]
-        branches = new
+    nonzero = [np.flatnonzero(np.abs(ph.amps) > PRUNE_TOL) for ph in photons]
+    branches = _expand(1.0 + 0.0j, [(nz, ph.amps[nz]) for nz, ph in zip(nonzero, photons)])
     terms = {
         cfg: amp * _sqrt_fact(cfg)
         for cfg, amp in branches.items()
@@ -196,8 +173,6 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
     """Linear-optical evolution of a multi-photon state."""
     if t.space != s.space:
         raise SpaceMismatch("transform and state on different spaces")
-    if t.kind == KIND_PROJECTOR:
-        raise ValueError("projectors act through post_select or project_group")
     cols = t.columns()
     if t.overflow:
         for cfg in s.terms:
@@ -208,18 +183,7 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
                     )
     out: dict[tuple, complex] = {}
     for cfg, amp in s.terms.items():
-        base = amp / _sqrt_fact(cfg)
-        branches: dict[tuple, complex] = {(): base}
-        for m in cfg:
-            rows, amps = cols[m]
-            new: dict[tuple, complex] = {}
-            for partial, pamp in branches.items():
-                for k, a in zip(rows, amps):
-                    key = _insert_sorted(partial, int(k))
-                    v = new.get(key)
-                    new[key] = pamp * a if v is None else v + pamp * a
-            branches = new
-        for key, v in branches.items():
+        for key, v in _expand(amp / _sqrt_fact(cfg), [cols[m] for m in cfg]).items():
             prev = out.get(key)
             out[key] = v if prev is None else prev + v
     terms = {}
@@ -227,10 +191,7 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
         v = v * _sqrt_fact(cfg)
         if abs(v) > PRUNE_TOL:
             terms[cfg] = v
-    return MultiPhotonState(
-        s.space, s.n, terms,
-        normalized=s.normalized and t.kind == KIND_UNITARY,
-    )
+    return MultiPhotonState(s.space, s.n, terms, normalized=s.normalized)
 
 
 @dataclass(frozen=True)

@@ -341,10 +341,10 @@ def prepare_input(recipe: PreparationRecipe | str):
     state = SinglePhotonState.from_terms(space, {Mode("S", "H", 0): 1.0})
     for desc in recipe.elements:
         state = apply_to_single_photon(el.element_transform(desc, space), state)
-    state = apply_to_single_photon(el.polarizer(space, "S", 0.0), state)
-    prob = state.norm2()
-    amps = state.amps / math.sqrt(prob)
-    return SinglePhotonState(space, amps, normalized=True), prob
+    amps = el.polarizer(space, "S", 0.0) @ state.amps
+    amps[np.abs(amps) <= conv.PRUNE_TOL] = 0.0
+    prob = float(np.vdot(amps, amps).real)
+    return SinglePhotonState(space, amps / math.sqrt(prob), normalized=True), prob
 
 
 def prepare_auxiliary(space: ModeSpace | None = None, path: str = "S") -> SinglePhotonState:

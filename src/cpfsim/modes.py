@@ -18,9 +18,6 @@ from .errors import ConventionError, SpaceMismatch, TruncationOverflow
 
 POLS = ("H", "V")
 
-KIND_UNITARY = "unitary"
-KIND_PROJECTOR = "projector"
-
 
 @dataclass(frozen=True, order=True)
 class Mode:
@@ -32,11 +29,6 @@ class Mode:
 
     def __str__(self):
         return f"{self.path}:{self.pol}:{self.oam:+d}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Mode":
-        path, pol, oam = text.split(":")
-        return cls(path, pol, int(oam))
 
 
 class ModeSpace:
@@ -122,7 +114,7 @@ class SinglePhotonState:
         return cls(space, amps, normalized=norm_ok)
 
     def norm2(self) -> float:
-        """Squared norm; after a projector this is the survival probability."""
+        """Squared norm."""
         return float(np.vdot(self.amps, self.amps).real)
 
     def overlap(self, other: "SinglePhotonState") -> complex:
@@ -154,16 +146,18 @@ def phase_align(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModeTransform:
-    """Complex matrix on the single-photon mode space.
+    """Unitary on the single-photon mode space, checked when built.
 
     ``overflow`` lists input mode indices whose image would leave the
     truncation window; applying the transform to a state with support there
-    raises :class:`TruncationOverflow`.
+    raises :class:`TruncationOverflow`.  Only the other columns need be
+    orthonormal.  Every optic of the setup is unitary; the preparation
+    polarizer, the one projector, is a plain matrix
+    (:func:`cpfsim.elements.polarizer`).
     """
 
     space: ModeSpace
     matrix: np.ndarray
-    kind: str
     provenance: str = ""
     overflow: frozenset = field(default_factory=frozenset)
 
@@ -175,37 +169,24 @@ class ModeTransform:
         self.check()
 
     def check(self):
-        """Verify the declared kind on the non-overflow block.  The residual
-        tests read ``not r <= tol`` so that a NaN entry fails them."""
+        """Verify unitarity on the non-overflow block: orthonormal kept
+        columns, and M M^+ = 1 when nothing overflows.  The residual tests
+        read ``not r <= tol`` so that a NaN entry fails them."""
         keep = np.array(
             [i for i in range(self.space.dim) if i not in self.overflow], dtype=int
         )
         m = self.matrix[:, keep]
         gram = m.conj().T @ m
         eye = np.eye(len(keep))
-        if self.kind == KIND_UNITARY:
-            # An empty kept block (every column overflows) has nothing to check.
-            if keep.size and not np.max(np.abs(gram - eye)) <= UNITARY_TOL:
-                raise ConventionError(
-                    f"{self.provenance or 'transform'}: columns not orthonormal"
-                )
-            if not self.overflow:
-                gram2 = self.matrix @ self.matrix.conj().T
-                if not np.max(np.abs(gram2 - np.eye(self.space.dim))) <= UNITARY_TOL:
-                    raise ConventionError(
-                        f"{self.provenance or 'transform'}: not unitary"
-                    )
-        elif self.kind == KIND_PROJECTOR:
-            m_full = self.matrix
-            if (
-                not np.max(np.abs(m_full @ m_full - m_full)) <= UNITARY_TOL
-                or not np.max(np.abs(m_full - m_full.conj().T)) <= UNITARY_TOL
-            ):
-                raise ConventionError(
-                    f"{self.provenance or 'transform'}: not a projector"
-                )
-        else:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
+        # An empty kept block (every column overflows) has nothing to check.
+        if keep.size and not np.max(np.abs(gram - eye)) <= UNITARY_TOL:
+            raise ConventionError(
+                f"{self.provenance or 'transform'}: columns not orthonormal"
+            )
+        if not self.overflow:
+            gram2 = self.matrix @ self.matrix.conj().T
+            if not np.max(np.abs(gram2 - np.eye(self.space.dim))) <= UNITARY_TOL:
+                raise ConventionError(f"{self.provenance or 'transform'}: not unitary")
 
     def columns(self):
         """Sparse column view: list of (row indices, amplitudes) per column."""
@@ -225,7 +206,6 @@ def compose_transforms(sequence: list[ModeTransform]) -> ModeTransform:
     space = sequence[0].space
     overflow: set[int] = set()
     prefix = np.eye(space.dim, dtype=complex)
-    kind = KIND_UNITARY
     for t in sequence:
         if t.space != space:
             raise SpaceMismatch("composition across different mode spaces")
@@ -234,18 +214,14 @@ def compose_transforms(sequence: list[ModeTransform]) -> ModeTransform:
             hit = np.flatnonzero(np.max(np.abs(prefix[bad_rows, :]), axis=0) > PRUNE_TOL)
             overflow.update(int(j) for j in hit)
         prefix = t.matrix @ prefix
-        if t.kind == KIND_PROJECTOR:
-            kind = KIND_PROJECTOR
     provenance = " . ".join(t.provenance for t in reversed(sequence) if t.provenance)
-    return ModeTransform(space, prefix, kind, provenance, frozenset(overflow))
+    return ModeTransform(space, prefix, provenance, frozenset(overflow))
 
 
 def apply_to_single_photon(t: ModeTransform, s: SinglePhotonState) -> SinglePhotonState:
-    """Apply a transform to a single-photon state.
-
-    Unitary transforms preserve the norm; projectors return the raw projected
-    vector, whose squared norm is the post-selection probability.
-    """
+    """Apply a transform to a single-photon state; amplitudes at or below
+    ``PRUNE_TOL`` are zeroed.  The transform is unitary, so the state keeps
+    its ``normalized`` flag."""
     if t.space != s.space:
         raise SpaceMismatch("transform and state on different spaces")
     for j in t.overflow:
@@ -255,5 +231,4 @@ def apply_to_single_photon(t: ModeTransform, s: SinglePhotonState) -> SinglePhot
             )
     out = t.matrix @ s.amps
     out[np.abs(out) <= PRUNE_TOL] = 0.0
-    normalized = s.normalized and t.kind == KIND_UNITARY
-    return SinglePhotonState(s.space, out, normalized=normalized)
+    return SinglePhotonState(s.space, out, normalized=s.normalized)

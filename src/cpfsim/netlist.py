@@ -236,6 +236,8 @@ def task_problems(nl: Netlist) -> list[str]:
     if nl.task == "circuit" and not (nl.paths and nl.sources):
         problems.append("task circuit needs [space] paths and at least one source")
     reads = {n for _part, names, readers in TASK_TABLE if nl.task in readers for n in names}
+    if "accept" in reads and not nl.accept:
+        problems.append(f"task {nl.task} needs at least one Bell outcome to accept")
     if "accept" in reads and set(nl.accept) - BsmStage.DISTINGUISHABLE:
         problems.append(f"task {nl.task} tells apart " + " and ".join(
             o.value for o in BellOutcome if o in BsmStage.DISTINGUISHABLE) + " only")

@@ -178,11 +178,20 @@ def test_pbs_routing_and_flux(sp):
 
 
 def test_polarizer_projector(sp):
-    t = el.polarizer(sp, "A", math.pi / 4)
-    assert t.kind == "projector"
-    out = apply_to_single_photon(t, ket(sp, "A", "H", 0))
-    assert_state(out, {Mode("A", "H", 0): 0.5, Mode("A", "V", 0): 0.5})
-    assert abs(out.norm2() - 0.5) < 1e-12
+    """The polarizer is a plain projector matrix, the identity off its path."""
+    p = el.polarizer(sp, "A", math.pi / 4)
+    assert np.allclose(p @ p, p, atol=1e-12)
+    assert np.allclose(p, p.conj().T, atol=1e-12)
+    off = np.setdiff1d(np.arange(sp.dim), sp.path_indices("A"))
+    assert np.array_equal(p[np.ix_(off, off)], np.eye(len(off)))
+    assert not p[np.ix_(off, sp.path_indices("A"))].any()
+    assert not p[np.ix_(sp.path_indices("A"), off)].any()
+    out = p @ ket(sp, "A", "H", 0).amps
+    h, v = sp.index(Mode("A", "H", 0)), sp.index(Mode("A", "V", 0))
+    assert np.allclose(out[[h, v]], 0.5) and abs(np.vdot(out, out) - 0.5) < 1e-12
+    assert np.count_nonzero(np.abs(out) > 1e-12) == 2
+    with pytest.raises(SpaceMismatch):
+        el.polarizer(sp, "Z", 0.0)
 
 
 def test_delay_line_identity(sp):

@@ -26,7 +26,6 @@ def test_index_bijection_total():
 
 def test_mode_equality_and_parse():
     assert Mode("A", "H", -2) == Mode("A", "H", -2)
-    assert Mode.parse("P1:V:+3") == Mode("P1", "V", 3)
     assert str(Mode("C", "H", 0)) == "C:H:+0"
 
 
@@ -55,40 +54,35 @@ def test_state_normalization_flag():
 
 
 def test_transform_kind_checks():
+    """Every transform is a checked unitary: a scaled identity, a projector
+    and a NaN entry are refused."""
     sp = ModeSpace(("A",), 0)
     eye = np.eye(sp.dim)
-    ModeTransform(sp, eye, "unitary")
+    ModeTransform(sp, eye)
     with pytest.raises(ConventionError):
-        ModeTransform(sp, 2 * eye, "unitary")
+        ModeTransform(sp, 2 * eye)
     proj = np.zeros((sp.dim, sp.dim))
     proj[0, 0] = 1.0
-    ModeTransform(sp, proj, "projector")
     with pytest.raises(ConventionError):
-        ModeTransform(sp, proj + 0.5 * np.eye(sp.dim), "projector")
+        ModeTransform(sp, proj)
     nan = eye.astype(complex)
     nan[0, 1] = np.nan
-    for kind in ("unitary", "projector"):
-        with pytest.raises(ConventionError):
-            ModeTransform(sp, nan, kind)
+    with pytest.raises(ConventionError):
+        ModeTransform(sp, nan)
 
 
 def test_compose_identity_and_kind():
     sp = ModeSpace(("A",), 1)
-    eye = ModeTransform(sp, np.eye(sp.dim), "unitary")
-    proj = np.zeros((sp.dim, sp.dim), dtype=complex)
-    proj[0, 0] = 1.0
-    p = ModeTransform(sp, proj, "projector")
+    eye = ModeTransform(sp, np.eye(sp.dim))
     out = compose_transforms([eye, eye])
     assert np.allclose(out.matrix, np.eye(sp.dim))
-    assert out.kind == "unitary"
-    assert compose_transforms([eye, p]).kind == "projector"
 
 
 def test_compose_space_mismatch():
     a = ModeSpace(("A",), 1)
     b = ModeSpace(("B",), 1)
-    ta = ModeTransform(a, np.eye(a.dim), "unitary")
-    tb = ModeTransform(b, np.eye(b.dim), "unitary")
+    ta = ModeTransform(a, np.eye(a.dim))
+    tb = ModeTransform(b, np.eye(b.dim))
     with pytest.raises(SpaceMismatch):
         compose_transforms([ta, tb])
 
@@ -97,7 +91,7 @@ def test_apply_preserves_norm_and_prunes(rng):
     sp = ModeSpace(("A",), 2)
     mat = np.linalg.qr(rng.normal(size=(sp.dim, sp.dim))
                        + 1j * rng.normal(size=(sp.dim, sp.dim)))[0]
-    t = ModeTransform(sp, mat, "unitary")
+    t = ModeTransform(sp, mat)
     amps = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
     s = SinglePhotonState(sp, amps / np.linalg.norm(amps))
     out = apply_to_single_photon(t, s)

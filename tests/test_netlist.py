@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from cpfsim.analysis import full_fidelity_report
 from cpfsim.cli import main as cli_main
-from cpfsim.elements import CATALOGUE
+from cpfsim.elements import CATALOGUE, REQUIRED
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
 from cpfsim import netlist, runner
 from cpfsim.netlist import (KNOWN_TASKS, SCHEMA, TASK_TABLE, Diagnostic, Netlist,
@@ -512,6 +513,22 @@ def test_readme_key_table_matches_schema():
         except ValueError:
             continue
         assert shown == defaults[key], (key, cell)
+
+
+def test_readme_element_table_matches_catalogue():
+    """The README element table lists exactly the catalogue's kinds, each with
+    its parameters, their defaults and its binding."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| kind | parameters (default) | binding |\n")[1].split("\n\n")[0]
+    listed = {}
+    for kinds, params, binding in re.findall(r"^\| (`.*) \| (.*) \| (.*) \|$", table, re.M):
+        default = re.search(r"\((required|[^;)]*)", params)
+        value = default and {"required": REQUIRED, "π": math.pi}.get(default[1], default[1])
+        row = (tuple((name, value) for name in re.findall(r"`(\w+)[^`]*`", params)),
+               binding == "`@ path`")
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", kinds), row))
+    assert listed == {kind: (params, "in" not in dict(params))
+                      for kind, (_, params) in CATALOGUE.items()}
 
 
 @pytest.mark.parametrize("name", ("cpf_d4.netlist", "lock.netlist"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from cpfsim.analysis import DEFAULT_DRAWS, STATE_VECTORS, heralded_ensemble
 from cpfsim.cli import main as cli_main
-from cpfsim.netlist import parse_netlist, serialize
+from cpfsim.netlist import Netlist, parse_netlist, serialize
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
 from cpfsim.runner import NetlistError, emit, execute, load_netlist
@@ -128,6 +129,15 @@ def test_execute_rejects_aux_data_photon(cpf_netlist):
     nl = parse_netlist(serialize(cpf_netlist)).netlist
     nl.sources["photon1"].recipe = "aux"
     with pytest.raises(NetlistError):
+        execute(nl)
+
+
+@pytest.mark.parametrize("task", ("cpf_d4", "fidelity"))
+def test_execute_rejects_empty_accept(cpf_netlist, task):
+    """A netlist built in Python with no accepted outcome is refused: it would
+    herald nothing, and its provenance text would name the default list."""
+    nl = dataclasses.replace(cpf_netlist if task == "cpf_d4" else Netlist(task=task), accept=())
+    with pytest.raises(NetlistError, match=f"task {task} needs at least one Bell outcome"):
         execute(nl)
 
 
