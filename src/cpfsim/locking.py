@@ -25,6 +25,11 @@ MAX_LOCK_SAMPLES = 10**7
 #: gain, and control periods that only settle the servo filter.
 CALIBRATION_PERIODS = 200
 WARMUP_PERIODS = 8
+#: Samples per block when the servo step's coefficients are formed, and rows
+#: per block when a trace is written; bounds the memory either takes.
+_SERVO_BLOCK_SAMPLES = 8192
+_CSV_BLOCK_ROWS = 1024
+_CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
 
 
 @dataclass(frozen=True)
@@ -97,23 +102,24 @@ def intensity(t, zeta, p: LockParams):
     return 0.25 * (p.e0h ** 2 + p.e0v ** 2 + 2 * p.e0h * p.e0v * np.cos(phase))
 
 
-class _SinglePoleLpf:
-    """First-order IIR low-pass, y += alpha (x - y)."""
+def _lpf_alpha(cutoff_hz: float, dt: float) -> float:
+    """Smoothing factor of the first-order IIR low-pass  y += alpha (x - y)
+    with corner ``cutoff_hz`` at sample interval ``dt``."""
+    rc = 1.0 / (2 * math.pi * cutoff_hz)
+    return dt / (rc + dt)
 
-    def __init__(self, cutoff_hz: float, dt: float):
-        rc = 1.0 / (2 * math.pi * cutoff_hz)
-        self.alpha = dt / (rc + dt)
-        self.y = 0.0
 
-    def run(self, samples: np.ndarray) -> np.ndarray:
-        out = np.empty_like(samples)
-        y = self.y
-        a = self.alpha
-        for i, x in enumerate(samples):
-            y += a * (x - y)
-            out[i] = y
-        self.y = y
-        return out
+def _window_weights(alpha: float, n: int, start: int = 0) -> np.ndarray:
+    """Weights w with  mean(y[start:n]) = w . x  for the low-pass
+    y[i] = beta y[i-1] + alpha x[i] started from y[-1] = 0, beta = 1 - alpha:
+
+        w_j = beta^max(start - j, 0) (1 - beta^(n - max(j, start))) / (n - start).
+    """
+    log_beta = math.log1p(-alpha)
+    j = np.arange(n)
+    head = np.maximum(start - j, 0)
+    tail = n - np.maximum(j, start)
+    return np.exp(head * log_beta) * -np.expm1(tail * log_beta) / (n - start)
 
 
 def demodulate_error(samples: np.ndarray, p: LockParams) -> float:
@@ -121,7 +127,8 @@ def demodulate_error(samples: np.ndarray, p: LockParams) -> float:
 
     The trace must span at least 10 modulation periods; the returned error is
     the filter output averaged over the trailing quarter of the trace,
-    rounded down to whole periods.
+    rounded down to whole periods.  The filter is linear and starts at rest,
+    so that average is one weighted sum of the mixed trace.
     """
     samples = np.asarray(samples, dtype=float)
     dt = p.sample_dt
@@ -133,10 +140,10 @@ def demodulate_error(samples: np.ndarray, p: LockParams) -> float:
         )
     t = dt * np.arange(len(samples))
     mixed = samples * np.cos(p.mod_freq * t + p.demod_phase)
-    filtered = _SinglePoleLpf(p.cutoff_hz, dt).run(mixed)
     tail_periods = max(n_periods // 4, 1)
-    tail = filtered[len(samples) - tail_periods * per_period:]
-    return float(np.mean(tail))
+    start = len(samples) - tail_periods * per_period
+    weights = _window_weights(_lpf_alpha(p.cutoff_hz, dt), len(samples), start)
+    return float(np.dot(weights, mixed))
 
 
 def measured_error(zeta: float, p: LockParams) -> float:
@@ -255,11 +262,45 @@ class LockTrace:
         return float(np.sqrt(np.mean((self.zeta_closed - self.setpoint) ** 2)))
 
     def to_csv(self) -> str:
-        lines = ["t,zeta_open,zeta_closed,error,actuation"]
-        for row in zip(self.t, self.zeta_open, self.zeta_closed,
-                       self.error, self.actuation):
-            lines.append(",".join(f"{x:.12g}" for x in row))
-        return "\n".join(lines) + "\n"
+        columns = (self.t, self.zeta_open, self.zeta_closed, self.error,
+                   self.actuation)
+        parts = ["t,zeta_open,zeta_closed,error,actuation\n"]
+        for k in range(0, len(self.t), _CSV_BLOCK_ROWS):
+            rows = np.column_stack([c[k:k + _CSV_BLOCK_ROWS] for c in columns])
+            parts.append(_CSV_ROW * len(rows) % tuple(rows.ravel().tolist()))
+        return "".join(parts)
+
+
+def _servo_steps(p: LockParams, alpha: float, per_period: int,
+                 control_dt: float, zeta_open: np.ndarray):
+    """Yield each control step's open-loop phase and the six scalars
+    (A.w, B.w, C.w, A.v, B.v, C.v), formed a block of steps at a time.
+
+    Step k samples t = k control_dt + j dt (j < per_period); at closed-loop
+    phase zeta its mixed samples are x = A + cos(zeta) B + sin(zeta) C, with
+    m = cos(Omega t + demod_phase), s = mod_depth sin(Omega t),
+    A = (E0H^2 + E0V^2) m / 4, B = E0H E0V cos(s) m / 2, C = E0H E0V sin(s) m / 2.
+    w (the :func:`_window_weights` of one period) gives the period mean of
+    the filter output and v_j = alpha beta^(per_period - 1 - j) its end state.
+    """
+    w = _window_weights(alpha, per_period)
+    v = alpha * np.exp(np.arange(per_period - 1, -1, -1) * math.log1p(-alpha))
+    weights = np.stack([w, v], axis=1)
+    sub_t = p.sample_dt * np.arange(per_period)
+    dc = 0.25 * (p.e0h ** 2 + p.e0v ** 2)
+    ac = 0.5 * p.e0h * p.e0v
+    block = max(_SERVO_BLOCK_SAMPLES // per_period, 1)
+    for k0 in range(0, len(zeta_open), block):
+        k1 = min(k0 + block, len(zeta_open))
+        t = (np.arange(k0, k1) * control_dt)[:, None] + sub_t
+        m = np.cos(p.mod_freq * t + p.demod_phase)
+        s = p.mod_depth * np.sin(p.mod_freq * t)
+        a = dc * (m @ weights)
+        b = ac * ((np.cos(s) * m) @ weights)
+        c = ac * ((np.sin(s) * m) @ weights)
+        yield from zip(zeta_open[k0:k1].tolist(),
+                       a[:, 0].tolist(), b[:, 0].tolist(), c[:, 0].tolist(),
+                       a[:, 1].tolist(), b[:, 1].tolist(), c[:, 1].tolist())
 
 
 def simulate_lock(
@@ -282,6 +323,11 @@ def simulate_lock(
     so it does not dominate the loop delay; the first
     :data:`WARMUP_PERIODS` periods only settle the filter, with the actuator
     held.
+
+    The phase is constant over a period and the filter is linear, so each
+    step is closed-form in the filter state y0 at the period's start: the
+    period mean is  c y0 + w.x  and the next state  beta^P y0 + v.x,  with
+    c = (beta + ... + beta^P) / P  (see :func:`_servo_steps`).
     """
     check_lock_run(p, duration)
     drift.validate()
@@ -299,33 +345,35 @@ def simulate_lock(
     # servo sign does not depend on the hardware constants.
     slope = gain * math.sin(p.demod_phase)
 
-    lpf = _SinglePoleLpf(p.mod_freq / (2 * math.pi * 8.0), dt)
+    alpha = _lpf_alpha(p.mod_freq / (2 * math.pi * 8.0), dt)
+    powers = np.exp(np.arange(1, per_period + 1) * math.log1p(-alpha))
+    carry = float(np.mean(powers))   # c
+    decay = float(powers[-1])        # beta^P
+    y = 0.0
     pid = PidState()
     actuation = 0.0
-    sub_t = dt * np.arange(per_period)
 
-    t_out = np.empty(n_steps)
-    zeta_open = np.empty(n_steps)
+    t_out = np.arange(n_steps) * control_dt
+    zeta_open = zeta0 + drift_path
     zeta_closed = np.empty(n_steps)
     error_out = np.empty(n_steps)
     act_out = np.empty(n_steps)
     diverged = False
-    for k in range(n_steps):
-        t0 = k * control_dt
-        open_phase = zeta0 + drift_path[k]
+    steps = _servo_steps(p, alpha, per_period, control_dt, zeta_open)
+    for k, (open_phase, aw, bw, cw, av, bv, cv) in enumerate(steps):
         closed_phase = open_phase + actuation
-        trace = intensity(t0 + sub_t, closed_phase, p)
-        mixed = trace * np.cos(p.mod_freq * (t0 + sub_t) + p.demod_phase)
-        filtered = lpf.run(mixed)
+        try:
+            cos_z, sin_z = math.cos(closed_phase), math.sin(closed_phase)
+        except ValueError:  # infinite phase after an unbounded actuator overflowed
+            cos_z = sin_z = math.nan
         # average over the whole period: suppresses carrier ripple that a
         # fixed-phase sample would alias into a systematic offset
-        raw_error = float(np.mean(filtered))
+        raw_error = carry * y + aw + cos_z * bw + sin_z * cw
+        y = decay * y + av + cos_z * bv + sin_z * cv
         norm_error = (raw_error - offset) / slope
         if k >= WARMUP_PERIODS:
             pid, u = pid_update(pid, -norm_error, control_dt, gains)
             actuation = u
-        t_out[k] = t0
-        zeta_open[k] = open_phase
         zeta_closed[k] = closed_phase
         error_out[k] = raw_error
         act_out[k] = actuation

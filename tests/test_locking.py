@@ -1,14 +1,21 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j1
 
 from cpfsim.errors import InsufficientTrace
 from cpfsim.locking import (
+    CALIBRATION_PERIODS,
     MAX_LOCK_SAMPLES,
+    WARMUP_PERIODS,
     DriftModel,
     LockParams,
+    LockTrace,
     PidGains,
     PidState,
     calibrate_gain,
@@ -205,3 +212,286 @@ def test_trace_csv_columns():
                        duration=0.2, seed=0)
     header = tr.to_csv().splitlines()[0]
     assert header == "t,zeta_open,zeta_closed,error,actuation"
+
+
+# ---------------------------------------------------------------------------
+# Differential reference: the per-sample filter and servo loop that the
+# closed-form step replaced, kept verbatim apart from names.
+
+
+class ReferenceLpf:
+    """First-order IIR low-pass, y += alpha (x - y), one sample at a time."""
+
+    def __init__(self, cutoff_hz: float, dt: float):
+        rc = 1.0 / (2 * math.pi * cutoff_hz)
+        self.alpha = dt / (rc + dt)
+        self.y = 0.0
+
+    def run(self, samples: np.ndarray) -> np.ndarray:
+        out = np.empty_like(samples)
+        y = self.y
+        a = self.alpha
+        for i, x in enumerate(samples):
+            y += a * (x - y)
+            out[i] = y
+        self.y = y
+        return out
+
+
+def reference_demodulate_error(samples, p):
+    samples = np.asarray(samples, dtype=float)
+    dt = p.sample_dt
+    per_period = max(int(round(p.mod_period / dt)), 1)
+    n_periods = len(samples) // per_period
+    if n_periods < 10:
+        raise InsufficientTrace(
+            f"trace spans {n_periods} modulation periods, need at least 10"
+        )
+    t = dt * np.arange(len(samples))
+    mixed = samples * np.cos(p.mod_freq * t + p.demod_phase)
+    filtered = ReferenceLpf(p.cutoff_hz, dt).run(mixed)
+    tail_periods = max(n_periods // 4, 1)
+    tail = filtered[len(samples) - tail_periods * per_period:]
+    return float(np.mean(tail))
+
+
+def reference_calibrate_gain(p):
+    quad = replace(p, demod_phase=math.pi / 2)
+    dt = quad.sample_dt
+    n = int(round(CALIBRATION_PERIODS * quad.mod_period / dt))
+    return reference_demodulate_error(intensity(dt * np.arange(n), math.pi / 2, quad), quad)
+
+
+def reference_simulate_lock(p, drift, gains, duration=4.0, setpoint=0.0,
+                            seed=0, zeta0=0.0, along=None):
+    """The per-sample loop; given ``along``, it takes each step's closed-loop
+    phase from there instead of from its own actuator."""
+    check_lock_run(p, duration)
+    drift.validate()
+    gains.validate()
+    dt = p.sample_dt
+    per_period = max(int(round(p.mod_period / dt)), 1)
+    control_dt = per_period * dt
+    n_steps = max(int(duration / control_dt), 1)
+    rng = np.random.default_rng(seed)
+    drift_path = drift.path(n_steps, control_dt, rng)
+
+    gain = reference_calibrate_gain(p)
+    offset = gain * math.sin(setpoint) * math.sin(p.demod_phase)
+    slope = gain * math.sin(p.demod_phase)
+
+    lpf = ReferenceLpf(p.mod_freq / (2 * math.pi * 8.0), dt)
+    pid = PidState()
+    actuation = 0.0
+    sub_t = dt * np.arange(per_period)
+
+    t_out = np.empty(n_steps)
+    zeta_open = np.empty(n_steps)
+    zeta_closed = np.empty(n_steps)
+    error_out = np.empty(n_steps)
+    act_out = np.empty(n_steps)
+    diverged = False
+    for k in range(n_steps):
+        t0 = k * control_dt
+        open_phase = zeta0 + drift_path[k]
+        closed_phase = open_phase + actuation if along is None else along[k]
+        trace = intensity(t0 + sub_t, closed_phase, p)
+        mixed = trace * np.cos(p.mod_freq * (t0 + sub_t) + p.demod_phase)
+        filtered = lpf.run(mixed)
+        raw_error = float(np.mean(filtered))
+        norm_error = (raw_error - offset) / slope
+        if k >= WARMUP_PERIODS:
+            pid, u = pid_update(pid, -norm_error, control_dt, gains)
+            actuation = u
+        t_out[k] = t0
+        zeta_open[k] = open_phase
+        zeta_closed[k] = closed_phase
+        error_out[k] = raw_error
+        act_out[k] = actuation
+        if not math.isfinite(actuation) or abs(closed_phase - setpoint) > 10.0:
+            diverged = True
+    return LockTrace(t_out, zeta_open, zeta_closed, error_out, act_out,
+                     setpoint, diverged)
+
+
+def reference_csv(trace):
+    """The per-value f-string formatter the block writer replaced."""
+    lines = ["t,zeta_open,zeta_closed,error,actuation"]
+    for row in zip(trace.t, trace.zeta_open, trace.zeta_closed,
+                   trace.error, trace.actuation):
+        lines.append(",".join(f"{x:.12g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def lock_params(draw, strong=False):
+    """Locking-beam parameters: 500-1500 Hz modulation, default or
+    non-integer samples per period, default or drawn filter corner.
+
+    The modulation depth stays where the error signal exists: at depth 0 the
+    calibrated gain is filter residue (~1e-11) and both loops amplify
+    roundoff into rail-to-rail actuation.  ``strong`` keeps the error slope
+    G sin(demod_phase) large against the carrier ripple of the servo filter,
+    which otherwise kicks the loop across the fringe."""
+    freq_hz = draw(st.floats(500.0, 1500.0))
+    per_period = draw(st.none() | st.floats(10.5, 90.0))
+    cutoff = draw(st.none() | st.floats(1.0, freq_hz / 4))
+    depth = (0.15, 0.5) if strong else (0.05, 0.5)
+    tau = (0.6, 2.5) if strong else (0.3, 2.8)
+    return LockParams(
+        mod_depth=draw(st.floats(*depth)),
+        mod_freq=2 * math.pi * freq_hz,
+        demod_phase=draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(*tau)),
+        e0h=draw(st.floats(0.5, 1.5)),
+        e0v=draw(st.floats(0.5, 1.5)),
+        lpf_cutoff=cutoff,
+        dt=None if per_period is None else 1.0 / (freq_hz * per_period),
+    )
+
+
+DRIFT_KINDS = st.sampled_from(["random-walk", "sinusoidal", "step"])
+#: Actuator limits; the two tight ones saturate under the drawn drifts.
+LIMITS = st.sampled_from([0.02, 0.2, 50.0])
+
+
+def assert_same_run(got, want, p, zeta_tol=1e-13):
+    """Sample times and open-loop phase bitwise; phases to ``zeta_tol`` rad;
+    the error to 1e-15 at unit fields, scaled with the detected intensity."""
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.zeta_open, want.zeta_open)
+    assert np.max(np.abs(got.zeta_closed - want.zeta_closed)) <= zeta_tol
+    assert np.max(np.abs(got.actuation - want.actuation)) <= zeta_tol
+    error_tol = 1e-15 * max(1.0, (p.e0h ** 2 + p.e0v ** 2) / 2)
+    assert np.max(np.abs(got.error - want.error)) <= error_tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=lock_params(strong=True), kind=DRIFT_KINDS,
+       magnitude=st.floats(0.0, 0.5), kp=st.floats(0.15, 0.45),
+       ki=st.floats(150.0, 350.0), limit=LIMITS,
+       setpoint=st.floats(-0.3, 0.3), zeta0=st.floats(-0.5, 0.5),
+       duration=st.floats(0.02, 0.25), seed=st.integers(0, 2**16))
+def test_closed_loop_matches_per_sample_loop(p, kind, magnitude, kp, ki, limit,
+                                             setpoint, zeta0, duration, seed):
+    """Both loops run free from the same inputs.  Gains, drift and setpoint
+    stay where the loop locks: a loop pushed across the fringe or unstable
+    amplifies roundoff without bound (see the step-by-step test)."""
+    drift = DriftModel(kind, magnitude, step_time=duration / 3)
+    gains = PidGains(kp, ki, 0.0, out_min=-limit, out_max=limit)
+    kwargs = dict(duration=duration, setpoint=setpoint, seed=seed, zeta0=zeta0)
+    got = simulate_lock(p, drift, gains, **kwargs)
+    want = reference_simulate_lock(p, drift, gains, **kwargs)
+    assert got.diverged == want.diverged
+    if not want.diverged:
+        assert_same_run(got, want, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=lock_params(), kind=DRIFT_KINDS, magnitude=st.floats(0.0, 1.5),
+       kp=st.floats(-6.0, 0.6), ki=st.floats(-5000.0, 400.0),
+       kd=st.sampled_from([0.0, 1e-4]), limit=LIMITS,
+       setpoint=st.floats(-1.0, 1.0), zeta0=st.floats(-0.5, 0.5),
+       duration=st.floats(0.02, 0.25), seed=st.integers(0, 2**16))
+def test_servo_step_matches_per_sample_loop(p, kind, magnitude, kp, ki, kd,
+                                            limit, setpoint, zeta0, duration,
+                                            seed):
+    """Every step, on any loop: the per-sample loop, fed the closed-form
+    run's closed-loop phases, gives the same error and actuation."""
+    drift = DriftModel(kind, magnitude, period=0.1, step_time=duration / 3)
+    gains = PidGains(kp, ki, kd, out_min=-limit, out_max=limit)
+    kwargs = dict(duration=duration, setpoint=setpoint, seed=seed, zeta0=zeta0)
+    got = simulate_lock(p, drift, gains, **kwargs)
+    want = reference_simulate_lock(p, drift, gains, along=got.zeta_closed, **kwargs)
+    assert got.diverged == want.diverged
+    # the PID scales an error difference by up to |kp| + |ki| t into actuation
+    assert_same_run(got, want, p, zeta_tol=1e-13 * max(1.0, abs(kp) + abs(ki) * duration))
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=lock_params(), magnitude=st.floats(0.0, 1.0),
+       kp=st.floats(-6.0, -2.0), ki=st.floats(-5000.0, -2000.0),
+       duration=st.floats(0.1, 0.25), seed=st.integers(0, 2**16))
+def test_divergence_flag_matches_per_sample_loop(p, magnitude, kp, ki,
+                                                 duration, seed):
+    """An unstable loop amplifies roundoff (kp=-5, ki=-4000 ends 80 rad
+    apart), so only the flag is compared."""
+    drift = DriftModel("random-walk", magnitude)
+    gains = PidGains(kp, ki)
+    got = simulate_lock(p, drift, gains, duration=duration, seed=seed)
+    want = reference_simulate_lock(p, drift, gains, duration=duration, seed=seed)
+    assert got.diverged == want.diverged
+
+
+def test_closed_form_step_matches_default_runs():
+    for kind in ("random-walk", "sinusoidal", "step"):
+        drift = DriftModel(kind, 0.5, step_time=1.0)
+        got = simulate_lock(LockParams(), drift, PidGains(), duration=4.0, seed=1)
+        want = reference_simulate_lock(LockParams(), drift, PidGains(),
+                                       duration=4.0, seed=1)
+        assert not got.diverged and not want.diverged
+        assert_same_run(got, want, LockParams())
+
+
+def test_overflowing_actuator_flags_divergence():
+    """Unbounded limits let the actuator overflow to an infinite phase; the
+    run goes on with nan, as the per-sample loop's numpy cosine did."""
+    gains = PidGains(kp=1.7e308, ki=1.7e308, out_min=-math.inf, out_max=math.inf)
+    tr = simulate_lock(LockParams(), DriftModel(), gains, duration=0.05)
+    assert tr.diverged and np.isinf(tr.zeta_closed).any()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert reference_simulate_lock(LockParams(), DriftModel(), gains,
+                                       duration=0.05).diverged
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=lock_params(), periods=st.integers(10, 60),
+       extra=st.integers(0, 89), seed=st.integers(0, 2**16),
+       use_intensity=st.booleans())
+def test_closed_form_demodulation_matches_filter(p, periods, extra, seed,
+                                                 use_intensity):
+    per_period = max(int(round(p.mod_period / p.sample_dt)), 1)
+    n = periods * per_period + extra % per_period
+    if use_intensity:
+        zeta = np.random.default_rng(seed).uniform(-math.pi, math.pi)
+        samples = intensity(p.sample_dt * np.arange(n), zeta, p)
+    else:
+        samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    assert abs(demodulate_error(samples, p)
+               - reference_demodulate_error(samples, p)) <= 1e-14
+
+
+def test_calibrated_gain_matches_filter():
+    for p in (LockParams(), LockParams(mod_depth=0.37, mod_freq=2 * math.pi * 500),
+              LockParams(lpf_cutoff=5.0), LockParams(dt=LockParams().mod_period / 37)):
+        assert abs(calibrate_gain(p) - reference_calibrate_gain(p)) <= 1e-14
+
+
+def test_lock_memory_is_bounded():
+    """The servo coefficients are formed a block of steps at a time, so a
+    long run holds little beyond its five output columns."""
+    args = (LockParams(), DriftModel(), PidGains())
+    simulate_lock(*args, duration=0.1)
+    tracemalloc.start()
+    try:
+        simulate_lock(*args, duration=12.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+def test_csv_matches_per_value_formatter():
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 1e16,
+              0.1 + 0.2, -1.5e-7, 123456789012345.0, 2.0 ** 60]
+    rng = np.random.default_rng(3)
+    n = 2500  # spans more than two of the writer's row blocks
+    columns = [rng.choice(values, n) * rng.choice([1.0, rng.normal()], n)
+               for _ in range(5)]
+    for k, v in enumerate(values):
+        columns[k % 5][k] = v
+    trace = LockTrace(*columns, setpoint=0.0, diverged=False)
+    assert trace.to_csv() == reference_csv(trace)
+    empty = LockTrace(*(np.empty(0) for _ in range(5)), setpoint=0.0, diverged=False)
+    assert empty.to_csv() == reference_csv(empty)
+    tr = simulate_lock(LockParams(), DriftModel(), PidGains(), duration=0.2)
+    assert tr.to_csv() == reference_csv(tr)
