@@ -2,8 +2,11 @@
 
 Phase conventions are frozen in :mod:`cpfsim.conventions`; see that module for
 the full list.  Every constructor but :func:`polarizer` returns a unitary
-:class:`~cpfsim.modes.ModeTransform` acting on the designated path(s) and as
-the identity elsewhere.
+:class:`~cpfsim.modes.ModeTransform` whose block covers the designated
+path(s) only; it acts as the identity elsewhere.  A single-path element is a
+sum of at most two Kronecker products of a 2x2 Jones matrix with a
+(2L+1)-square OAM matrix (identity, shift or phased flip); the PBS block
+covers its involved paths.
 
 Element descriptors serialize as ``NAME(key=value,...) @ path[,path...]``,
 e.g. ``HWP(angle=0.3927) @ A`` or ``PBS(in=[A,B],out=[C,D])``; the same grammar
@@ -20,41 +23,47 @@ import numpy as np
 
 from . import conventions as conv
 from .errors import CpfSimError, SpaceMismatch, UnknownElement
-from .modes import Mode, ModeSpace, ModeTransform, POLS, compose_transforms
+from .modes import ModeSpace, ModeTransform, POLS, compose_transforms
 
-OVERFLOW = object()  # sentinel: image of a mode leaves the truncation window
 _SHIFT_TOL = 1e-12  # an OAM shift this close to an integer is that integer
+_I2 = np.eye(2)
 
 
-def _single_path(space: ModeSpace, path: str, fn, provenance) -> ModeTransform:
-    """Build identity-everywhere transform from a per-(pol, oam) map on one path.
+def _on_path(space: ModeSpace, path: str, terms, provenance) -> ModeTransform:
+    """Transform acting as sum_k J_k (x) O_k on ``path``, the identity elsewhere.
 
-    ``fn(pol, oam)`` returns an iterable of (pol', oam', amplitude) staying on
-    the same path, or the OVERFLOW sentinel.
+    Each term pairs a 2x2 Jones matrix with a (2L+1)-square OAM matrix.  A
+    zero column of O_k is an OAM image outside the window: each input mode
+    that a term with a nonzero Jones column sends there overflows, and its
+    whole column is zeroed.
     """
     if path not in space.paths:
         raise SpaceMismatch(f"path {path!r} not in space")
-    m = np.eye(space.dim, dtype=complex)
-    overflow = set()
-    for j in space.path_indices(path):
-        mode = space.mode(int(j))
-        images = fn(mode.pol, mode.oam)
-        m[:, j] = 0.0
-        if images is OVERFLOW:
-            overflow.add(int(j))
-            continue
-        for pol2, oam2, amp in images:
-            i = space.index(Mode(path, pol2, oam2))
-            m[i, j] += amp
-    return ModeTransform(space, m, provenance, frozenset(overflow))
+    n = 2 * space.truncation + 1
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    lost = np.zeros(2 * n, dtype=bool)
+    for jones, orbital in terms:
+        block += np.kron(jones, orbital)
+        lost |= np.outer(jones.any(axis=0), ~orbital.any(axis=0)).ravel()
+    block[:, lost] = 0.0
+    base = int(space.path_indices(path)[0])
+    overflow = frozenset(base + int(k) for k in np.flatnonzero(lost))
+    return ModeTransform(space, (path,), block, provenance, overflow)
 
 
-def _pol_matrix_element(space, path, pol_matrix, provenance):
-    def fn(pol, oam):
-        col = pol_matrix[:, POLS.index(pol)]
-        return [(POLS[i], oam, col[i]) for i in range(2) if abs(col[i]) > 0]
+def _oams(space: ModeSpace) -> range:
+    return range(-space.truncation, space.truncation + 1)
 
-    return _single_path(space, path, fn, provenance)
+
+def _flip(phases) -> np.ndarray:
+    """OAM matrix |l> -> phases[l] |-l>, with ``phases`` listed from -L to L."""
+    return np.flipud(np.diag(phases))
+
+
+def _shift(space: ModeSpace, dl: int) -> np.ndarray:
+    """OAM matrix |l> -> |l + dl>, the identity at dl = 0; columns whose image
+    leaves the window are zero."""
+    return np.eye(2 * space.truncation + 1, k=-dl)
 
 
 def hwp_matrix(angle: float) -> np.ndarray:
@@ -71,11 +80,13 @@ def qwp_matrix(angle: float) -> np.ndarray:
 
 
 def hwp(space, path, angle) -> ModeTransform:
-    return _pol_matrix_element(space, path, hwp_matrix(angle), f"HWP(angle={angle:g}) @ {path}")
+    return _on_path(space, path, [(hwp_matrix(angle), _shift(space, 0))],
+                    f"HWP(angle={angle:g}) @ {path}")
 
 
 def qwp(space, path, angle) -> ModeTransform:
-    return _pol_matrix_element(space, path, qwp_matrix(angle), f"QWP(angle={angle:g}) @ {path}")
+    return _on_path(space, path, [(qwp_matrix(angle), _shift(space, 0))],
+                    f"QWP(angle={angle:g}) @ {path}")
 
 
 _R = np.array([1.0, 1j]) / math.sqrt(2)  # R in (H, V) amplitudes
@@ -83,7 +94,9 @@ _L = np.array([1.0, -1j]) / math.sqrt(2)
 
 
 def qplate(space, path, q) -> ModeTransform:
-    """q-plate: swaps circular polarization handedness and shifts l by +-2q."""
+    """q-plate: swaps circular polarization handedness and shifts l by +-2q:
+    |L><R| (x) shift(+2q) + |R><L| (x) shift(-2q).  An input with a circular
+    component whose image leaves the window overflows as a whole."""
     shift = 2 * q
     if abs(shift - round(shift)) > _SHIFT_TOL:
         raise UnknownElement(
@@ -91,94 +104,49 @@ def qplate(space, path, q) -> ModeTransform:
             "are handled by direct state constructors instead"
         )
     shift = int(round(shift))
-    lim = space.truncation
-
-    def fn(pol, oam):
-        e = np.zeros(2, dtype=complex)
-        e[POLS.index(pol)] = 1.0
-        r_amp = np.vdot(_R, e)  # <R|pol>
-        l_amp = np.vdot(_L, e)
-        images = []
-        for amp, out_vec, new_oam in (
-            (r_amp, _L, oam + shift),   # R component -> L, l + 2q
-            (l_amp, _R, oam - shift),   # L component -> R, l - 2q
-        ):
-            if abs(amp) == 0:
-                continue
-            if abs(new_oam) > lim:
-                return OVERFLOW
-            for i in range(2):
-                a = amp * out_vec[i]
-                if abs(a) > 0:
-                    images.append((POLS[i], new_oam, a))
-        return images
-
-    return _single_path(space, path, fn, f"QP(q={q}) @ {path}")
+    return _on_path(space, path, [(np.outer(_L, _R.conj()), _shift(space, shift)),
+                                  (np.outer(_R, _L.conj()), _shift(space, -shift))],
+                    f"QP(q={q}) @ {path}")
 
 
 def spp(space, path, dl) -> ModeTransform:
     """Spiral phase plate: shifts the azimuthal index by the integer ``dl``."""
     dl = int(round(dl))
-    lim = space.truncation
-
-    def fn(pol, oam):
-        if abs(oam + dl) > lim:
-            return OVERFLOW
-        return [(pol, oam + dl, 1.0)]
-
-    return _single_path(space, path, fn, f"SPP(dl={dl}) @ {path}")
+    return _on_path(space, path, [(_I2, _shift(space, dl))], f"SPP(dl={dl}) @ {path}")
 
 
 def dove_prism(space, path, angle) -> ModeTransform:
     """Dove prism at angle g: |l> -> i exp(2igl) |-l>."""
-
-    def fn(pol, oam):
-        return [(pol, -oam, 1j * np.exp(2j * angle * oam))]
-
-    return _single_path(space, path, fn, f"DP(angle={angle:g}) @ {path}")
+    orbital = _flip([1j * np.exp(2j * angle * l) for l in _oams(space)])
+    return _on_path(space, path, [(_I2, orbital)], f"DP(angle={angle:g}) @ {path}")
 
 
 def mirror(space, path) -> ModeTransform:
     """Mirror: fixed reflection phase and an OAM sign flip."""
-
-    def fn(pol, oam):
-        return [(pol, -oam, conv.MIRROR_PHASE)]
-
-    return _single_path(space, path, fn, f"MIRROR @ {path}")
+    orbital = _flip([conv.MIRROR_PHASE] * (2 * space.truncation + 1))
+    return _on_path(space, path, [(_I2, orbital)], f"MIRROR @ {path}")
 
 
 def phase_plate(space, path, phase=conv.PHASE_PLATE_DEFAULT) -> ModeTransform:
-    def fn(pol, oam):
-        return [(pol, oam, np.exp(1j * phase))]
-
-    return _single_path(space, path, fn, f"PP(phase={phase:g}) @ {path}")
+    return _on_path(space, path, [(_I2, np.exp(1j * phase) * _shift(space, 0))],
+                    f"PP(phase={phase:g}) @ {path}")
 
 
 def delay_line(space, path) -> ModeTransform:
     """Delay line, identity: its experimental role is temporal overlap."""
-
-    def fn(pol, oam):
-        return [(pol, oam, 1.0)]
-
-    return _single_path(space, path, fn, f"DL @ {path}")
+    return _on_path(space, path, [(_I2, _shift(space, 0))], f"DL @ {path}")
 
 
 def path_phase(space, path, phase) -> ModeTransform:
     """Fixed phase on one path; used for interferometer-arm jitter."""
-
-    def fn(pol, oam):
-        return [(pol, oam, np.exp(1j * phase))]
-
-    return _single_path(space, path, fn, f"PATHPHASE(phase={phase:g}) @ {path}")
+    return _on_path(space, path, [(_I2, np.exp(1j * phase) * _shift(space, 0))],
+                    f"PATHPHASE(phase={phase:g}) @ {path}")
 
 
 def oam_phase(space, path, phases: dict) -> ModeTransform:
     """Diagonal phases per azimuthal index on one path; used for dephasing."""
-
-    def fn(pol, oam):
-        return [(pol, oam, np.exp(1j * phases.get(oam, 0.0)))]
-
-    return _single_path(space, path, fn, f"OAMPHASE @ {path}")
+    orbital = np.diag([np.exp(1j * phases.get(l, 0.0)) for l in _oams(space)])
+    return _on_path(space, path, [(_I2, orbital)], f"OAMPHASE @ {path}")
 
 
 def polarizer(space, path, angle) -> np.ndarray:
@@ -190,7 +158,7 @@ def polarizer(space, path, angle) -> np.ndarray:
     vec = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
     idx = space.path_indices(path)
     m = np.eye(space.dim, dtype=complex)
-    m[np.ix_(idx, idx)] = np.kron(np.outer(vec, vec.conj()), np.eye(2 * space.truncation + 1))
+    m[np.ix_(idx, idx)] = np.kron(np.outer(vec, vec.conj()), _shift(space, 0))
     return m
 
 
@@ -200,73 +168,52 @@ def pbs(space, in_ports, out_ports) -> ModeTransform:
     H transmits (first in -> first out, second in -> second out); V reflects
     into the crossed output with phase ``PBS_REFLECT_PHASE`` and an OAM sign
     flip.  Ports may overlap (a beamline may keep its path label); leftover
-    path labels are wired back so the full matrix stays unitary, which never
+    path labels are wired back so the block stays unitary, which never
     matters because those ports are unoccupied where the element is placed.
+    The block covers the involved paths only.
     """
     a, b = in_ports
     c, d = out_ports
     if a == b or c == d:
         raise CpfSimError(
             f"PBS ports must be distinct: in={list(in_ports)}, out={list(out_ports)}")
-    involved = []
-    for p in (a, b, c, d):
-        if p is not None and p not in involved:
-            involved.append(p)
+    involved = list(dict.fromkeys(p for p in (a, b, c, d) if p is not None))
     for p in involved:
         if p not in space.paths:
             raise SpaceMismatch(f"path {p!r} not in space")
+    paths = tuple(p for p in space.paths if p in involved)
+    lim = space.truncation
+    n = 2 * lim + 1
 
-    m = np.eye(space.dim, dtype=complex)
-    for p in involved:
-        m[:, space.path_indices(p)] = 0.0
+    def at(path, pol, l):  # block index of one mode
+        return (paths.index(path) * 2 + POLS.index(pol)) * n + l + lim
 
-    used_rows: set[int] = set()
-    defined_cols: set[int] = set()
+    block = np.zeros((len(paths) * 2 * n,) * 2, dtype=complex)
     r = conv.PBS_REFLECT_PHASE
-
-    def wire(src, pol, dst, amp, flip):
-        for j in space.path_indices(src):
-            mode = space.mode(int(j))
-            if mode.pol != pol:
-                continue
-            i = space.index(Mode(dst, pol, -mode.oam if flip else mode.oam))
-            m[i, j] = amp
-            used_rows.add(i)
-            defined_cols.add(int(j))
-
     for src, t_dst, r_dst in ((a, c, d), (b, d, c)):
         if src is None:
             continue
-        wire(src, "H", t_dst, 1.0, flip=False)
-        wire(src, "V", r_dst, r, flip=True)
+        for l in _oams(space):
+            block[at(t_dst, "H", l), at(src, "H", l)] = 1.0
+            block[at(r_dst, "V", -l), at(src, "V", l)] = r
 
-    # Complete the permutation structure for leftover ports (never occupied).
-    free_cols = [
-        int(j)
-        for p in involved
-        for j in space.path_indices(p)
-        if int(j) not in defined_cols
-    ]
-    free_rows = [
-        int(i)
-        for p in involved
-        for i in space.path_indices(p)
-        if int(i) not in used_rows
-    ]
+    # Complete the permutation structure for leftover ports (never occupied),
+    # pairing them in (a, b, c, d) order.
+    modes = [(p, pol, l) for p in involved for pol in POLS for l in _oams(space)]
     by_mode = {}
-    for i in free_rows:
-        mode = space.mode(i)
-        by_mode.setdefault((mode.pol, mode.oam), []).append(i)
-    for j in free_cols:
-        mode = space.mode(j)
-        candidates = by_mode.get((mode.pol, mode.oam)) or by_mode.get(
-            (mode.pol, -mode.oam)
-        )
-        i = candidates.pop(0)
-        m[i, j] = 1.0 if space.mode(i).oam == mode.oam else r
+    for p, pol, l in modes:
+        if not block[at(p, pol, l)].any():
+            by_mode.setdefault((pol, l), []).append(at(p, pol, l))
+    for p, pol, l in modes:
+        j = at(p, pol, l)
+        if block[:, j].any():
+            continue
+        same = bool(by_mode.get((pol, l)))
+        i = by_mode[(pol, l) if same else (pol, -l)].pop(0)
+        block[i, j] = 1.0 if same else r
 
     prov = f"PBS(in=[{a},{b}],out=[{c},{d}])"
-    return ModeTransform(space, m, prov)
+    return ModeTransform(space, paths, block, prov)
 
 
 def parity_interferometer(space, path, angle) -> ModeTransform:
@@ -276,13 +223,12 @@ def parity_interferometer(space, path, angle) -> ModeTransform:
     prisms' common factor i sits in the frozen path phase.
     """
     g = conv.PARITY_INTERFEROMETER_PHASE
-
-    def fn(pol, oam):
-        if pol == "H":
-            return [("V", -oam, g * 1j * np.exp(2j * angle * oam))]
-        return [("H", -oam, g * 1j * np.exp(-2j * angle * oam))]
-
-    return _single_path(space, path, fn, f"INTERF(angle={angle:g}) @ {path}")
+    h_to_v = np.array([[0, 0], [1, 0]])
+    v_to_h = np.array([[0, 1], [0, 0]])
+    return _on_path(space, path, [
+        (h_to_v, _flip([g * 1j * np.exp(2j * angle * l) for l in _oams(space)])),
+        (v_to_h, _flip([g * 1j * np.exp(-2j * angle * l) for l in _oams(space)])),
+    ], f"INTERF(angle={angle:g}) @ {path}")
 
 
 def o1_cnot(space, path) -> ModeTransform:

@@ -517,10 +517,6 @@ class CpfPipeline:
             post += [st.transform for st in stages[cut:]]
             self._jitter_paths += (paths.p2,)
         self._pre = compose_transforms(pre)
-        # Each stage is a dense 288x288 matrix: free the composed ones before
-        # the Bell stage and _post are built, so they do not raise the peak
-        # memory of the build.
-        del pre, stages
         self.stage = build_bsm_stage(self.space)
         # The D outputs fold onto the Bell stage's inputs.
         post += [el.mirror(self.space, "D1"), el.mirror(self.space, "D2"), self.stage.transform]

@@ -67,8 +67,8 @@ class LockParams:
         return self.mod_freq / (2 * math.pi * 50.0)
 
     def validate(self):
-        if self.mod_depth < 0:
-            raise ValueError("mod_depth must be non-negative")
+        if not self.mod_depth > 0:
+            raise ValueError("mod_depth must be positive; at 0 there is no error signal (J1(0) = 0)")
         if self.mod_freq <= 0:
             raise ValueError("mod_freq must be positive")
         if math.sin(self.demod_phase) == 0:

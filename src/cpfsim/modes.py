@@ -146,76 +146,94 @@ def phase_align(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModeTransform:
-    """Unitary on the single-photon mode space, checked when built.
+    """Unitary ``block`` on the modes of ``paths`` (listed in the space's
+    order, modes indexed as in the space) and the identity on every other
+    path, checked when built.
 
-    ``overflow`` lists input mode indices whose image would leave the
-    truncation window; applying the transform to a state with support there
-    raises :class:`TruncationOverflow`.  Only the other columns need be
-    orthonormal.  Every optic of the setup is unitary; the preparation
-    polarizer, the one projector, is a plain matrix
+    ``overflow`` lists input mode indices (of the space) whose image would
+    leave the truncation window; applying the transform to a state with
+    support there raises :class:`TruncationOverflow`.  Only the other
+    columns need be orthonormal.  Every optic of the setup is unitary; the
+    preparation polarizer, the one projector, is a plain matrix
     (:func:`cpfsim.elements.polarizer`).
     """
 
     space: ModeSpace
-    matrix: np.ndarray
+    paths: tuple
+    block: np.ndarray
     provenance: str = ""
     overflow: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.space.dim, self.space.dim):
-            raise SpaceMismatch("matrix shape does not match space")
+        self.paths = tuple(self.paths)
+        if self.paths != tuple(p for p in self.space.paths if p in self.paths):
+            raise SpaceMismatch(f"paths {self.paths} are not the space's, in its order")
+        self.block = np.asarray(self.block, dtype=complex)
+        self._modes = np.concatenate([self.space.path_indices(p) for p in self.paths])
+        if self.block.shape != (self._modes.size,) * 2:
+            raise SpaceMismatch("block shape does not match its paths")
         self._columns_cache = None
         self.check()
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense ``space.dim``-square view, built on each access."""
+        m = np.eye(self.space.dim, dtype=complex)
+        m[np.ix_(self._modes, self._modes)] = self.block
+        return m
+
     def check(self):
-        """Verify unitarity on the non-overflow block: orthonormal kept
-        columns, and M M^+ = 1 when nothing overflows.  The residual tests
-        read ``not r <= tol`` so that a NaN entry fails them."""
-        keep = np.array(
-            [i for i in range(self.space.dim) if i not in self.overflow], dtype=int
-        )
-        m = self.matrix[:, keep]
-        gram = m.conj().T @ m
-        eye = np.eye(len(keep))
+        """Verify unitarity on the non-overflow part of the block:
+        orthonormal kept columns, and B B^+ = 1 when nothing overflows.  The
+        residual tests read ``not r <= tol`` so that a NaN entry fails them."""
+        b = self.block[:, ~np.isin(self._modes, list(self.overflow))]
+        gram = b.conj().T @ b
         # An empty kept block (every column overflows) has nothing to check.
-        if keep.size and not np.max(np.abs(gram - eye)) <= UNITARY_TOL:
+        if b.size and not np.max(np.abs(gram - np.eye(b.shape[1]))) <= UNITARY_TOL:
             raise ConventionError(
                 f"{self.provenance or 'transform'}: columns not orthonormal"
             )
         if not self.overflow:
-            gram2 = self.matrix @ self.matrix.conj().T
-            if not np.max(np.abs(gram2 - np.eye(self.space.dim))) <= UNITARY_TOL:
+            gram2 = self.block @ self.block.conj().T
+            if not np.max(np.abs(gram2 - np.eye(len(self._modes)))) <= UNITARY_TOL:
                 raise ConventionError(f"{self.provenance or 'transform'}: not unitary")
 
     def columns(self):
-        """Sparse column view: list of (row indices, amplitudes) per column."""
+        """Sparse column view over the whole space: list of (row indices,
+        amplitudes) per column, rows in ascending order."""
         if self._columns_cache is None:
-            cols = []
-            for j in range(self.space.dim):
-                rows = np.flatnonzero(np.abs(self.matrix[:, j]) > PRUNE_TOL)
-                cols.append((rows, self.matrix[rows, j]))
+            cols = [(np.array([j]), np.ones(1, dtype=complex))
+                    for j in range(self.space.dim)]
+            for k, j in enumerate(self._modes):
+                rows = np.flatnonzero(np.abs(self.block[:, k]) > PRUNE_TOL)
+                cols[j] = (self._modes[rows], self.block[rows, k])
             self._columns_cache = cols
         return self._columns_cache
 
 
 def compose_transforms(sequence: list[ModeTransform]) -> ModeTransform:
-    """Compose transforms in application order (first element acts first)."""
+    """Compose transforms in application order (first element acts first),
+    as a block on the union of their paths, checked like every transform."""
     if not sequence:
         raise ValueError("empty composition")
     space = sequence[0].space
-    overflow: set[int] = set()
-    prefix = np.eye(space.dim, dtype=complex)
     for t in sequence:
         if t.space != space:
             raise SpaceMismatch("composition across different mode spaces")
+    touched = {p for t in sequence for p in t.paths}
+    paths = tuple(p for p in space.paths if p in touched)
+    modes = np.concatenate([space.path_indices(p) for p in paths])
+    overflow: set[int] = set()
+    prefix = np.eye(len(modes), dtype=complex)
+    for t in sequence:
+        rows = np.searchsorted(modes, t._modes)     # both ascending
         if t.overflow:
-            bad_rows = np.array(sorted(t.overflow), dtype=int)
-            hit = np.flatnonzero(np.max(np.abs(prefix[bad_rows, :]), axis=0) > PRUNE_TOL)
-            overflow.update(int(j) for j in hit)
-        prefix = t.matrix @ prefix
+            bad = np.searchsorted(modes, sorted(t.overflow))
+            hit = np.flatnonzero(np.max(np.abs(prefix[bad, :]), axis=0) > PRUNE_TOL)
+            overflow.update(int(modes[k]) for k in hit)
+        prefix[rows, :] = t.block @ prefix[rows, :]
     provenance = " . ".join(t.provenance for t in reversed(sequence) if t.provenance)
-    return ModeTransform(space, prefix, provenance, frozenset(overflow))
+    return ModeTransform(space, paths, prefix, provenance, frozenset(overflow))
 
 
 def apply_to_single_photon(t: ModeTransform, s: SinglePhotonState) -> SinglePhotonState:
@@ -229,6 +247,7 @@ def apply_to_single_photon(t: ModeTransform, s: SinglePhotonState) -> SinglePhot
             raise TruncationOverflow(
                 f"input has amplitude on {s.space.mode(j)} whose image leaves the window"
             )
-    out = t.matrix @ s.amps
+    out = s.amps.copy()
+    out[t._modes] = t.block @ s.amps[t._modes]
     out[np.abs(out) <= PRUNE_TOL] = 0.0
     return SinglePhotonState(s.space, out, normalized=s.normalized)

@@ -18,10 +18,12 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
-from .elements import DescriptorError, parse_descriptor, spec_problem
+from .elements import DescriptorError, element_transform, parse_descriptor, spec_problem
+from .errors import CpfSimError, TruncationOverflow
 from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
-                      BsmStage, CpfPipeline)
+                      BsmStage, CpfPipeline, auxiliary_target, encode_qudit_vector)
 from .locking import DriftModel, LockParams, PidGains, check_lock_run
+from .modes import ModeSpace, apply_to_single_photon
 from .noise import NoiseSpec
 from .protocol import BellOutcome
 
@@ -244,6 +246,8 @@ def task_problems(nl: Netlist) -> list[str]:
     if "shots" in reads and (nl.mode == "shots") != (nl.shots > 0):
         problems.append(f"mode {nl.mode} with shots {nl.shots}: mode shots needs"
                         " shots > 0, mode analytic shots 0")
+    if nl.task == "circuit" and not problems:
+        problems += _chain_problems(nl)
     if nl.task != "cpf_d4":
         return problems
     pipe = CpfPipeline
@@ -264,6 +268,35 @@ def task_problems(nl: Netlist) -> list[str]:
         if src and src.recipe and (src.recipe == "aux") != aux:
             problems.append(f"source {name!r} must use "
                             + ("the auxiliary recipe" if aux else "a data-state recipe"))
+    return problems
+
+
+def _chain_problems(nl: Netlist) -> list[str]:
+    """Circuit sources whose photon (the recipe's target) the chain shifts out
+    of the window, and elements that cannot be built.  Photons evolve as
+    independent linear forms, so a multi-photon term reaches a mode only
+    where one photon does; a window holding every reachable |l| needs no pass."""
+    problems = [p for p in map(spec_problem, nl.elements) if p]
+    if problems:
+        return problems
+    reach = max(_RECIPE_REACH[src.recipe] for src in nl.sources.values())
+    reach += sum(2 * abs(spec.param("q", 0)) + abs(spec.param("dl", 0)) for spec in nl.elements)
+    if nl.truncation >= reach:
+        return []
+    space = ModeSpace(nl.paths, nl.truncation)
+    try:
+        chain = [element_transform(spec, space) for spec in nl.elements]
+        for name, src in sorted(nl.sources.items()):
+            state = (auxiliary_target(space, src.path) if src.recipe == "aux" else
+                     encode_qudit_vector(space, src.path, PREPARATION_TABLE[src.recipe].target))
+            for spec, t in zip(nl.elements, chain):
+                try:
+                    state = apply_to_single_photon(t, state)
+                except TruncationOverflow as e:
+                    problems.append(f"source {name!r} leaves the window at {spec.descriptor()}: {e}")
+                    break
+    except CpfSimError as e:
+        problems.append(str(e))
     return problems
 
 

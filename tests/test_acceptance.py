@@ -343,7 +343,7 @@ def test_criterion_8_fock_sanity():
             m[ib, ia] = S2
             m[ia, ib] = S2
             m[ib, ib] = -S2
-    bs = ModeTransform(sp, m, "BS50")
+    bs = ModeTransform(sp, sp.paths, m, "BS50")
     two = inject_product([
         SinglePhotonState.from_terms(sp, {Mode("a", "H", 0): 1.0}),
         SinglePhotonState.from_terms(sp, {Mode("b", "H", 0): 1.0}),
@@ -367,7 +367,7 @@ def test_criterion_8_fock_sanity():
         state = MultiPhotonState(small, n, {c: v / nrm for c, v in terms.items()})
         q = np.linalg.qr(rng.normal(size=(small.dim, small.dim))
                          + 1j * rng.normal(size=(small.dim, small.dim)))[0]
-        u = ModeTransform(small, q)
+        u = ModeTransform(small, small.paths, q)
         worst_norm = max(worst_norm, abs(apply_transform(u, state).norm2() - 1.0))
     ok = hom < 1e-12 and worst_norm < 1e-10
     assert verdict("8", ok,

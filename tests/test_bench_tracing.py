@@ -3,6 +3,8 @@ methods by name, so removing or renaming one of them breaks traced runs."""
 
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -18,3 +20,28 @@ def test_tracer_installs_and_restores(monkeypatch):
     with tracing.Tracer().installed():
         assert all(now is not old for now, old in zip(bound(), originals))
     assert all(now is old for now, old in zip(bound(), originals))
+
+
+@pytest.mark.parametrize("name", ["gate_netlists", "circuit_netlists",
+                                  "noisy_fidelity", "lock_loop"])
+def test_traced_slice_shows_every_required_layer(name, monkeypatch):
+    """A traced run fails when a workload's deck shows no span of one of the
+    layers it lists.  The first job of the seed-1 deck, and its first shots
+    job where it has one (the gate needs one for ``fock``), run traced after
+    the untraced warm-up job, as in ``bench/run.py``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import numpy as np
+    import tracing
+    import workloads
+
+    wl = workloads.WORKLOADS[name]
+    deck = wl.deck(np.random.default_rng(1))
+    jobs = deck[:1] + [job for job in deck if job.meta.get("shots")][:1]
+    wl.job(wl.warmup())
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for i, job in enumerate(jobs):
+            assert not wl.check(job, tracer.run_job(f"0:{i}", wl.job, job))
+    spans, _counts = tracer.take()
+    assert set(wl.layers) <= tracing.layers_seen(spans), sorted(
+        set(wl.layers) - tracing.layers_seen(spans))

@@ -56,7 +56,7 @@ def splitter_5050(sp):
             m[ib, ia] = S2
             m[ia, ib] = S2
             m[ib, ib] = -S2
-    return ModeTransform(sp, m, "BS50")
+    return ModeTransform(sp, sp.paths, m, "BS50")
 
 
 def test_inject_single_photon():
@@ -127,15 +127,15 @@ def test_unitary_evolution_preserves_norm(rng):
     sp = ModeSpace(("a",), 1)
     for n in (1, 2, 3, 4):
         state = random_state(rng, sp, n)
-        u = ModeTransform(sp, random_unitary(rng, sp.dim))
+        u = ModeTransform(sp, sp.paths, random_unitary(rng, sp.dim))
         out = apply_transform(u, state)
         assert abs(out.norm2() - 1.0) < 1e-10
 
 
 def test_apply_compose_associativity(rng):
     sp = ModeSpace(("a",), 1)
-    a = ModeTransform(sp, random_unitary(rng, sp.dim))
-    b = ModeTransform(sp, random_unitary(rng, sp.dim))
+    a = ModeTransform(sp, sp.paths, random_unitary(rng, sp.dim))
+    b = ModeTransform(sp, sp.paths, random_unitary(rng, sp.dim))
     state = random_state(rng, sp, 3)
     lhs = apply_transform(compose_transforms([b, a]), state)
     rhs = apply_transform(a, apply_transform(b, state))

@@ -109,6 +109,8 @@ def test_param_validation():
     with pytest.raises(ValueError):
         LockParams(mod_depth=-1.0).validate()
     with pytest.raises(ValueError):
+        LockParams(mod_depth=0.0).validate()
+    with pytest.raises(ValueError):
         LockParams(lpf_cutoff=5000.0).validate()
     with pytest.raises(ValueError):
         LockParams(dt=1.0).validate()

@@ -58,22 +58,22 @@ def test_transform_kind_checks():
     and a NaN entry are refused."""
     sp = ModeSpace(("A",), 0)
     eye = np.eye(sp.dim)
-    ModeTransform(sp, eye)
+    ModeTransform(sp, sp.paths, eye)
     with pytest.raises(ConventionError):
-        ModeTransform(sp, 2 * eye)
+        ModeTransform(sp, sp.paths, 2 * eye)
     proj = np.zeros((sp.dim, sp.dim))
     proj[0, 0] = 1.0
     with pytest.raises(ConventionError):
-        ModeTransform(sp, proj)
+        ModeTransform(sp, sp.paths, proj)
     nan = eye.astype(complex)
     nan[0, 1] = np.nan
     with pytest.raises(ConventionError):
-        ModeTransform(sp, nan)
+        ModeTransform(sp, sp.paths, nan)
 
 
 def test_compose_identity_and_kind():
     sp = ModeSpace(("A",), 1)
-    eye = ModeTransform(sp, np.eye(sp.dim))
+    eye = ModeTransform(sp, sp.paths, np.eye(sp.dim))
     out = compose_transforms([eye, eye])
     assert np.allclose(out.matrix, np.eye(sp.dim))
 
@@ -81,8 +81,8 @@ def test_compose_identity_and_kind():
 def test_compose_space_mismatch():
     a = ModeSpace(("A",), 1)
     b = ModeSpace(("B",), 1)
-    ta = ModeTransform(a, np.eye(a.dim))
-    tb = ModeTransform(b, np.eye(b.dim))
+    ta = ModeTransform(a, a.paths, np.eye(a.dim))
+    tb = ModeTransform(b, b.paths, np.eye(b.dim))
     with pytest.raises(SpaceMismatch):
         compose_transforms([ta, tb])
 
@@ -91,7 +91,7 @@ def test_apply_preserves_norm_and_prunes(rng):
     sp = ModeSpace(("A",), 2)
     mat = np.linalg.qr(rng.normal(size=(sp.dim, sp.dim))
                        + 1j * rng.normal(size=(sp.dim, sp.dim)))[0]
-    t = ModeTransform(sp, mat)
+    t = ModeTransform(sp, sp.paths, mat)
     amps = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
     s = SinglePhotonState(sp, amps / np.linalg.norm(amps))
     out = apply_to_single_photon(t, s)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from cpfsim.analysis import full_fidelity_report
 from cpfsim.cli import main as cli_main
-from cpfsim.elements import CATALOGUE, REQUIRED
+from cpfsim.elements import CATALOGUE, REQUIRED, parse_descriptor
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
 from cpfsim import netlist, runner
-from cpfsim.netlist import (KNOWN_TASKS, SCHEMA, TASK_TABLE, Diagnostic, Netlist,
+from cpfsim.netlist import (KNOWN_RECIPES, KNOWN_TASKS, SCHEMA, TASK_TABLE, Diagnostic, Netlist,
                             parse_netlist, parse_netlist_json, serialize, task_problems)
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
@@ -78,6 +78,7 @@ _VALUE_DEFECTS = [
      "source 'p' with recipe z0 needs truncation >= 2"),
     ("[run]\ntask fidelity\n[lock]\nmod_depth 0.2\ndrift.magnitude 0.5\npid.kp 0.3",
      "task fidelity runs no [lock] block"),
+    ("[run]\ntask lock\n[lock]\nmod_depth 0", "lock: mod_depth must be positive"),
     ("[run]\ntask lock\nmode shots", "task lock runs no mode or shots"),
     ("[run]\ntask lock\nshots 100", "task lock runs no mode or shots"),
     ("[detect]\naccept PhiPlus\n[run]\ntask lock", "task lock runs no accept list"),
@@ -269,8 +270,9 @@ _COMMAND_DEFECTS = [
     (["simulate"], "cpf_d4.netlist", ("E1=1", "E1=2")),
     (["simulate"], "overflow.netlist", None),
 ]
-# Netlists that are not shipped files.  overflow.netlist validates but cannot
-# run: its element shifts the photon out of a truncation-0 window.
+# Netlists that are not shipped files.  overflow.netlist cannot run: its
+# element shifts the photon out of a truncation-0 window, which validation
+# reports.
 _NETLIST_TEXTS = {"overflow.netlist": (
     "version 1\n[space]\npaths A\ntruncation 0\n[source p0]\npath A\n"
     "recipe z2\n[elements]\nQP(q=0.5) @ A\n[run]\ntask circuit\n")}
@@ -412,7 +414,7 @@ _VALUES = st.one_of(
        paths=st.lists(st.sampled_from("AB"), max_size=2))
 def test_validated_elements_run(kind, params, paths):
     """A descriptor that validation accepts builds and runs: execution of a
-    two-path circuit holding it returns or raises NetlistError, nothing else."""
+    two-path circuit holding it succeeds."""
     desc = f"{kind}({','.join(f'{k}={v}' for k, v in params)})"
     if paths:
         desc += " @ " + ",".join(paths)
@@ -420,12 +422,65 @@ def test_validated_elements_run(kind, params, paths):
         "version 1\n[space]\npaths A B\ntruncation 2\n"
         "[source photon1]\npath A\nrecipe x02+\n"
         f"[elements]\n{desc}\n[run]\ntask circuit\n")
-    if not res.ok:
-        return
-    try:
+    if res.ok:
         execute(res.netlist)
-    except NetlistError:
-        pass
+
+
+_WINDOW_CASE = ("version 1\n[space]\npaths A B\ntruncation 2\n"
+                "[source p0]\npath A\nrecipe x02+\n"
+                "[elements]\nQP(q=0.5) @ B\nSPP(dl=-1) @ A\n[run]\ntask circuit\n")
+
+
+def test_chain_leaving_the_window_is_refused(tmp_path):
+    """x02+ puts its photon at l = -2, and SPP(dl=-1) on its path shifts it
+    past the truncation-2 window (the q-plate acts on the empty path B):
+    validation refuses the chain, as the run would."""
+    res = parse_netlist(_WINDOW_CASE)
+    assert [d.message for d in res.diagnostics] == [
+        "source 'p0' leaves the window at SPP(dl=-1) @ A: input has amplitude"
+        " on A:H:-2 whose image leaves the window"]
+    path = tmp_path / "window.netlist"
+    path.write_text(_WINDOW_CASE)
+    assert cli_main(["validate", "--netlist", str(path)]) == 1
+    nl = parse_netlist(_WINDOW_CASE.replace("SPP(dl=-1) @ A\n", "")).netlist
+    execute(nl)
+    nl.elements.append(parse_descriptor("SPP(dl=-1) @ A"))
+    with pytest.raises(NetlistError, match="leaves the window"):
+        execute(nl)
+
+
+_CHAIN_ELEMENTS = st.one_of(
+    st.integers(-3, 3).map(lambda k: f"QP(q={k / 2:g})"),
+    st.integers(-3, 3).map(lambda k: f"SPP(dl={k})"),
+    st.sampled_from(["HWP(angle=0.3)", "QWP(angle=0.7)", "DP(angle=0.4)", "MIRROR()",
+                     "INTERF(angle=0.5)", "O1CNOT()", "O2CNOT()"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(truncation=st.integers(2, 3),
+       sources=st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from(KNOWN_RECIPES)),
+                        min_size=1, max_size=3),
+       chain=st.lists(st.one_of(st.tuples(_CHAIN_ELEMENTS, st.sampled_from("AB")),
+                                st.just(("PBS(in=[A,B],out=[B,A])", None))), max_size=5))
+def test_circuit_validates_exactly_when_it_runs(truncation, sources, chain):
+    """Random circuits of one to three photons, with OAM shifts that may
+    leave the window: task_problems refuses a circuit exactly when running
+    it unchecked fails."""
+    head = f"version 1\n[space]\npaths A B\ntruncation {truncation}\n[run]\ntask circuit\n"
+    for i, (path, recipe) in enumerate(sources):
+        head += f"[source p{i}]\npath {path}\nrecipe {recipe}\n"
+    descs = [f"{desc} @ {at}" if at else desc for desc, at in chain]
+    nl = parse_netlist(head).netlist
+    nl.elements = [parse_descriptor(d) for d in descs]
+    problems = task_problems(nl)
+    assert parse_netlist(head + "[elements]\n" + "\n".join(descs)).ok == (not problems)
+    with mock.patch.object(runner, "task_problems", return_value=[]):
+        try:
+            execute(nl)
+            ran = True
+        except NetlistError:
+            ran = False
+    assert ran == (not problems), problems
 
 
 _SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
