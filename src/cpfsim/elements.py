@@ -43,7 +43,8 @@ def _on_path(space: ModeSpace, path: str, terms, provenance) -> ModeTransform:
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     lost = np.zeros(2 * n, dtype=bool)
     for jones, orbital in terms:
-        block += np.kron(jones, orbital)
+        # the Kronecker product J (x) O, as one broadcast product
+        block += (jones[:, None, :, None] * orbital[None, :, None, :]).reshape(2 * n, 2 * n)
         lost |= np.outer(jones.any(axis=0), ~orbital.any(axis=0)).ravel()
     block[:, lost] = 0.0
     base = int(space.path_indices(path)[0])

@@ -6,16 +6,22 @@ entry per photon; amplitudes are coefficients in the orthonormal Fock basis,
 so the sqrt(k!) factors of k-fold occupied modes live in the basis convention
 and the stored vector has unit norm when the state is normalized.
 
-Evolution substitutes each creation operator by the transform columns,
+Evolution substitutes each creation operator by the transform's columns,
 a_j+ -> sum_k M[k, j] a_k+, expanding photon by photon into a running map
 keyed by partially built sorted configurations.  Merging partial keys as we
 go keeps the branch count bounded by the number of distinct multisets rather
-than the product of column supports.
+than the product of column supports.  The columns are sparse and cover the
+transform's block only (:meth:`~cpfsim.modes.ModeTransform.columns`): a
+photon on any other mode keeps its mode, times 1.  Amplitudes are Python
+complex numbers throughout; every product and sum is the one numpy's complex
+scalars give, and the two divisions by a real number follow numpy's rule
+(:func:`_divide`), so results are bitwise those of numpy scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,8 +36,13 @@ from .errors import (
 )
 from .modes import Mode, ModeSpace, ModeTransform, SinglePhotonState
 
+_IDENTITY_AMPS = (1.0 + 0.0j,)    # the column of a mode outside a transform's block
+
 
 def _sqrt_fact(config: tuple) -> float:
+    """sqrt(prod k!) over the occupation numbers k of a sorted configuration."""
+    if len(set(config)) == len(config):
+        return 1.0
     out = 1.0
     run = 1
     for i in range(1, len(config) + 1):
@@ -43,28 +54,38 @@ def _sqrt_fact(config: tuple) -> float:
     return math.sqrt(out)
 
 
-def _insert_sorted(config: tuple, k: int) -> tuple:
-    lo, hi = 0, len(config)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if config[mid] < k:
-            lo = mid + 1
-        else:
-            hi = mid
-    return config[:lo] + (k,) + config[lo:]
+def _divide(a: complex, x: float) -> complex:
+    """``a / x`` as numpy divides a complex128 by a real: times the reciprocal
+    of ``x``, with numpy's cross terms (they fix the signs of zero parts).
+    Python's ``/`` rounds differently in the last bit for about one amplitude
+    in four, and those bits reach seeded shot tallies: the multinomial
+    sampler branches on exact probabilities."""
+    r = 1.0 / x
+    re, im = a.real, a.imag
+    return complex((re + im * 0.0) * r, (im - re * 0.0) * r)
+
+
+def _norm2(amps) -> float:
+    """Sum of |a|^2, added left to right."""
+    total = 0.0
+    for a in amps:
+        total += abs(a) ** 2
+    return total
 
 
 def _expand(base: complex, factors) -> dict:
     """Expand ``base`` times a product of creation operators, one photon at a
     time, into sorted configurations.  ``factors`` holds one (mode indices,
-    amplitudes) pair per photon."""
+    amplitudes) pair of sequences per photon."""
     branches: dict[tuple, complex] = {(): base}
     for rows, amps in factors:
         new: dict[tuple, complex] = {}
+        get = new.get
         for partial, pamp in branches.items():
             for k, a in zip(rows, amps):
-                key = _insert_sorted(partial, int(k))
-                v = new.get(key)
+                lo = bisect_left(partial, k)
+                key = partial[:lo] + (k,) + partial[lo:]
+                v = get(key)
                 new[key] = pamp * a if v is None else v + pamp * a
         branches = new
     return branches
@@ -86,7 +107,7 @@ class MultiPhotonState:
         self.normalized = normalized
 
     def norm2(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.terms.values()))
+        return _norm2(self.terms.values())
 
     def overlap(self, other: "MultiPhotonState") -> complex:
         """<other|self>."""
@@ -111,7 +132,7 @@ class MultiPhotonState:
             raise EmptyPostSelection("cannot normalize the zero state")
         return MultiPhotonState(
             self.space, self.n,
-            {c: a / nrm for c, a in self.terms.items()}, normalized=True,
+            {c: _divide(a, nrm) for c, a in self.terms.items()}, normalized=True,
         )
 
     def path_counts(self, cfg: tuple) -> dict:
@@ -134,8 +155,11 @@ def inject_product(photons: Sequence[SinglePhotonState]) -> MultiPhotonState:
     for ph in photons:
         if ph.space != space:
             raise SpaceMismatch("photons on different mode spaces")
-    nonzero = [np.flatnonzero(np.abs(ph.amps) > PRUNE_TOL) for ph in photons]
-    branches = _expand(1.0 + 0.0j, [(nz, ph.amps[nz]) for nz, ph in zip(nonzero, photons)])
+    factors = []
+    for ph in photons:
+        nz = np.flatnonzero(np.abs(ph.amps) > PRUNE_TOL)
+        factors.append((nz.tolist(), ph.amps[nz].tolist()))
+    branches = _expand(1.0 + 0.0j, factors)
     terms = {
         cfg: amp * _sqrt_fact(cfg)
         for cfg, amp in branches.items()
@@ -182,9 +206,11 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
                         f"photon in {s.space.mode(i)} would shift out of the window"
                     )
     out: dict[tuple, complex] = {}
+    get = out.get
     for cfg, amp in s.terms.items():
-        for key, v in _expand(amp / _sqrt_fact(cfg), [cols[m] for m in cfg]).items():
-            prev = out.get(key)
+        factors = [cols[m] if m in cols else ((m,), _IDENTITY_AMPS) for m in cfg]
+        for key, v in _expand(_divide(amp, _sqrt_fact(cfg)), factors).items():
+            prev = get(key)
             out[key] = v if prev is None else prev + v
     terms = {}
     for cfg, v in out.items():
@@ -224,7 +250,7 @@ def post_select(
         counts = s.path_counts(cfg)
         if all(counts.get(path, 0) == c for path, c in required.items()):
             kept[cfg] = amp
-    prob = float(sum(abs(a) ** 2 for a in kept.values()))
+    prob = _norm2(kept.values())
     total = s.norm2()
     if total > 0:
         prob = prob / total

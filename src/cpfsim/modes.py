@@ -186,7 +186,8 @@ class ModeTransform:
         """Verify unitarity on the non-overflow part of the block:
         orthonormal kept columns, and B B^+ = 1 when nothing overflows.  The
         residual tests read ``not r <= tol`` so that a NaN entry fails them."""
-        b = self.block[:, ~np.isin(self._modes, list(self.overflow))]
+        b = (self.block[:, ~np.isin(self._modes, list(self.overflow))] if self.overflow
+             else self.block)
         gram = b.conj().T @ b
         # An empty kept block (every column overflows) has nothing to check.
         if b.size and not np.max(np.abs(gram - np.eye(b.shape[1]))) <= UNITARY_TOL:
@@ -198,15 +199,20 @@ class ModeTransform:
             if not np.max(np.abs(gram2 - np.eye(len(self._modes)))) <= UNITARY_TOL:
                 raise ConventionError(f"{self.provenance or 'transform'}: not unitary")
 
-    def columns(self):
-        """Sparse column view over the whole space: list of (row indices,
-        amplitudes) per column, rows in ascending order."""
+    def columns(self) -> dict:
+        """Sparse columns of the block: ``{mode: (rows, amplitudes)}`` for the
+        modes of ``paths`` only, as Python lists of ints and complex numbers,
+        rows ascending and entries at or below ``PRUNE_TOL`` dropped.  A mode
+        that is not a key maps to itself."""
         if self._columns_cache is None:
-            cols = [(np.array([j]), np.ones(1, dtype=complex))
-                    for j in range(self.space.dim)]
-            for k, j in enumerate(self._modes):
-                rows = np.flatnonzero(np.abs(self.block[:, k]) > PRUNE_TOL)
-                cols[j] = (self._modes[rows], self.block[rows, k])
+            ks, rs = np.nonzero(np.abs(self.block.T) > PRUNE_TOL)
+            rows = self._modes[rs].tolist()
+            amps = self.block[rs, ks].tolist()
+            ends = np.cumsum(np.bincount(ks, minlength=len(self._modes))).tolist()
+            cols, start = {}, 0
+            for j, end in zip(self._modes.tolist(), ends):
+                cols[j] = (rows[start:end], amps[start:end])
+                start = end
             self._columns_cache = cols
         return self._columns_cache
 

@@ -30,6 +30,10 @@ from .protocol import BellOutcome
 KNOWN_TASKS = ("cpf_d4", "circuit", "fidelity", "lock")
 KNOWN_RECIPES = (*PREPARATION_TABLE, "aux")
 _BELL_NAMES = {o.value: o for o in BellOutcome}
+# The largest truncation L a netlist may set.  The largest block a circuit
+# builds is a PBS with four distinct ports, 8(2L+1) modes square; at L = 63
+# that complex matrix takes 16.5 MB, within a 16 MiB budget (L = 64 would not).
+MAX_TRUNCATION = 63
 # The largest |l| a source recipe puts its photon in, the truncation a
 # circuit needs to hold it: a data row's target levels, the auxiliary's terms.
 _RECIPE_REACH = {
@@ -182,7 +186,7 @@ def _fields(prefix: str, cls, skip=()) -> dict:
 # other key on the Netlist.
 SCHEMA = {
     "": {"version": _integer()},
-    "space": {"paths": _paths, "truncation": _integer(0)},
+    "space": {"paths": _paths, "truncation": _integer(0, MAX_TRUNCATION)},
     # the JSON form writes an unset recipe as ""; text has no empty values
     "source": {"path": _text, "recipe": _choice("recipe", ("", *KNOWN_RECIPES))},
     "detect": {"pattern": _pattern, "accept": _accept},

@@ -89,16 +89,21 @@ def _noise_spec(nl: Netlist) -> NoiseSpec | None:
 
 
 def execute(netlist: Netlist | ParseResult) -> RunResult:
-    """Dispatch one netlist to the matching engine.  The task's rules are
-    checked here too: the run commands may set the task after parsing."""
+    """Dispatch one netlist to the matching engine.
+
+    An ok :class:`ParseResult` passed the task's rules (:func:`task_problems`)
+    when it was parsed and runs as parsed.  A bare :class:`Netlist` is checked
+    here: the run commands change the seed, shots, mode or task after parsing,
+    so a netlist changed after parsing is handed over bare."""
     nl = netlist
     if isinstance(nl, ParseResult):
         if not nl.ok:
             raise NetlistError("netlist has errors: " + "; ".join(str(d) for d in nl.diagnostics))
         nl = nl.netlist
-    problems = task_problems(nl)
-    if problems:
-        raise NetlistError("; ".join(problems))
+    else:
+        problems = task_problems(nl)
+        if problems:
+            raise NetlistError("; ".join(problems))
     run = {"cpf_d4": _run_cpf, "fidelity": _run_fidelity, "lock": _run_lock,
            "circuit": _run_circuit}[nl.task]
     try:

@@ -6,6 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,7 +98,7 @@ _VALUE_DEFECTS = [
     (_CPF_SOURCES + "[source photon2]\nrecipe z0", "source 'photon2' must use the auxiliary"),
     ("[source photon4]\nrecipe z0", "task cpf_d4 requires a [source photon1] block"),
     ("[run]\nseed abc", "seed: expects an integer >= 0"),
-    ("[space]\ntruncation x", "truncation: expects an integer >= 0"),
+    ("[space]\ntruncation x", "truncation: expects an integer in [0, 63]"),
     ("[run]\nshots 1.5", "shots: expects an integer"),
     ("[detect]\npattern C1=x", "pattern: expects an integer >= 0"),
     ("[run]\nnoise.loss abc", "noise.loss: expects a finite number"),
@@ -112,7 +113,12 @@ _VALUE_DEFECTS = [
     ("[lock]\ndrift.kind bogus", "unknown drift kind 'bogus'"),
     ("[lock]\ndrift.magnitude -1", "drift magnitude must be non-negative"),
     ("[lock]\npid.kp nan", "pid.kp: expects a finite number"),
-    ("[space]\ntruncation -1", "truncation: expects an integer >= 0"),
+    ("[space]\ntruncation -1", "truncation: expects an integer in [0, 63]"),
+    ("[space]\ntruncation 64", "truncation: expects an integer in [0, 63]"),
+    # would validate and then die allocating its element block without the bound
+    ("[space]\npaths A\ntruncation 100000\n[source p]\npath A\nrecipe z2\n"
+     "[elements]\nHWP(angle=0.1) @ A\n[run]\ntask circuit",
+     "truncation: expects an integer in [0, 63]"),
     ("[run]\nduration nan", "duration: expects a finite number"),
     ("[run]\nnoise.draws 0", "noise.draws: expects an integer >= 1"),
     ("[run]\nnoise.draws -3", "noise.draws: expects an integer >= 1"),
@@ -447,6 +453,35 @@ def test_chain_leaving_the_window_is_refused(tmp_path):
     nl.elements.append(parse_descriptor("SPP(dl=-1) @ A"))
     with pytest.raises(NetlistError, match="leaves the window"):
         execute(nl)
+
+
+_FOUR_PORTS = ("version 1\n[space]\npaths A B C D\ntruncation {}\n"
+               "[source p]\npath A\nrecipe z2\n"
+               "[elements]\nPBS(in=[A,B],out=[C,D])\n[run]\ntask circuit\n")
+
+
+def test_truncation_bound(tmp_path, capsys, monkeypatch):
+    """The schema caps the truncation: a huge one is a diagnostic of
+    validate and of simulate, never a traceback, and the bound itself
+    validates, with the four-port PBS, the largest block a circuit builds.
+    The shipped netlists and the benchmark's circuit decks stay inside."""
+    path = tmp_path / "huge.netlist"
+    path.write_text(_FOUR_PORTS.format(100000))
+    assert cli_main(["validate", "--netlist", str(path)]) == 1
+    assert "truncation: expects an integer in [0, 63], got '100000'" in capsys.readouterr().out
+    assert cli_main(["simulate", "--netlist", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "expects an integer in [0, 63]" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert netlist.MAX_TRUNCATION == 63
+    assert parse_netlist(_FOUR_PORTS.format(63)).ok
+    assert not parse_netlist(_FOUR_PORTS.format(64)).ok
+    for name in ("cpf_d4.netlist", "lock.netlist"):
+        assert parse_netlist((FIXTURES / name).read_text()).ok
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import workloads
+    deck = workloads.circuit_deck(np.random.default_rng(1))
+    assert max(job.meta["truncation"] for job in deck) <= netlist.MAX_TRUNCATION
 
 
 _CHAIN_ELEMENTS = st.one_of(

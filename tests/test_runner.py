@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from cpfsim.analysis import DEFAULT_DRAWS, STATE_VECTORS, heralded_ensemble
 from cpfsim.cli import main as cli_main
+from cpfsim import netlist, runner
+from cpfsim.elements import parse_descriptor
 from cpfsim.netlist import Netlist, parse_netlist, serialize
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
@@ -123,6 +125,44 @@ def test_execute_rejects_bad_netlist():
     res = parse_netlist("version 1\n[run]\ntask warp\n")
     with pytest.raises(NetlistError):
         execute(res)
+
+
+# A circuit whose q-plate can reach past its window, so the task check also
+# pushes the source's photon through the chain.
+_CHECKED_CIRCUIT = ("version 1\n[space]\npaths A B\ntruncation 2\n[source p]\npath A\n"
+                    "recipe z1\n[elements]\nQP(q=0.5) @ A\nHWP(angle=0.3) @ A\n"
+                    "[run]\ntask circuit\n")
+
+
+def test_task_rules_checked_once_per_parsed_run(monkeypatch):
+    """Parsing checks the task's rules and execute trusts an ok ParseResult:
+    one task_problems call per execute(parse_netlist(text)), and one for a
+    bare Netlist, which execute checks itself."""
+    real, calls = netlist.task_problems, []
+
+    def counted(nl):
+        calls.append(nl.task)
+        return real(nl)
+
+    monkeypatch.setattr(netlist, "task_problems", counted)
+    monkeypatch.setattr(runner, "task_problems", counted)
+    res = parse_netlist(_CHECKED_CIRCUIT)
+    assert execute(res).task == "circuit" and calls == ["circuit"]
+    execute(res.netlist)
+    assert calls == ["circuit"] * 2
+
+
+def test_netlist_changed_after_parsing_is_refused():
+    """A netlist changed after parsing goes to execute bare and is checked
+    again, as the run commands' overrides are."""
+    nl = parse_netlist(_CHECKED_CIRCUIT).netlist
+    nl.task = "lock"
+    with pytest.raises(NetlistError, match=re.escape("task lock runs no [space] block")):
+        execute(nl)
+    nl = parse_netlist(_CHECKED_CIRCUIT).netlist
+    nl.elements.append(parse_descriptor("SPP(dl=-1) @ A"))
+    with pytest.raises(NetlistError, match="leaves the window"):
+        execute(nl)
 
 
 def test_execute_rejects_aux_data_photon(cpf_netlist):
