@@ -47,7 +47,3 @@ class NotNormalized(CpfSimError):
 
 class EncodingError(CpfSimError):
     """Photon state lies outside the supported qudit alphabet."""
-
-
-class InsufficientTrace(CpfSimError):
-    """Intensity trace too short to demodulate."""

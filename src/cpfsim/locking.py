@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientTrace
-
 #: Most samples one lock run may simulate (duration / sample_dt); the default
 #: 4 s run takes 256 000.
 MAX_LOCK_SAMPLES = 10**7
@@ -25,9 +23,7 @@ MAX_LOCK_SAMPLES = 10**7
 #: gain, and control periods that only settle the servo filter.
 CALIBRATION_PERIODS = 200
 WARMUP_PERIODS = 8
-#: Samples per block when the servo step's coefficients are formed, and rows
-#: per block when a trace is written; bounds the memory either takes.
-_SERVO_BLOCK_SAMPLES = 8192
+#: Rows per block when a trace is written; bounds the memory it takes.
 _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
 
@@ -41,7 +37,8 @@ class LockParams:
     demod_phase  phase offset of the mixer reference (radians)
     e0h, e0v     field amplitudes of the two polarization components
     lpf_cutoff   low-pass cutoff (Hz); default mod_freq / (2 pi * 50)
-    dt           sample interval (s); default 64 samples per modulation period
+    dt           sample interval (s), a whole fraction of the modulation
+                 period; default 64 samples per period
     """
 
     mod_depth: float = 0.2
@@ -61,6 +58,10 @@ class LockParams:
         return self.dt if self.dt is not None else self.mod_period / 64.0
 
     @property
+    def samples_per_period(self) -> int:
+        return round(self.mod_period / self.sample_dt)
+
+    @property
     def cutoff_hz(self) -> float:
         if self.lpf_cutoff is not None:
             return self.lpf_cutoff
@@ -77,6 +78,12 @@ class LockParams:
             raise ValueError("low-pass cutoff must be positive and below the modulation frequency")
         if not 0 < self.sample_dt < self.mod_period / 10.0:
             raise ValueError("dt must be positive and resolve the modulation (>= 10 samples/period)")
+        per_period = self.mod_period / self.sample_dt
+        if abs(per_period - self.samples_per_period) > 1e-9 * per_period:
+            raise ValueError(
+                f"dt must divide the modulation period into whole samples ({per_period:.6g}"
+                f" per period); the nearest dt that does is"
+                f" {self.mod_period / self.samples_per_period!r} s")
 
 
 def check_lock_run(p: LockParams, duration: float) -> None:
@@ -109,50 +116,51 @@ def _lpf_alpha(cutoff_hz: float, dt: float) -> float:
     return dt / (rc + dt)
 
 
-def _window_weights(alpha: float, n: int, start: int = 0) -> np.ndarray:
-    """Weights w with  mean(y[start:n]) = w . x  for the low-pass
-    y[i] = beta y[i-1] + alpha x[i] started from y[-1] = 0, beta = 1 - alpha:
+def _period_terms(p: LockParams, alpha: float):
+    """One modulation period of the mixed signal through the low-pass
+    y[i] = beta y[i-1] + alpha x[i], beta = 1 - alpha.
 
-        w_j = beta^max(start - j, 0) (1 - beta^(n - max(j, start))) / (n - start).
+    At t_j = j dt (j < P, the samples per period) and fixed phase zeta the
+    mixed samples are  x = (A + cos(zeta) B + sin(zeta) C) m,  with
+    m = cos(Omega t + demod_phase) and A, B, C read off :func:`intensity` at
+    zeta = 0, pi/2 and pi.  From filter state y0 at the period's start, the
+    period mean of the output is  carry y0 + w.x  and its end state
+    decay y0 + v.x,  with  w_j = (1 - beta^(P - j)) / P,
+    v_j = alpha beta^(P - 1 - j),  carry = (beta + ... + beta^P) / P  and
+    decay = beta^P.  ``dt`` divides the period, so every period has these
+    terms.  Returns (carry, decay, (A.w, B.w, C.w), (A.v, B.v, C.v)).
     """
+    n = p.samples_per_period
+    t = p.sample_dt * np.arange(n)
+    i0, i_quad, i_pi = intensity(t, np.array([[0.0], [math.pi / 2], [math.pi]]), p)
+    a = 0.5 * (i0 + i_pi)
+    mixed = np.stack([a, 0.5 * (i0 - i_pi), i_quad - a]) * np.cos(p.mod_freq * t + p.demod_phase)
     log_beta = math.log1p(-alpha)
-    j = np.arange(n)
-    head = np.maximum(start - j, 0)
-    tail = n - np.maximum(j, start)
-    return np.exp(head * log_beta) * -np.expm1(tail * log_beta) / (n - start)
-
-
-def demodulate_error(samples: np.ndarray, p: LockParams) -> float:
-    """Mix an intensity trace with the reference and low-pass filter it.
-
-    The trace must span at least 10 modulation periods; the returned error is
-    the filter output averaged over the trailing quarter of the trace,
-    rounded down to whole periods.  The filter is linear and starts at rest,
-    so that average is one weighted sum of the mixed trace.
-    """
-    samples = np.asarray(samples, dtype=float)
-    dt = p.sample_dt
-    per_period = max(int(round(p.mod_period / dt)), 1)
-    n_periods = len(samples) // per_period
-    if n_periods < 10:
-        raise InsufficientTrace(
-            f"trace spans {n_periods} modulation periods, need at least 10"
-        )
-    t = dt * np.arange(len(samples))
-    mixed = samples * np.cos(p.mod_freq * t + p.demod_phase)
-    tail_periods = max(n_periods // 4, 1)
-    start = len(samples) - tail_periods * per_period
-    weights = _window_weights(_lpf_alpha(p.cutoff_hz, dt), len(samples), start)
-    return float(np.dot(weights, mixed))
+    powers = np.exp(np.arange(1, n + 1) * log_beta)
+    w = -np.expm1(np.arange(n, 0, -1) * log_beta) / n
+    v = alpha * np.exp(np.arange(n - 1, -1, -1) * log_beta)
+    terms = mixed @ np.stack([w, v], axis=1)
+    return (float(np.mean(powers)), float(powers[-1]),
+            tuple(terms[:, 0].tolist()), tuple(terms[:, 1].tolist()))
 
 
 def measured_error(zeta: float, p: LockParams) -> float:
-    """Generate a trace of :data:`CALIBRATION_PERIODS` modulation periods at
-    fixed interferometer phase and demodulate it."""
-    dt = p.sample_dt
-    n = int(round(CALIBRATION_PERIODS * p.mod_period / dt))
-    t = dt * np.arange(n)
-    return demodulate_error(intensity(t, zeta, p), p)
+    """The reporting demodulator's error at fixed interferometer phase: the
+    filter (corner ``p.cutoff_hz``) runs from rest for
+    :data:`CALIBRATION_PERIODS` modulation periods, and its output is
+    averaged over the trailing quarter of them."""
+    carry, decay, (aw, bw, cw), (av, bv, cv) = _period_terms(
+        p, _lpf_alpha(p.cutoff_hz, p.sample_dt))
+    cos_z, sin_z = math.cos(zeta), math.sin(zeta)
+    mean = aw + cos_z * bw + sin_z * cw
+    end = av + cos_z * bv + sin_z * cv
+    tail = CALIBRATION_PERIODS // 4
+    y = total = 0.0
+    for k in range(CALIBRATION_PERIODS):
+        if k >= CALIBRATION_PERIODS - tail:
+            total += carry * y + mean
+        y = decay * y + end
+    return total / tail
 
 
 def calibrate_gain(p: LockParams) -> float:
@@ -188,6 +196,8 @@ class DriftModel:
             raise ValueError("drift magnitude must be non-negative")
         if self.kind not in ("random-walk", "sinusoidal", "step"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        if not self.period > 0:
+            raise ValueError("drift period must be positive")
 
     def path(self, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
         t = dt * np.arange(n)
@@ -271,38 +281,6 @@ class LockTrace:
         return "".join(parts)
 
 
-def _servo_steps(p: LockParams, alpha: float, per_period: int,
-                 control_dt: float, zeta_open: np.ndarray):
-    """Yield each control step's open-loop phase and the six scalars
-    (A.w, B.w, C.w, A.v, B.v, C.v), formed a block of steps at a time.
-
-    Step k samples t = k control_dt + j dt (j < per_period); at closed-loop
-    phase zeta its mixed samples are x = A + cos(zeta) B + sin(zeta) C, with
-    m = cos(Omega t + demod_phase), s = mod_depth sin(Omega t),
-    A = (E0H^2 + E0V^2) m / 4, B = E0H E0V cos(s) m / 2, C = E0H E0V sin(s) m / 2.
-    w (the :func:`_window_weights` of one period) gives the period mean of
-    the filter output and v_j = alpha beta^(per_period - 1 - j) its end state.
-    """
-    w = _window_weights(alpha, per_period)
-    v = alpha * np.exp(np.arange(per_period - 1, -1, -1) * math.log1p(-alpha))
-    weights = np.stack([w, v], axis=1)
-    sub_t = p.sample_dt * np.arange(per_period)
-    dc = 0.25 * (p.e0h ** 2 + p.e0v ** 2)
-    ac = 0.5 * p.e0h * p.e0v
-    block = max(_SERVO_BLOCK_SAMPLES // per_period, 1)
-    for k0 in range(0, len(zeta_open), block):
-        k1 = min(k0 + block, len(zeta_open))
-        t = (np.arange(k0, k1) * control_dt)[:, None] + sub_t
-        m = np.cos(p.mod_freq * t + p.demod_phase)
-        s = p.mod_depth * np.sin(p.mod_freq * t)
-        a = dc * (m @ weights)
-        b = ac * ((np.cos(s) * m) @ weights)
-        c = ac * ((np.sin(s) * m) @ weights)
-        yield from zip(zeta_open[k0:k1].tolist(),
-                       a[:, 0].tolist(), b[:, 0].tolist(), c[:, 0].tolist(),
-                       a[:, 1].tolist(), b[:, 1].tolist(), c[:, 1].tolist())
-
-
 def simulate_lock(
     p: LockParams,
     drift: DriftModel,
@@ -324,17 +302,16 @@ def simulate_lock(
     :data:`WARMUP_PERIODS` periods only settle the filter, with the actuator
     held.
 
-    The phase is constant over a period and the filter is linear, so each
-    step is closed-form in the filter state y0 at the period's start: the
-    period mean is  c y0 + w.x  and the next state  beta^P y0 + v.x,  with
-    c = (beta + ... + beta^P) / P  (see :func:`_servo_steps`).
+    The phase is constant over a period, the filter is linear and ``dt``
+    divides the period, so each step is closed-form in the filter state at
+    the period's start, with the same constants every step (see
+    :func:`_period_terms`).
     """
     check_lock_run(p, duration)
     drift.validate()
     gains.validate()
     dt = p.sample_dt
-    per_period = max(int(round(p.mod_period / dt)), 1)
-    control_dt = per_period * dt
+    control_dt = p.samples_per_period * dt
     n_steps = max(int(duration / control_dt), 1)
     rng = np.random.default_rng(seed)
     drift_path = drift.path(n_steps, control_dt, rng)
@@ -345,10 +322,8 @@ def simulate_lock(
     # servo sign does not depend on the hardware constants.
     slope = gain * math.sin(p.demod_phase)
 
-    alpha = _lpf_alpha(p.mod_freq / (2 * math.pi * 8.0), dt)
-    powers = np.exp(np.arange(1, per_period + 1) * math.log1p(-alpha))
-    carry = float(np.mean(powers))   # c
-    decay = float(powers[-1])        # beta^P
+    carry, decay, (aw, bw, cw), (av, bv, cv) = _period_terms(
+        p, _lpf_alpha(p.mod_freq / (2 * math.pi * 8.0), dt))
     y = 0.0
     pid = PidState()
     actuation = 0.0
@@ -359,8 +334,7 @@ def simulate_lock(
     error_out = np.empty(n_steps)
     act_out = np.empty(n_steps)
     diverged = False
-    steps = _servo_steps(p, alpha, per_period, control_dt, zeta_open)
-    for k, (open_phase, aw, bw, cw, av, bv, cv) in enumerate(steps):
+    for k, open_phase in enumerate(zeta_open.tolist()):
         closed_phase = open_phase + actuation
         try:
             cos_z, sin_z = math.cos(closed_phase), math.sin(closed_phase)

@@ -228,6 +228,16 @@ def task_problems(nl: Netlist) -> list[str]:
     for cpf_d4 the gate's fixed wiring.  Never raises."""
     if nl.task not in KNOWN_TASKS:
         return [f"unknown task {nl.task!r}"]
+    # a Netlist changed after parsing skipped the readers of the values that
+    # size the run; read them again before anything is built from them
+    problems = []
+    for section, key in (("space", "truncation"), ("run", "shots"), ("run", "seed")):
+        try:
+            SCHEMA[section][key](getattr(nl, key))
+        except (TypeError, ValueError) as e:
+            problems.append(f"{key}: {e}")
+    if problems:
+        return problems
     problems = [f"task {nl.task} runs no {part}; tasks that do: {', '.join(readers)}"
                 for part, names, readers in TASK_TABLE if nl.task not in readers
                 and any(getattr(nl, n) != getattr(_DEFAULT, n) for n in names)]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j1
 
-from cpfsim.errors import InsufficientTrace
 from cpfsim.locking import (
     CALIBRATION_PERIODS,
     MAX_LOCK_SAMPLES,
@@ -20,7 +19,6 @@ from cpfsim.locking import (
     PidState,
     calibrate_gain,
     check_lock_run,
-    demodulate_error,
     intensity,
     measured_error,
     pid_update,
@@ -99,12 +97,6 @@ def test_gain_tracks_bessel_theory():
         assert abs(g + 0.5 * j1(depth)) < 2e-4
 
 
-def test_insufficient_trace():
-    p = LockParams()
-    with pytest.raises(InsufficientTrace):
-        demodulate_error(np.ones(5 * 64), p)
-
-
 def test_param_validation():
     with pytest.raises(ValueError):
         LockParams(mod_depth=-1.0).validate()
@@ -114,6 +106,15 @@ def test_param_validation():
         LockParams(lpf_cutoff=5000.0).validate()
     with pytest.raises(ValueError):
         LockParams(dt=1.0).validate()
+    with pytest.raises(ValueError, match="whole samples"):
+        LockParams(dt=LockParams().mod_period / 63.42).validate()
+    # 63.42 samples per period: the carrier residue of a step that spans no
+    # whole period beat with the step index and threw this loop off its lock
+    found = LockParams(mod_depth=0.0633, mod_freq=7126.35, demod_phase=-0.368,
+                       e0h=1.188, e0v=1.080, dt=1.39014e-5)
+    with pytest.raises(ValueError, match=f"nearest dt that does is {found.mod_period / 63!r} s"):
+        found.validate()
+    replace(found, dt=found.mod_period / 63).validate()
     with pytest.raises(ValueError):
         DriftModel(kind="brownian").validate()
     with pytest.raises(ValueError):
@@ -218,7 +219,10 @@ def test_trace_csv_columns():
 
 # ---------------------------------------------------------------------------
 # Differential reference: the per-sample filter and servo loop that the
-# closed-form step replaced, kept verbatim apart from names.
+# closed-form step replaced, kept as they were apart from names and the clock.
+# They sample each modulation period at the same times j dt (dt divides the
+# period, so the carrier is exactly the same in real arithmetic); a clock
+# running to 4 s carries ~1e-12 rad of rounding in Omega t.
 
 
 class ReferenceLpf:
@@ -240,16 +244,19 @@ class ReferenceLpf:
         return out
 
 
+def period_clock(p, n):
+    """Times of n samples on the clock that restarts every modulation period."""
+    return p.sample_dt * (np.arange(n) % p.samples_per_period)
+
+
 def reference_demodulate_error(samples, p):
     samples = np.asarray(samples, dtype=float)
     dt = p.sample_dt
-    per_period = max(int(round(p.mod_period / dt)), 1)
+    per_period = p.samples_per_period
     n_periods = len(samples) // per_period
     if n_periods < 10:
-        raise InsufficientTrace(
-            f"trace spans {n_periods} modulation periods, need at least 10"
-        )
-    t = dt * np.arange(len(samples))
+        raise ValueError(f"trace spans {n_periods} modulation periods, need at least 10")
+    t = period_clock(p, len(samples))
     mixed = samples * np.cos(p.mod_freq * t + p.demod_phase)
     filtered = ReferenceLpf(p.cutoff_hz, dt).run(mixed)
     tail_periods = max(n_periods // 4, 1)
@@ -259,9 +266,8 @@ def reference_demodulate_error(samples, p):
 
 def reference_calibrate_gain(p):
     quad = replace(p, demod_phase=math.pi / 2)
-    dt = quad.sample_dt
-    n = int(round(CALIBRATION_PERIODS * quad.mod_period / dt))
-    return reference_demodulate_error(intensity(dt * np.arange(n), math.pi / 2, quad), quad)
+    n = CALIBRATION_PERIODS * quad.samples_per_period
+    return reference_demodulate_error(intensity(period_clock(quad, n), math.pi / 2, quad), quad)
 
 
 def reference_simulate_lock(p, drift, gains, duration=4.0, setpoint=0.0,
@@ -272,7 +278,7 @@ def reference_simulate_lock(p, drift, gains, duration=4.0, setpoint=0.0,
     drift.validate()
     gains.validate()
     dt = p.sample_dt
-    per_period = max(int(round(p.mod_period / dt)), 1)
+    per_period = p.samples_per_period
     control_dt = per_period * dt
     n_steps = max(int(duration / control_dt), 1)
     rng = np.random.default_rng(seed)
@@ -297,8 +303,9 @@ def reference_simulate_lock(p, drift, gains, duration=4.0, setpoint=0.0,
         t0 = k * control_dt
         open_phase = zeta0 + drift_path[k]
         closed_phase = open_phase + actuation if along is None else along[k]
-        trace = intensity(t0 + sub_t, closed_phase, p)
-        mixed = trace * np.cos(p.mod_freq * (t0 + sub_t) + p.demod_phase)
+        # on the period clock: every period samples the carrier at sub_t
+        trace = intensity(sub_t, closed_phase, p)
+        mixed = trace * np.cos(p.mod_freq * sub_t + p.demod_phase)
         filtered = lpf.run(mixed)
         raw_error = float(np.mean(filtered))
         norm_error = (raw_error - offset) / slope
@@ -327,8 +334,8 @@ def reference_csv(trace):
 
 @st.composite
 def lock_params(draw, strong=False):
-    """Locking-beam parameters: 500-1500 Hz modulation, default or
-    non-integer samples per period, default or drawn filter corner.
+    """Locking-beam parameters: 500-1500 Hz modulation, default or drawn
+    whole number of samples per period, default or drawn filter corner.
 
     The modulation depth stays where the error signal exists: at depth 0 the
     calibrated gain is filter residue (~1e-11) and both loops amplify
@@ -336,7 +343,7 @@ def lock_params(draw, strong=False):
     G sin(demod_phase) large against the carrier ripple of the servo filter,
     which otherwise kicks the loop across the fringe."""
     freq_hz = draw(st.floats(500.0, 1500.0))
-    per_period = draw(st.none() | st.floats(10.5, 90.0))
+    per_period = draw(st.none() | st.integers(11, 90))
     cutoff = draw(st.none() | st.floats(1.0, freq_hz / 4))
     depth = (0.15, 0.5) if strong else (0.05, 0.5)
     tau = (0.6, 2.5) if strong else (0.3, 2.8)
@@ -446,20 +453,12 @@ def test_overflowing_actuator_flags_divergence():
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=lock_params(), periods=st.integers(10, 60),
-       extra=st.integers(0, 89), seed=st.integers(0, 2**16),
-       use_intensity=st.booleans())
-def test_closed_form_demodulation_matches_filter(p, periods, extra, seed,
-                                                 use_intensity):
-    per_period = max(int(round(p.mod_period / p.sample_dt)), 1)
-    n = periods * per_period + extra % per_period
-    if use_intensity:
-        zeta = np.random.default_rng(seed).uniform(-math.pi, math.pi)
-        samples = intensity(p.sample_dt * np.arange(n), zeta, p)
-    else:
-        samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-    assert abs(demodulate_error(samples, p)
-               - reference_demodulate_error(samples, p)) <= 1e-14
+@given(p=lock_params(), zeta=st.floats(-math.pi, math.pi))
+def test_measured_error_matches_filter(p, zeta):
+    """The period recursion against the per-sample filter run over a
+    CALIBRATION_PERIODS trace at fixed phase."""
+    samples = intensity(period_clock(p, CALIBRATION_PERIODS * p.samples_per_period), zeta, p)
+    assert abs(measured_error(zeta, p) - reference_demodulate_error(samples, p)) <= 1e-14
 
 
 def test_calibrated_gain_matches_filter():
@@ -469,7 +468,7 @@ def test_calibrated_gain_matches_filter():
 
 
 def test_lock_memory_is_bounded():
-    """The servo coefficients are formed a block of steps at a time, so a
+    """The servo constants are formed once, for one modulation period, so a
     long run holds little beyond its five output columns."""
     args = (LockParams(), DriftModel(), PidGains())
     simulate_lock(*args, duration=0.1)

@@ -128,6 +128,12 @@ _VALUE_DEFECTS = [
     ("[space]\npaths A A", "expects distinct path names"),
     ("[lock]\npid.out_min 60", "output limits must be ordered"),
     ("[lock]\ndt 0", "dt must be positive"),
+    # 63.42 samples per period: no servo step would span one carrier period
+    ("[run]\ntask lock\n[lock]\nmod_freq 7126.35\ndt 1.39014e-5",
+     "lock: dt must divide the modulation period into whole samples (63.4241 per period);"
+     " the nearest dt that does is 1.39949764"),
+    ("[run]\ntask lock\n[lock]\ndrift.kind sinusoidal\ndrift.period 0",
+     "drift: drift period must be positive"),
     ("[lock]\nlpf_cutoff 0", "cutoff must be positive"),
     ("[lock]\ndemod_phase 0", "demod_phase leaves no error signal"),
     ("[run]\nduration -1", "lock: duration must be positive"),

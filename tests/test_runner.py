@@ -165,6 +165,26 @@ def test_netlist_changed_after_parsing_is_refused():
         execute(nl)
 
 
+@pytest.mark.parametrize("key,value,needle", [
+    ("truncation", 100000, "truncation: expects an integer in [0, 63], got 100000"),
+    ("truncation", -1, "truncation: expects an integer in [0, 63]"),
+    ("shots", 2**70, "shots: expects an integer in [0, 9223372036854775807]"),
+    ("seed", -1, "seed: expects an integer >= 0"),
+])
+def test_bare_netlist_values_are_read_again(monkeypatch, key, value, needle):
+    """A value set on a parsed netlist goes through its schema reader before
+    execute builds anything: a huge truncation is refused, not allocated."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a mode space was built")
+
+    monkeypatch.setattr(runner, "ModeSpace", unreachable)
+    monkeypatch.setattr(netlist, "ModeSpace", unreachable)
+    nl = parse_netlist(_CHECKED_CIRCUIT).netlist
+    setattr(nl, key, value)
+    with pytest.raises(NetlistError, match=re.escape(needle)):
+        execute(nl)
+
+
 def test_execute_rejects_aux_data_photon(cpf_netlist):
     nl = parse_netlist(serialize(cpf_netlist)).netlist
     nl.sources["photon1"].recipe = "aux"
