@@ -15,6 +15,7 @@ is consumed by the netlist parser.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -423,14 +424,33 @@ def spec_problem(spec: ElementSpec) -> str | None:
     return None
 
 
+# Transforms element_transform keeps, the least recently used dropped first.
+# Room for the recurring descriptors (the preparation rows, fixed optics) and
+# far below the thousands of distinct random-angle elements of a long circuit
+# run, which would otherwise hit only when a deck repeats.
+TRANSFORM_CACHE_SIZE = 64
+
+
 def element_transform(spec: ElementSpec | str, space: ModeSpace) -> ModeTransform:
     """Build the transform for one element descriptor.
 
     Raises UnknownElement for a descriptor :func:`spec_problem` rejects and
-    SpaceMismatch for paths outside ``space``.
+    SpaceMismatch for paths outside ``space``, on every call.  A built
+    transform is kept per (spec, space), up to :data:`TRANSFORM_CACHE_SIZE`
+    of them, and shared by later calls; its block is read-only.
     """
     if isinstance(spec, str):
         spec = parse_descriptor(spec)
+    # 0.0 == -0.0 and both hash alike, but their builds differ (a provenance
+    # reads "-0"), so the key also carries the sign of every float parameter.
+    signs = tuple(math.copysign(1.0, v) if isinstance(v, float) else None
+                  for _, v in spec.params)
+    return _cached_transform(spec, space, signs)
+
+
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def _cached_transform(spec: ElementSpec, space: ModeSpace, signs: tuple) -> ModeTransform:
+    """Check and build one transform; a refusal raises and is not kept."""
     problem = spec_problem(spec)
     if problem:
         raise UnknownElement(problem)

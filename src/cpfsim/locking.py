@@ -79,6 +79,9 @@ class LockParams:
         if not 0 < self.sample_dt < self.mod_period / 10.0:
             raise ValueError("dt must be positive and resolve the modulation (>= 10 samples/period)")
         per_period = self.mod_period / self.sample_dt
+        if not math.isfinite(per_period):
+            raise ValueError(f"dt {self.sample_dt!r} s splits the modulation period into"
+                             " more samples than a float can count")
         if abs(per_period - self.samples_per_period) > 1e-9 * per_period:
             raise ValueError(
                 f"dt must divide the modulation period into whole samples ({per_period:.6g}"

@@ -148,7 +148,8 @@ def phase_align(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
 class ModeTransform:
     """Unitary ``block`` on the modes of ``paths`` (listed in the space's
     order, modes indexed as in the space) and the identity on every other
-    path, checked when built.
+    path, checked when built.  The block is read-only: one transform may be
+    shared by many runs (:func:`cpfsim.elements.element_transform`).
 
     ``overflow`` lists input mode indices (of the space) whose image would
     leave the truncation window; applying the transform to a state with
@@ -169,6 +170,7 @@ class ModeTransform:
         if self.paths != tuple(p for p in self.space.paths if p in self.paths):
             raise SpaceMismatch(f"paths {self.paths} are not the space's, in its order")
         self.block = np.asarray(self.block, dtype=complex)
+        self.block.setflags(write=False)
         self._modes = np.concatenate([self.space.path_indices(p) for p in self.paths])
         if self.block.shape != (self._modes.size,) * 2:
             raise SpaceMismatch("block shape does not match its paths")

@@ -45,3 +45,34 @@ def test_traced_slice_shows_every_required_layer(name, monkeypatch):
     spans, _counts = tracer.take()
     assert set(wl.layers) <= tracing.layers_seen(spans), sorted(
         set(wl.layers) - tracing.layers_seen(spans))
+
+
+def test_warm_element_cache_keeps_gate_layers(monkeypatch):
+    """After the warm-up and a whole untraced seed-1 gate pass, every element
+    a gate job asks for is built already, and a traced gate job still shows
+    ``elements`` and ``modes`` spans: the cache sits inside
+    ``element_transform``, which each job still calls.  Two traced passes
+    then give equal count metrics, as ``bench/run.py --trace 1`` requires."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import numpy as np
+    import tracing
+    import workloads
+
+    wl = workloads.WORKLOADS["gate_netlists"]
+    deck = wl.deck(np.random.default_rng(1))
+    wl.job(wl.warmup())
+    for job in deck:
+        wl.job(job)
+    tracer = tracing.Tracer()
+    counts = []
+    with tracer.installed():
+        assert not wl.check(deck[0], tracer.run_job("warm", wl.job, deck[0]))
+        spans, _counts = tracer.take()
+        assert {"elements", "modes"} <= tracing.layers_seen(spans)
+        for n in range(2):
+            for s, job in enumerate(deck):
+                assert not wl.check(job, tracer.run_job(f"{n}:{s}", wl.job, job))
+            spans, pass_counts = tracer.take()
+            assert set(wl.layers) <= tracing.layers_seen(spans)
+            counts.append(tracing.pass_metrics(tracing.aggregate(spans, pass_counts))[0])
+    assert counts[0] == counts[1]

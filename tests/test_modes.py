@@ -71,6 +71,19 @@ def test_transform_kind_checks():
         ModeTransform(sp, sp.paths, nan)
 
 
+def test_transform_block_is_read_only():
+    """Transforms are shared between runs, so none can be written in place,
+    composed ones included."""
+    sp = ModeSpace(("A", "B"), 1)
+    eye = ModeTransform(sp, ("A",), np.eye(6))
+    for t in (eye, compose_transforms([eye, eye])):
+        with pytest.raises(ValueError):
+            t.block[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            t.block[:] *= 1j
+    assert np.array_equal(eye.block, np.eye(6))
+
+
 def test_compose_identity_and_kind():
     sp = ModeSpace(("A",), 1)
     eye = ModeTransform(sp, sp.paths, np.eye(sp.dim))

@@ -140,6 +140,9 @@ _VALUE_DEFECTS = [
     ("[run]\nduration 0", "lock: duration must be positive"),
     ("[run]\nduration 1e9", "lock: duration 1e+09 s spans 6.4e+13 samples"),
     ("[lock]\ndt 1e-9", "lock: duration 4 s spans 4e+09 samples"),
+    # subnormal: period / dt overflows to inf, which no sample count rounds to
+    ("[lock]\ndt 1e-320", "lock: dt 1e-320 s splits the modulation period into more"
+     " samples than a float can count"),
 ]
 
 _DIAGNOSTIC_ROWS = [
