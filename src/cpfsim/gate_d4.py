@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -464,11 +465,13 @@ def build_bsm_stage(space: ModeSpace) -> BsmStage:
 # Full four-photon pipeline
 
 
-def _phased(state: MultiPhotonState, phase: np.ndarray) -> MultiPhotonState:
-    """``state`` after the per-mode phases ``phase``: each term times the
-    product of its modes' phases, repeated modes included."""
+def _phased(state: MultiPhotonState, phase: list) -> MultiPhotonState:
+    """``state`` after the per-mode phases ``phase`` (complex numbers by dense
+    index): each term times the product of its modes' phases, repeated modes
+    included, multiplied left to right as numpy's ``prod`` does."""
     return MultiPhotonState(state.space, state.n,
-                            {cfg: amp * phase[list(cfg)].prod() for cfg, amp in state.terms.items()},
+                            {cfg: amp * functools.reduce(operator.mul, [phase[i] for i in cfg])
+                             for cfg, amp in state.terms.items()},
                             normalized=state.normalized)
 
 
@@ -521,6 +524,22 @@ class CpfPipeline:
         # The D outputs fold onto the Bell stage's inputs.
         post += [el.mirror(self.space, "D1"), el.mirror(self.space, "D2"), self.stage.transform]
         self._post = compose_transforms(post)
+        # What no draw changes, built once: the 16 injected basis inputs, the
+        # dense indices the input phases (A1/A2 alphabet, B1/B2 ``H, +1``) and
+        # the arm jitter land on, each index's mode and path, and each E
+        # path's first index with its conjugated analyzer vectors.
+        sp = self.space
+        self._inputs = [self.inject(c.reshape(4, 4)) for c in np.eye(16, dtype=complex)]
+        self._in_phase_modes = [sp.index(Mode(path, "H", l))
+                                for path in ("A1", "A2") for l in LEVEL_TO_OAM]
+        self._in_phase_modes += [sp.index(Mode(path, "H", 1)) for path in ("B1", "B2")]
+        self._jitter_modes = [sp.path_indices(path).tolist() for path in self._jitter_paths]
+        self._modes = [sp.mode(i) for i in range(sp.dim)]
+        self._mode_paths = [m.path for m in self._modes]
+        self._analyzers = [
+            (int(sp.path_indices(path)[0]),
+             [(s, v.conj().tolist()) for s, v in self.stage.analyzer_basis(path)])
+            for path in ("E1", "E2")]
         # Noise-free draws all share these operators: loss deletes whole
         # shots and never touches amplitudes.
         self._ideal = self._pattern_operators(IDEAL_DRAW)
@@ -556,40 +575,33 @@ class CpfPipeline:
         draw: its input phases (dephasing on the A1/A2 alphabet, visibility
         on B1/B2 ``H, +1``), ``_pre``, its arm jitter on the loop arms,
         ``_post``.  Noise enters only as single-mode phases, so both segments
-        serve every draw unchanged.
+        and the injected inputs serve every draw unchanged.
 
         Returns {analyzer pattern: R} with R the 16x16 matrix taking joint
         input amplitudes to the uncorrected (C1, C2) amplitudes that pattern
         heralds, in analyzer order; patterns that never fire are dropped.
         """
-        sp = self.space
-        in_phase = np.ones(sp.dim, dtype=complex)
-        for path, phases in zip(("A1", "A2"), draw.dephasing):
-            for l, phi in zip(LEVEL_TO_OAM, phases):
-                in_phase[sp.index(Mode(path, "H", l))] = np.exp(1j * phi)
-        for path, phi in zip(("B1", "B2"), draw.aux_phases):
-            in_phase[sp.index(Mode(path, "H", 1))] = np.exp(1j * phi)
-        arm_phase = np.ones(sp.dim, dtype=complex)
-        for path, z in zip(self._jitter_paths, draw.zeta):
-            arm_phase[sp.path_indices(path)] = np.exp(1j * z)
-        # Each E path's first dense index and conjugated analyzer vectors,
-        # which live on that path's (pol, oam) block.
-        (e1_base, e1), (e2_base, e2) = (
-            (sp.path_indices(path)[0], [(s, v.conj()) for s, v in self.stage.analyzer_basis(path)])
-            for path in ("E1", "E2"))
+        in_phase = [1 + 0j] * self.space.dim
+        for i, phi in zip(self._in_phase_modes,
+                          (*draw.dephasing[0], *draw.dephasing[1], *draw.aux_phases)):
+            in_phase[i] = complex(np.exp(1j * phi))
+        arm_phase = [1 + 0j] * self.space.dim
+        for indices, z in zip(self._jitter_modes, draw.zeta):
+            phase = complex(np.exp(1j * z))
+            for i in indices:
+                arm_phase[i] = phase
+        modes, paths = self._modes, self._mode_paths
+        (e1_base, e1), (e2_base, e2) = self._analyzers
         ops = {(s1, s2): np.zeros((16, 16), dtype=complex) for s1, _ in e1 for s2, _ in e2}
         ports = set(self.PORTS)
-        for col in range(16):
-            c = np.zeros(16, dtype=complex)
-            c[col] = 1.0
-            state = _phased(self.inject(c.reshape(4, 4)), in_phase)
-            state = _phased(apply_transform(self._pre, state), arm_phase)
+        for col, state in enumerate(self._inputs):
+            state = _phased(apply_transform(self._pre, _phased(state, in_phase)), arm_phase)
             state = apply_transform(self._post, state)
             for cfg, amp in state.terms.items():
-                at = {sp.mode(i).path: i for i in cfg}
+                at = {paths[i]: i for i in cfg}
                 if at.keys() != ports:      # four photons: one on each port
                     continue
-                x, y = sp.mode(at["C1"]), sp.mode(at["C2"])
+                x, y = modes[at["C1"]], modes[at["C2"]]
                 for mode in (x, y):
                     if mode.pol != "H" or mode.oam not in OAM_TO_LEVEL:
                         raise EncodingError(f"heralded photon left the alphabet: {mode}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,17 +61,75 @@ class RunResult:
             "summary": self.summary,
             "provenance": self.provenance,
         }
-        return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+        return _dump_json(payload)
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _rounded_float(x: float) -> str:
+    """``x`` at 12 significant digits, spelled as ``json`` spells a float."""
+    x = float(f"{x:.12g}")
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _dump_json(obj) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with
+    every float value rounded to 12 significant digits, written in one pass
+    (the stdlib's indenting encoder is pure Python and walks a rounded copy)."""
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(o, nl: str, put) -> None:
+    """Pass the text of ``o`` to ``put``, piece by piece; ``nl`` is a newline
+    and the indentation of the line ``o`` starts on.  A plain function, not a
+    closure over itself: such a closure is a reference cycle that keeps the
+    pieces alive until the cyclic collector runs."""
+    if isinstance(o, float):
+        put(_rounded_float(o))
+    elif isinstance(o, str):
+        put(_encode_str(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            _write_json(v, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            put(sep)
+            put(_encode_str(k))
+            put(": ")
+            _write_json(v, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _provenance(nl: Netlist) -> dict:

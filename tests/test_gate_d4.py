@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpfsim import elements as el
+from cpfsim import fock, gate_d4
 from cpfsim.analysis import heralded_ensemble
 from cpfsim.errors import EncodingError, PatternMismatch
 from cpfsim.fock import (
@@ -43,6 +46,8 @@ from cpfsim.protocol import (
     cpf_oracle,
     run_protocol,
 )
+
+from gate_reference import reference_pattern_operators
 
 S2 = 1 / math.sqrt(2)
 BOTH = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
@@ -495,6 +500,43 @@ def test_heralded_amplitudes_are_permanents(pipe, spec):
         for pattern, r in _permanent_operators(pipe, draw).items():
             expected = fock_ops.get(pattern, np.zeros((16, 16)))
             assert np.max(np.abs(r - expected)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_noise_specs, visibility=st.sampled_from([None, 0.0, 1.0]))
+def test_pattern_operators_bitwise_match_per_draw_inject_form(pipe, spec, visibility):
+    """The cached inputs, indices and analyzer vectors and the scalar phases
+    give the very operators of the form that rebuilds them every draw."""
+    if visibility is not None:
+        spec = dataclasses.replace(spec, visibility=visibility)
+    for draw in [IDEAL_DRAW] + spec.draws(1):
+        got = pipe._pattern_operators(draw)
+        want = reference_pattern_operators(pipe, draw)
+        assert got.keys() == want.keys()
+        for pattern, r in want.items():
+            assert got[pattern].tobytes() == r.tobytes()
+
+
+def test_noisy_draw_does_only_the_draws_work(pipe, monkeypatch):
+    """One noisy draw runs the two fixed segments on each of the 16 cached
+    basis inputs and rebuilds nothing else."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(gate_d4, "apply_transform"), (gate_d4, "from_joint_amplitudes"),
+                         (fock, "from_joint_amplitudes"), (gate_d4, "group_basis_vector"),
+                         (fock, "group_basis_vector"), (gate_d4.CpfPipeline, "inject"),
+                         (ModeSpace, "index")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    draw = NoiseSpec(sigma_zeta=0.5, oam_dephasing=0.3, visibility=0.8, seed=4).draws(1)[0]
+    assert not draw.trivial
+    pipe._pattern_operators(draw)
+    assert calls == {"apply_transform": 32}
 
 
 @settings(max_examples=50, deadline=None)
