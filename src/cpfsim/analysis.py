@@ -14,8 +14,9 @@ Fourier basis, for which the bound provably holds.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +26,17 @@ from .gate_d4 import PREPARATION_TABLE, pipeline
 from .noise import IDEAL_DRAW, NoiseDraw, NoiseSpec
 from .protocol import BellOutcome, QuditState, cpf_oracle
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 #: Qudit-level vectors of every preparable input state, keyed like the
-#: preparation table.
-STATE_VECTORS = {key: np.array(recipe.target) for key, recipe in PREPARATION_TABLE.items()}
+#: preparation table.  Read-only: the cached readout inputs are built from
+#: them once per process.
+STATE_VECTORS = {key: _read_only(np.array(recipe.target))
+                 for key, recipe in PREPARATION_TABLE.items()}
 
 #: Noise draws averaged by default in the fidelity experiments and noisy
 #: ``cpf_d4`` runs.
@@ -53,6 +62,10 @@ class BasisTable:
 
     name: str
     entries: tuple
+
+    def __post_init__(self):
+        # a tuple, so that a table keys the cache of its readout inputs
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     def vectors(self):
         return [(STATE_VECTORS[a], STATE_VECTORS[b]) for a, b in self.entries]
@@ -96,6 +109,15 @@ def expected_output_index(table: BasisTable, row: int) -> int:
     elif table.name == "XZ" and b == "z3":
         a = _X_FLIP[a]
     return table.entries.index((a, b))
+
+
+@functools.lru_cache(maxsize=16)
+def _table_inputs(table: BasisTable) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only joint input vectors of a table's rows, (rows, 16), and the
+    expected outcome index of each row; built once per table."""
+    inputs = np.array([np.kron(v1, v4) for v1, v4 in table.vectors()])
+    expected = np.array([expected_output_index(table, row) for row in range(len(inputs))])
+    return _read_only(inputs), _read_only(expected)
 
 
 def hofmann_bounds(f_zx: float, f_xz: float) -> tuple[float, float]:
@@ -163,31 +185,28 @@ def run_fidelity_experiment(
 
 def _basis_run(basis, channel: HeraldedChannel, shots: int, seed: int) -> BasisRun:
     table = basis_table(basis) if isinstance(basis, str) else basis
-    vectors = [np.kron(v1, v4) for v1, v4 in table.vectors()]
-    n = len(vectors)
-    matrix = np.zeros((n, n))
-    herald_mass = 0.0
-    counts: dict = {}
-    for row, v in enumerate(vectors):
-        matrix[row], herald = _outcome_probs(channel, v, vectors)
-        herald_mass += herald
-        if shots:
-            dist = {j: matrix[row, j] for j in range(n)}
-            counts[row] = (sample_counts(dist, shots, seed, experiment_id=row)
-                           if herald else dict.fromkeys(dist, 0))
-    herald_probability = herald_mass / n
+    inputs, expected = _table_inputs(table)
+    n = len(inputs)
+    matrix, heralds = channel.readout(inputs, inputs)
+    herald_probability = _running_sum(heralds) / n
     if shots:
-        est = [
-            counts[row].get(expected_output_index(table, row), 0) / shots
+        counts = {
+            row: (sample_counts(dict(enumerate(matrix[row])), shots, seed, experiment_id=row)
+                  if heralds[row] else dict.fromkeys(range(n), 0))
             for row in range(n)
-        ]
+        }
+        est = [counts[row].get(j, 0) / shots for row, j in enumerate(expected.tolist())]
         fidelity = float(np.mean(est))
     else:
-        fidelity = float(
-            np.mean([matrix[row, expected_output_index(table, row)] for row in range(n)])
-        )
+        fidelity = float(np.mean(matrix[np.arange(n), expected]))
     return BasisRun(table, matrix, fidelity, herald_probability,
                     counts if shots else None)
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Left to right sum of a non-empty 1-d array, rounded as a loop adding
+    one value at a time; the byte-stable results keep that rounding."""
+    return float(np.add.accumulate(values)[-1])
 
 
 @dataclass
@@ -297,6 +316,22 @@ class SuiteEntry:
     stabilizer_estimate: float | None = None
 
 
+@functools.cache
+def _suite_inputs() -> tuple:
+    """Read-only inputs of the superposition table, (rows, 16), with their
+    oracle outputs, (rows, 1, 16); the names of the three stabilizer settings
+    with their stacked eigenbases, (3, 16, 16), and eigenvalues, (3, 16)."""
+    inputs, _expected = _table_inputs(superposition_table())
+    u = cpf_oracle(4)
+    targets = np.array([[u @ v] for v in inputs])
+    settings = stabilizer_settings()
+    eigs = [np.linalg.eigh(op) for op in settings.values()]
+    eigvecs = np.array([vecs.T for _vals, vecs in eigs])
+    eigvals = np.array([vals for vals, _vecs in eigs])
+    return (inputs, _read_only(targets), tuple(settings),
+            _read_only(eigvecs), _read_only(eigvals))
+
+
 def superposition_suite(
     noise: NoiseSpec | None = None,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
@@ -310,21 +345,17 @@ def superposition_suite(
     """
     table = superposition_table()
     channel = _heralded_channel(noise, n_draws, accepted)
-    entries = []
-    for row, (v1, v4) in enumerate(table.vectors()):
-        v = np.kron(v1, v4)
-        (fidelity,), herald = _outcome_probs(channel, v, [cpf_oracle(4) @ v])
-        if row == 6 and herald:
-            exps = {}
-            for k, op in stabilizer_settings().items():
-                eigvals, eigvecs = np.linalg.eigh(op)
-                exps[k] = float(eigvals @ _outcome_probs(channel, v, eigvecs.T)[0])
-            entries.append(SuiteEntry(
-                row + 1, table.entries[row], fidelity, exps,
-                stabilizer_fidelity(exps["zx"], exps["xz"], exps["yy"]),
-            ))
-        else:
-            entries.append(SuiteEntry(row + 1, table.entries[row], fidelity))
+    inputs, targets, names, eigvecs, eigvals = _suite_inputs()
+    probs, heralds = channel.readout(inputs, targets)
+    entries = [SuiteEntry(row + 1, keys, float(p))
+               for row, (keys, p) in enumerate(zip(table.entries, probs[:, 0]))]
+    if heralds[6]:
+        # row 7 once per stabilizer setting, each against its eigenbasis
+        stab, _heralds = channel.readout(np.repeat(inputs[6:7], len(eigvecs), axis=0), eigvecs)
+        exps = {k: float(vals @ p)
+                for k, vals, p in zip(names, eigvals, stab)}
+        entries[6].expectations = exps
+        entries[6].stabilizer_estimate = stabilizer_fidelity(exps["zx"], exps["xz"], exps["yy"])
     return entries
 
 
@@ -334,17 +365,44 @@ def superposition_suite(
 
 @dataclass
 class HeraldedChannel:
-    """Kraus form of the noise-averaged heralded gate (unnormalized)."""
+    """Kraus form of the noise-averaged heralded gate (unnormalized).
 
-    kraus: list                # 16x16 operators, weights folded in
+    The operators are kept as one read-only (n, 16, 16) stack, so that a
+    readout evaluates every input against every operator in one product.
+    """
+
+    kraus: np.ndarray          # (n, 16, 16) operators, weights folded in
     labels: list               # (BellOutcome, analyzer pattern) of each operator
-    herald_probability: float  # trace factor, input independent
+    herald_probability: float = field(init=False)  # trace(sum K^dag K) / 16, input independent
+
+    def __post_init__(self):
+        self.kraus = _read_only(np.array(self.kraus, dtype=complex).reshape(-1, 16, 16))
+        self.herald_probability = float(np.sum(np.abs(self.kraus) ** 2) / 16.0)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((16, 16), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out / self.herald_probability
+        out = self.kraus @ rho @ self.kraus.conj().transpose(0, 2, 1)
+        return out.sum(axis=0) / self.herald_probability
+
+    def readout(self, inputs: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Heralded probabilities of output vectors for a batch of inputs.
+
+        ``inputs`` is (r, 16); ``outputs`` is (m, 16), shared by every input,
+        or (r, m, 16), one set per input.  Returns the (r, m) probabilities
+        sum_k |<w|K v>|^2 / sum_k ||K v||^2 and the (r,) heralds
+        sum_k ||K v||^2; an input that heralds nothing gets zero
+        probabilities.  Every K v is the matrix-vector product ``K @ v``
+        would give, so the results are bitwise those of one input and one
+        operator at a time.
+        """
+        r, n = len(inputs), len(self.kraus)
+        kv = self.kraus @ np.asarray(inputs)[:, None, :, None]    # (r, n, 16, 1)
+        heralds = np.sum(np.abs(kv.reshape(r, n * 16)) ** 2, axis=1)
+        amps = np.conj(outputs) @ kv.reshape(r, n, 16).transpose(0, 2, 1)
+        overlap = np.sum(np.abs(amps) ** 2, axis=2)
+        probs = np.zeros(overlap.shape)
+        heralded = heralds != 0.0
+        probs[heralded] = overlap[heralded] / heralds[heralded, None]
+        return probs, heralds
 
 
 def build_heralded_channel(
@@ -354,7 +412,7 @@ def build_heralded_channel(
 ) -> HeraldedChannel:
     """Average the per-draw heralded transfer operators into one channel."""
     channel = _heralded_channel(noise, n_draws, accepted)
-    if not channel.kraus:
+    if len(channel.kraus) == 0:
         raise EmptyPostSelection("every sampled shot lost a photon")
     return channel
 
@@ -376,10 +434,7 @@ def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> Herald
                 for weight, draw in weighted
                 for label, k in pipe.transfer_operators(draw).items()
                 if label[0] in accepted]
-    kraus = [k for _label, k in labelled]
-    gram = sum(k.conj().T @ k for k in kraus)
-    herald = float(np.trace(gram).real / 16.0) if kraus else 0.0
-    return HeraldedChannel(kraus, [label for label, _k in labelled], herald)
+    return HeraldedChannel([k for _label, k in labelled], [label for label, _k in labelled])
 
 
 def heralded_ensemble(noise: NoiseSpec, v: np.ndarray, accepted,
@@ -394,49 +449,56 @@ def heralded_ensemble(noise: NoiseSpec, v: np.ndarray, accepted,
     stage = pipeline().stage
     accepted = stage.require_distinguishable(accepted)
     channel = _heralded_channel(noise, n_draws, stage.DISTINGUISHABLE)
+    out = (channel.kraus @ v[:, None])[..., 0]                      # K v per operator
+    norms = (out.conj()[:, None, :] @ out[:, :, None]).real.ravel()  # np.vdot(K v, K v)
+    projectors = out[:, :, None] * out.conj()[:, None, :]           # np.outer(K v, (K v)^*)
+    outcomes = [outcome for outcome, _pattern in channel.labels]
     pattern_probs: dict = {}
-    outputs: dict = {}
-    for (outcome, pattern), k in zip(channel.labels, channel.kraus):
-        out = k @ v
-        pattern_probs[pattern] = pattern_probs.get(pattern, 0.0) + float(np.vdot(out, out).real)
-        if outcome in accepted:
-            outputs[outcome] = outputs.get(outcome, 0.0) + np.outer(out, out.conj())
+    for (_outcome, pattern), q in zip(channel.labels, norms.tolist()):
+        pattern_probs[pattern] = pattern_probs.get(pattern, 0.0) + q
     per_outcome = {}
-    for outcome, rho in outputs.items():
+    for outcome in dict.fromkeys(o for o in outcomes if o in accepted):
+        mine = [i for i, o in enumerate(outcomes) if o == outcome]
+        # a running sum from zero in label order, as the byte-stable output has it
+        rho = np.add.reduce(projectors[mine], axis=0, initial=0.0)
         prob = float(np.trace(rho).real)
         if prob > 1e-30:
             per_outcome[outcome] = (rho / prob, prob)
     return {p: q for p, q in pattern_probs.items() if q > 1e-30}, per_outcome
 
 
-def _outcome_probs(channel: HeraldedChannel, v: np.ndarray, outputs) -> tuple:
-    """Heralded probability of each output vector w for input v,
-    sum_k |<w|K v>|^2 / sum_k ||K v||^2, and the herald sum_k ||K v||^2
-    (all zero when nothing heralds)."""
-    kv = np.array([k @ v for k in channel.kraus]).reshape(-1, len(v))
-    herald = float(np.sum(np.abs(kv) ** 2))
-    if herald == 0.0:
-        return np.zeros(len(outputs)), 0.0
-    amps = np.conj(np.asarray(outputs)) @ kv.T
-    return np.sum(np.abs(amps) ** 2, axis=1) / herald, herald
-
-
 def process_fidelity(channel: HeraldedChannel, unitary: np.ndarray) -> float:
     """Overlap of the conditional channel's process matrix with a unitary."""
-    num = sum(abs(np.trace(unitary.conj().T @ k) / 16.0) ** 2 for k in channel.kraus)
-    return float(num / channel.herald_probability)
+    traces = np.trace(unitary.conj().T @ channel.kraus, axis1=1, axis2=2)
+    return float(np.sum(np.abs(traces / 16.0) ** 2)) / channel.herald_probability
 
 
 def channel_classical_fidelity(
-    channel: HeraldedChannel, inputs: list, targets: list
+    channel: HeraldedChannel, inputs: np.ndarray, targets: np.ndarray
 ) -> float:
     """Mean probability of the target output over a set of input states."""
-    acc = sum(_outcome_probs(channel, v, [t])[0][0] for v, t in zip(inputs, targets))
-    return float(acc / len(inputs))
+    probs, _heralds = channel.readout(inputs, np.asarray(targets)[:, None, :])
+    return _running_sum(probs[:, 0]) / len(probs)
 
 
-def _product_inputs(first: list, second: list) -> list:
-    return [np.kron(a, b) for a in first for b in second]
+@functools.cache
+def _bound_inputs(pair: str) -> tuple:
+    """Read-only ((inputs, oracle targets), (inputs, oracle targets)) of the
+    two product bases of a Hofmann pair, first photon in Z, then second."""
+    z = [STATE_VECTORS[k] for k in Z_ORDER]
+    if pair == "zx":
+        x = [STATE_VECTORS[k] for k in X_ORDER]
+    elif pair == "fourier":
+        x = fourier_states()
+    else:
+        raise ValueError(f"unknown basis pair {pair!r}")
+    u = cpf_oracle(4)
+    runs = []
+    for first, second in ((z, x), (x, z)):
+        inputs = np.array([np.kron(a, b) for a in first for b in second])
+        targets = np.array([u @ v for v in inputs])
+        runs.append((_read_only(inputs), _read_only(targets)))
+    return tuple(runs)
 
 
 def channel_bounds(channel: HeraldedChannel, pair: str = "zx") -> tuple[float, float]:
@@ -446,19 +508,9 @@ def channel_bounds(channel: HeraldedChannel, pair: str = "zx") -> tuple[float, f
     reported by the fidelity experiments); ``pair='fourier'`` uses the fully
     conjugate basis, for which the lower bound holds for every channel.
     """
-    z = [STATE_VECTORS[k] for k in Z_ORDER]
-    if pair == "zx":
-        x = [STATE_VECTORS[k] for k in X_ORDER]
-    elif pair == "fourier":
-        x = fourier_states()
-    else:
-        raise ValueError(f"unknown basis pair {pair!r}")
-    u = cpf_oracle(4)
-    in1 = _product_inputs(z, x)
-    in2 = _product_inputs(x, z)
-    f1 = channel_classical_fidelity(channel, in1, [u @ v for v in in1])
-    f2 = channel_classical_fidelity(channel, in2, [u @ v for v in in2])
-    return hofmann_bounds(f1, f2)
+    (in1, t1), (in2, t2) = _bound_inputs(pair)
+    return hofmann_bounds(channel_classical_fidelity(channel, in1, t1),
+                          channel_classical_fidelity(channel, in2, t2))
 
 
 def loss_scaled_heralding(noise: NoiseSpec, n_draws: int = 200) -> float:

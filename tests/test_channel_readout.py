@@ -1,0 +1,213 @@
+"""The stacked readout of the heralded channel against the per-row,
+per-operator reference form, its shared read-only inputs, empty channels,
+and the work a warm readout does."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cpfsim import analysis
+from cpfsim.analysis import (
+    STATE_VECTORS,
+    HeraldedChannel,
+    basis_table,
+    build_heralded_channel,
+    channel_bounds,
+    full_fidelity_report,
+    heralded_ensemble,
+    process_fidelity,
+    run_fidelity_experiment,
+    superposition_suite,
+)
+from cpfsim.errors import EmptyPostSelection
+from cpfsim.noise import NoiseSpec
+from cpfsim.protocol import BellOutcome, cpf_oracle
+
+from analysis_reference import (
+    reference_basis_run,
+    reference_channel_bounds,
+    reference_ensemble,
+    reference_herald_probability,
+    reference_outcome_probs,
+    reference_process_fidelity,
+)
+
+PHI = (BellOutcome.PhiPlus, BellOutcome.PhiMinus)
+PATTERNS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+ALL_LOST = NoiseSpec(loss=1.0, seed=3)
+
+#: No operators, and three operators that are all zero.
+NO_OPERATORS = ([], [])
+ZERO_OPERATORS = ([np.zeros((16, 16), dtype=complex)] * 3, [(PHI[0], PATTERNS[0])] * 3)
+
+
+@st.composite
+def channels(draw):
+    """(operators, labels) of 0-40 random operators: independent complex
+    matrices, matrices near the CPF oracle (process fidelity near 1), or
+    all zero."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("random", "near_gate", "zero")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = rng.normal(size=(n, 16, 16)) + 1j * rng.normal(size=(n, 16, 16))
+    if kind == "near_gate":
+        ops = cpf_oracle(4) + 0.05 * ops
+    ops = ops * rng.uniform(0.0, 2.0, size=(n, 1, 1)) if kind != "zero" else 0.0 * ops
+    labels = [(PHI[i], PATTERNS[j]) for i, j in zip(rng.integers(0, 2, n), rng.integers(0, 4, n))]
+    return list(ops), labels
+
+
+def _vectors(rng, n: int) -> np.ndarray:
+    """n random joint vectors, about a quarter of them zero."""
+    v = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+    return v * (rng.random((n, 1)) > 0.25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(channel=channels(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+       outputs=st.integers(1, 12), shared=st.booleans())
+@example(channel=NO_OPERATORS, seed=1, rows=3, outputs=2, shared=True)
+@example(channel=ZERO_OPERATORS, seed=2, rows=3, outputs=2, shared=False)
+def test_readout_matches_per_row_reference(channel, seed, rows, outputs, shared):
+    """Probabilities and heralds of a batch are bitwise those of one input
+    row and one operator at a time."""
+    ops, labels = channel
+    rng = np.random.default_rng(seed)
+    inputs = _vectors(rng, rows)
+    outs = _vectors(rng, outputs) if shared else _vectors(rng, rows * outputs).reshape(rows, outputs, 16)
+    probs, heralds = HeraldedChannel(ops, labels).readout(inputs, outs)
+    assert probs.shape == (rows, outputs) and heralds.shape == (rows,)
+    for row, v in enumerate(inputs):
+        want, herald = reference_outcome_probs(ops, v, outs if shared else outs[row])
+        assert probs[row].tobytes() == want.tobytes()
+        assert heralds[row] == herald
+
+
+@settings(max_examples=30, deadline=None)
+@given(channel=channels(), name=st.sampled_from(("ZX", "XZ", "superpositions")),
+       shots=st.sampled_from((0, 500)), seed=st.integers(0, 2**16))
+@example(channel=NO_OPERATORS, name="ZX", shots=500, seed=0)
+@example(channel=ZERO_OPERATORS, name="XZ", shots=0, seed=0)
+def test_basis_run_matches_per_row_reference(channel, name, shots, seed):
+    ops, labels = channel
+    run = analysis._basis_run(name, HeraldedChannel(ops, labels), shots, seed)
+    matrix, fidelity, herald, counts = reference_basis_run(basis_table(name), ops, shots, seed)
+    assert run.matrix.tobytes() == matrix.tobytes()
+    assert (run.fidelity, run.herald_probability, run.counts) == (fidelity, herald, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel=channels())
+@example(channel=NO_OPERATORS)
+@example(channel=ZERO_OPERATORS)
+def test_process_fidelity_and_bounds_match_reference(channel):
+    ops, labels = channel
+    ch = HeraldedChannel(ops, labels)
+    herald = reference_herald_probability(ops)
+    assert abs(ch.herald_probability - herald) <= 1e-15 * max(herald, 1.0)
+    u = cpf_oracle(4)
+    if herald == 0.0:
+        with pytest.raises(ZeroDivisionError):
+            process_fidelity(ch, u)
+    else:
+        assert abs(process_fidelity(ch, u) - reference_process_fidelity(ops, herald, u)) <= 1e-15
+    for pair in ("zx", "fourier"):
+        got, want = channel_bounds(ch, pair), reference_channel_bounds(ops, pair)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(channel=channels(), seed=st.integers(0, 2**32 - 1),
+       accepted=st.sampled_from([frozenset(PHI[:1]), frozenset(PHI[1:]), frozenset(PHI)]))
+@example(channel=NO_OPERATORS, seed=0, accepted=frozenset(PHI))
+@example(channel=ZERO_OPERATORS, seed=0, accepted=frozenset(PHI))
+def test_ensemble_matches_per_operator_reference(channel, seed, accepted):
+    """Pattern probabilities, and each outcome's density matrix and
+    probability, bitwise and in the same order as one operator at a time."""
+    ops, labels = channel
+    ch = HeraldedChannel(ops, labels)
+    v = np.random.default_rng(seed).normal(size=16) + 0j
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_heralded_channel", lambda *args: ch)
+        got_probs, got_out = heralded_ensemble(None, v, accepted)
+    want_probs, want_out = reference_ensemble(ops, labels, v, accepted)
+    assert list(got_probs.items()) == list(want_probs.items())
+    assert list(got_out) == list(want_out)
+    for outcome, (rho, p) in want_out.items():
+        assert got_out[outcome][0].tobytes() == rho.tobytes()
+        assert got_out[outcome][1] == p
+
+
+def test_shared_inputs_are_read_only():
+    """The public state vectors, the cached readout inputs built from them
+    and a channel's Kraus stack refuse writes, so no caller can change a
+    later run."""
+    arrays = list(STATE_VECTORS.values())
+    for name in ("ZX", "XZ", "superpositions"):
+        arrays += analysis._table_inputs(basis_table(name))
+    for pair in ("zx", "fourier"):
+        for inputs, targets in analysis._bound_inputs(pair):
+            arrays += [inputs, targets]
+    arrays += [a for a in analysis._suite_inputs() if isinstance(a, np.ndarray)]
+    arrays.append(build_heralded_channel().kraus)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_table_given_as_list_runs_as_its_tuple():
+    entries = list(basis_table("ZX").entries)
+    run = run_fidelity_experiment(analysis.BasisTable("ZX", entries))
+    assert run.matrix.tobytes() == run_fidelity_experiment("ZX").matrix.tobytes()
+
+
+def test_all_lost_ensemble_heralds_nothing():
+    with pytest.raises(EmptyPostSelection):
+        build_heralded_channel(ALL_LOST, n_draws=3)
+    run = run_fidelity_experiment("ZX", shots=100, noise=ALL_LOST, n_draws=3, seed=5)
+    assert run.counts == {row: dict.fromkeys(range(16), 0) for row in range(16)}
+    assert run.fidelity == 0.0 and run.herald_probability == 0.0
+    assert not run.matrix.any()
+    entries = superposition_suite(noise=ALL_LOST, n_draws=3)
+    assert [e.fidelity for e in entries] == [0.0] * 7
+    assert entries[6].expectations is None and entries[6].stabilizer_estimate is None
+
+
+def test_warm_readout_takes_one_product_per_basis(monkeypatch):
+    """On a built channel with the cached inputs warm, each basis of the
+    fidelity report and of the Fourier bracket is read in one product with
+    the Kraus stack: no np.kron, no single operator taken from the stack."""
+    channel = build_heralded_channel(NoiseSpec(sigma_zeta=0.3, visibility=0.9, seed=2), n_draws=2)
+    monkeypatch.setattr(analysis, "_heralded_channel", lambda *args: channel)
+    want = (full_fidelity_report(), channel_bounds(channel, "fourier"))
+    touches = []
+
+    class WatchedStack(np.ndarray):
+        def __iter__(self):
+            touches.append("iter")
+            return super().__iter__()
+
+        def __getitem__(self, key):
+            touches.append("item")
+            return super().__getitem__(key)
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            touches.append(ufunc.__name__)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    real_kron = np.kron
+
+    def kron(*args):
+        touches.append("kron")
+        return real_kron(*args)
+
+    channel.kraus = channel.kraus.view(WatchedStack)
+    monkeypatch.setattr(np, "kron", kron)
+    report = full_fidelity_report()
+    assert touches == ["matmul", "matmul"]
+    assert channel_bounds(channel, "fourier") == want[1]
+    assert touches == ["matmul"] * 4
+    assert (report.f_zx, report.f_xz, report.herald_probability) == (
+        want[0].f_zx, want[0].f_xz, want[0].herald_probability)
