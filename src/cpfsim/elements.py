@@ -30,6 +30,14 @@ _SHIFT_TOL = 1e-12  # an OAM shift this close to an integer is that integer
 _I2 = np.eye(2)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product a (x) b of two matrices as one broadcast product:
+    the elementwise products ``np.kron`` forms, so the same bits, without its
+    per-call overhead."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def _on_path(space: ModeSpace, path: str, terms, provenance) -> ModeTransform:
     """Transform acting as sum_k J_k (x) O_k on ``path``, the identity elsewhere.
 
@@ -44,8 +52,7 @@ def _on_path(space: ModeSpace, path: str, terms, provenance) -> ModeTransform:
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     lost = np.zeros(2 * n, dtype=bool)
     for jones, orbital in terms:
-        # the Kronecker product J (x) O, as one broadcast product
-        block += (jones[:, None, :, None] * orbital[None, :, None, :]).reshape(2 * n, 2 * n)
+        block += _kron(jones, orbital)
         lost |= np.outer(jones.any(axis=0), ~orbital.any(axis=0)).ravel()
     block[:, lost] = 0.0
     base = int(space.path_indices(path)[0])
@@ -158,9 +165,10 @@ def polarizer(space, path, angle) -> np.ndarray:
     if path not in space.paths:
         raise SpaceMismatch(f"path {path!r} not in space")
     vec = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
-    idx = space.path_indices(path)
+    n = 2 * (2 * space.truncation + 1)  # modes on one path, a contiguous run
+    base = space.paths.index(path) * n
     m = np.eye(space.dim, dtype=complex)
-    m[np.ix_(idx, idx)] = np.kron(np.outer(vec, vec.conj()), _shift(space, 0))
+    m[base:base + n, base:base + n] = _kron(np.outer(vec, vec.conj()), _shift(space, 0))
     return m
 
 

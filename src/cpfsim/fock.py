@@ -10,12 +10,14 @@ Evolution substitutes each creation operator by the transform's columns,
 a_j+ -> sum_k M[k, j] a_k+, expanding photon by photon into a running map
 keyed by partially built sorted configurations.  Merging partial keys as we
 go keeps the branch count bounded by the number of distinct multisets rather
-than the product of column supports.  The columns are sparse and cover the
-transform's block only (:meth:`~cpfsim.modes.ModeTransform.columns`): a
-photon on any other mode keeps its mode, times 1.  Amplitudes are Python
-complex numbers throughout; every product and sum is the one numpy's complex
-scalars give, and the two divisions by a real number follow numpy's rule
-(:func:`_divide`), so results are bitwise those of numpy scalar arithmetic.
+than the product of column supports; a term whose photons each have a single
+image skips the map, for one sorted key and one product.  The columns are
+sparse and cover the transform's block only
+(:meth:`~cpfsim.modes.ModeTransform.columns`): a photon on any other mode
+keeps its mode, times 1.  Amplitudes are Python complex numbers throughout;
+every product and sum is the one numpy's complex scalars give, and the two
+divisions by a real number follow numpy's rule (:func:`_divide`), so results
+are bitwise those of numpy scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ class MultiPhotonState:
         if normalized is None:
             normalized = abs(self.norm2() - 1.0) <= NORM_TOL
         self.normalized = normalized
+
+    @classmethod
+    def _trusted(cls, space: ModeSpace, n: int, terms: dict, normalized: bool):
+        """A state over ``terms`` as given: every configuration already holds
+        ``n`` photons, and the dict becomes the state's own."""
+        state = cls.__new__(cls)
+        state.space, state.n, state.terms, state.normalized = space, n, terms, normalized
+        return state
 
     def norm2(self) -> float:
         return _norm2(self.terms.values())
@@ -205,19 +215,33 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
                     raise TruncationOverflow(
                         f"photon in {s.space.mode(i)} would shift out of the window"
                     )
+    n = s.n
     out: dict[tuple, complex] = {}
     get = out.get
     for cfg, amp in s.terms.items():
         factors = [cols[m] if m in cols else ((m,), _IDENTITY_AMPS) for m in cfg]
-        for key, v in _expand(_divide(amp, _sqrt_fact(cfg)), factors).items():
+        # An unbunched term is still divided by 1.0, and an unbunched result
+        # multiplied by 1.0: complex arithmetic with 1.0 can flip the sign of
+        # a zero part, as sqrt(k!) does for bunched ones.
+        base = _divide(amp, 1.0 if len(set(cfg)) == n else _sqrt_fact(cfg))
+        images = [rows[0] for rows, _ in factors if len(rows) == 1]
+        if len(images) == n:
+            # one image per photon: one sorted key, the product left to right
+            for _, (a,) in factors:
+                base = base * a
+            key = tuple(sorted(images))
+            prev = get(key)
+            out[key] = base if prev is None else prev + base
+            continue
+        for key, v in _expand(base, factors).items():
             prev = get(key)
             out[key] = v if prev is None else prev + v
     terms = {}
     for cfg, v in out.items():
-        v = v * _sqrt_fact(cfg)
+        v = v * (1.0 if len(set(cfg)) == n else _sqrt_fact(cfg))
         if abs(v) > PRUNE_TOL:
             terms[cfg] = v
-    return MultiPhotonState(s.space, s.n, terms, normalized=s.normalized)
+    return MultiPhotonState._trusted(s.space, n, terms, s.normalized)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import conventions as conv
 from . import elements as el
-from .errors import EncodingError, PatternMismatch, TruncationOverflow
+from .errors import EmptyPostSelection, EncodingError, PatternMismatch, TruncationOverflow
 from .fock import MultiPhotonState, apply_transform, from_joint_amplitudes, group_basis_vector
 from .modes import (
     Mode,
@@ -248,14 +248,17 @@ class PreparationRecipe:
     """
 
     target: tuple                    # qudit amplitudes, length 4
-    elements: tuple = ()             # descriptor strings, in application order
+    # Elements in application order, each an ElementSpec or a descriptor
+    # string (anything element_transform takes); the table's rows hold specs.
+    elements: tuple = ()
     direct: bool = False
 
 
 def _recipe(target, elements=(), direct=False):
+    """One table row; its descriptors are parsed here, once, at import."""
     return PreparationRecipe(
         target=tuple(complex(x) for x in target),
-        elements=tuple(elements),
+        elements=tuple(el.parse_descriptor(desc) for desc in elements),
         direct=direct,
     )
 
@@ -329,7 +332,8 @@ def prepare_input(recipe: PreparationRecipe | str):
     """Run one preparation row; return (state, success probability).
 
     The state lives on a single-path space ("S") and matches the row's target
-    up to a global phase.
+    up to a global phase.  Raises EmptyPostSelection when the H polarizer
+    keeps no amplitude.
     """
     if isinstance(recipe, str):
         try:
@@ -340,11 +344,13 @@ def prepare_input(recipe: PreparationRecipe | str):
     if recipe.direct:
         return encode_qudit_vector(space, "S", recipe.target), 1.0
     state = SinglePhotonState.from_terms(space, {Mode("S", "H", 0): 1.0})
-    for desc in recipe.elements:
-        state = apply_to_single_photon(el.element_transform(desc, space), state)
+    for spec in recipe.elements:
+        state = apply_to_single_photon(el.element_transform(spec, space), state)
     amps = el.polarizer(space, "S", 0.0) @ state.amps
     amps[np.abs(amps) <= conv.PRUNE_TOL] = 0.0
     prob = float(np.vdot(amps, amps).real)
+    if not prob > 0.0:
+        raise EmptyPostSelection("the preparation polarizer keeps no amplitude")
     return SinglePhotonState(space, amps / math.sqrt(prob), normalized=True), prob
 
 

@@ -92,7 +92,7 @@ class SinglePhotonState:
             raise SpaceMismatch(
                 f"amplitude vector of length {amps.shape} on space of dim {space.dim}"
             )
-        if normalized and abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
+        if normalized and not abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL:
             raise ValueError("state flagged normalized but norm^2 != 1")
         self.space = space
         self.amps = amps

@@ -3,7 +3,8 @@
 Each builder returns a :class:`Dense` pair, the ``space.dim``-square matrix
 and the overflow set, built column by column from a per-(polarization, OAM)
 map of images, the identity on every other path.  The tests hold the Jones
-(x) OAM blocks of :mod:`cpfsim.elements` to these matrices.  :func:`compose`
+(x) OAM blocks of :mod:`cpfsim.elements` to these matrices.  :func:`polarizer`,
+the one projector, keeps the dense ``np.kron`` build it replaced.  :func:`compose`
 is the dense product with overflow tracking.
 """
 
@@ -116,6 +117,17 @@ path_phase = phase_plate
 def oam_phase(space, path, phases):
     return _single_path(space, path, lambda pol, oam: [
         (pol, oam, np.exp(1j * phases.get(oam, 0.0)))])
+
+
+def polarizer(space, path, angle) -> np.ndarray:
+    """The polarizer as :mod:`cpfsim.elements` built it with ``np.kron`` and
+    ``np.ix_``: the Jones projector times the OAM identity written into the
+    path's rows and columns of the dense identity."""
+    vec = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+    idx = space.path_indices(path)
+    m = np.eye(space.dim, dtype=complex)
+    m[np.ix_(idx, idx)] = np.kron(np.outer(vec, vec.conj()), np.eye(2 * space.truncation + 1))
+    return m
 
 
 def parity_interferometer(space, path, angle):

@@ -1,6 +1,9 @@
 """Path-local element blocks against the mode-by-mode reference builders
 (``element_reference``): every primitive's dense view and overflow set are
-bitwise equal, composites agree to 1e-15, and so do random compositions."""
+bitwise equal, composites agree to 1e-15, and so do random compositions.
+The polarizer's broadcast build is bitwise its ``np.kron`` reference."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -77,3 +80,19 @@ def test_compositions_match_dense_products(data):
     assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-15
     touched = {p for t in chain for p in t.paths}
     assert got.paths == tuple(p for p in space.paths if p in touched)
+
+
+# Signed zeros and exact quarter turns fix the signs of zero parts.
+_POLARIZER_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi / 4, math.pi]),
+    st.floats(-10, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_polarizer_matches_kron_reference(data):
+    space = data.draw(spaces())
+    angle = data.draw(_POLARIZER_ANGLES)
+    for path in space.paths:
+        got = el.polarizer(space, path, angle)
+        assert got.tobytes() == ref.polarizer(space, path, angle).tobytes()

@@ -6,6 +6,7 @@ bitwise-equal amplitudes, and overflow in the same cases."""
 import math
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,3 +128,17 @@ def test_engine_matches_reference(data):
     if want:
         assert_same(MultiPhotonState(space, len(ph), got, normalized=False).normalized_copy(),
                     ref.normalized_copy(MultiPhotonState(space, len(ph), want, normalized=False)))
+
+
+@pytest.mark.parametrize("cfg", [(0, 7), (3, 3)])
+@pytest.mark.parametrize("amp", [complex(-0.0, 1.0), complex(1.0, -0.0),
+                                 complex(-0.0, -0.0), complex(-1.0, -0.0)])
+def test_signed_zero_parts_match_reference(amp, cfg):
+    """A hand-built term with signed zero parts, unbunched or bunched, through
+    an element with one image per mode and one that mixes: the engine's
+    arithmetic with 1.0 on unbunched terms keeps it bitwise on the reference."""
+    space = ModeSpace(("A", "B"), 1)
+    state = MultiPhotonState(space, 2, {cfg: amp}, normalized=False)
+    for desc in ("DL() @ A", "HWP(angle=0.3) @ A"):
+        t = element_transform(desc, space)
+        assert_same(apply_transform(t, state), ref.apply_transform(t, state))

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from cpfsim import elements as el
 from cpfsim import fock, gate_d4
 from cpfsim.analysis import heralded_ensemble
-from cpfsim.errors import EncodingError, PatternMismatch
+from cpfsim.errors import EmptyPostSelection, EncodingError, PatternMismatch
 from cpfsim.fock import (
     DetectionPattern,
     apply_transform,
@@ -25,6 +26,7 @@ from cpfsim.gate_d4 import (
     AUX_TARGET_TERMS,
     LEVEL_TO_OAM,
     PREPARATION_TABLE,
+    PreparationRecipe,
     SplitterPaths,
     auxiliary_target,
     build_bsm_stage,
@@ -169,6 +171,52 @@ def test_preparation_rows_reach_targets(key):
 def test_prepare_input_unknown_row():
     with pytest.raises(KeyError):
         prepare_input("z9")
+
+
+_PI4, _PI8 = math.pi / 4, math.pi / 8
+# The rows' descriptor strings, as the table held them before it kept specs.
+_ROW_DESCRIPTORS = {
+    "z0": (f"QWP(angle={-_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={-_PI4}) @ S",
+           "SPP(dl=-1) @ S"),
+    "z1": (f"QWP(angle={-_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={-_PI4}) @ S"),
+    "z2": (f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={_PI4}) @ S",
+           "SPP(dl=-1) @ S"),
+    "z3": (f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S", f"QWP(angle={_PI4}) @ S"),
+    "x02+": (f"HWP(angle={_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
+             f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S", "SPP(dl=-1) @ S"),
+    "x02-": (f"HWP(angle={-_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
+             f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S", "SPP(dl=-1) @ S"),
+    "x13+": (f"HWP(angle={_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
+             f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S"),
+    "x13-": (f"HWP(angle={-_PI8}) @ S", f"QWP(angle={_PI4}) @ S", "QP(q=0.5) @ S",
+             f"QWP(angle={_PI4}) @ S", f"HWP(angle={-_PI8}) @ S"),
+    "s12": (),
+    "s23": (),
+}
+
+
+def test_preparation_rows_hold_parsed_specs():
+    """Each row keeps the specs its descriptor strings parse to, and a recipe
+    given as those strings prepares the same state bit for bit."""
+    assert _ROW_DESCRIPTORS.keys() == PREPARATION_TABLE.keys()
+    for key, texts in _ROW_DESCRIPTORS.items():
+        recipe = PREPARATION_TABLE[key]
+        assert recipe.elements == tuple(el.parse_descriptor(t) for t in texts)
+        if recipe.direct:
+            continue
+        state, prob = prepare_input(recipe)
+        again, again_prob = prepare_input(PreparationRecipe(recipe.target, texts))
+        assert again.amps.tobytes() == state.amps.tobytes() and again_prob == prob
+
+
+def test_fully_blocked_preparation_raises():
+    """A chain that leaves only V light ahead of the H polarizer keeps
+    nothing: no NaN state, no division warning."""
+    recipe = PreparationRecipe((1, 0, 0, 0), (f"HWP(angle={_PI4}) @ S",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyPostSelection):
+            prepare_input(recipe)
 
 
 def test_prepare_auxiliary_exact():

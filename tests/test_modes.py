@@ -51,6 +51,10 @@ def test_state_normalization_flag():
     assert not sub.normalized
     ok = SinglePhotonState.from_terms(sp, {Mode("A", "H", 0): 0.5}, normalize=True)
     assert ok.normalized and abs(ok.norm2() - 1) < 1e-12
+    # a NaN norm fails the check, as a NaN residual fails ModeTransform.check
+    amps[0] = np.nan
+    with pytest.raises(ValueError):
+        SinglePhotonState(sp, amps, normalized=True)
 
 
 def test_transform_kind_checks():

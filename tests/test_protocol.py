@@ -10,6 +10,7 @@ from cpfsim.protocol import (
     BellOutcome,
     QuditState,
     bell_vectors,
+    correction_factors,
     correction_unitary,
     cpf_oracle,
     heralding_probability,
@@ -165,3 +166,13 @@ def test_qudit_state_json_round_trip(rng):
     entries = psi.to_json_entries()
     back = QuditState.from_json_entries(4, entries)
     assert np.allclose(back.amps, psi.amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("outcome", list(BellOutcome))
+def test_correction_unitary_is_kron_of_factors(outcome, d):
+    """The broadcast build is bitwise the Kronecker product of the factors."""
+    want = np.kron(*correction_factors(outcome, d))
+    got = correction_unitary(outcome, d)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

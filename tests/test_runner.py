@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cpfsim.analysis import DEFAULT_DRAWS, STATE_VECTORS, heralded_ensemble
 from cpfsim.cli import main as cli_main
-from cpfsim import netlist, runner
+from cpfsim import elements, gate_d4, netlist, runner
 from cpfsim.elements import parse_descriptor
 from cpfsim.netlist import Netlist, parse_netlist, serialize
 from cpfsim.noise import NoiseSpec
@@ -206,6 +206,34 @@ def test_cpf_rejects_other_truncation(cpf_netlist):
     nl.truncation = 6
     with pytest.raises(NetlistError, match="truncation"):
         execute(nl)
+
+
+@pytest.mark.parametrize("mode,shots", [("analytic", 0), ("shots", 500)])
+def test_warm_gate_run_builds_no_constants(cpf_netlist, monkeypatch, mode, shots):
+    """A warm cpf_d4 run makes no Kronecker product and parses no descriptor:
+    the corrections and the polarizer are broadcast products and the
+    preparation rows hold parsed specs.  It still builds its corrections and
+    runs its preparation elements and polarizer."""
+    text = serialize(cpf_netlist).replace("mode analytic\nshots 0", f"mode {mode}\nshots {shots}")
+    res = parse_netlist(text)
+    assert res.ok and res.netlist.shots == shots
+    warm = execute(res).to_json()
+    calls = dict.fromkeys(("kron", "parse_descriptor", "correction_unitary",
+                           "element_transform", "polarizer"), 0)
+    for owner in (np, elements, netlist, gate_d4):
+        for name in calls:
+            fn = getattr(owner, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+    assert execute(res).to_json() == warm
+    assert calls["kron"] == 0 and calls["parse_descriptor"] == 0
+    assert calls["correction_unitary"] > 0
+    assert calls["element_transform"] > 0 and calls["polarizer"] == 2
 
 
 def _noisy_cpf(cpf_netlist, spec: NoiseSpec, draws=None, accept="PhiPlus PhiMinus",
