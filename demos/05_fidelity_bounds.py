@@ -24,20 +24,23 @@ from cpfsim.analysis import (
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import cpf_oracle
 
+# One noiseless heralded channel feeds every analysis below.
+ideal = build_heralded_channel()
+
 print("Noiseless flip pattern (ZX basis): expected-output index per input row")
-run = run_fidelity_experiment("ZX")
+run = run_fidelity_experiment("ZX", ideal)
 for row, (k1, k4) in enumerate(run.table.entries):
     j = int(np.argmax(run.matrix[row]))
     mark = "  <- flipped" if j != row else ""
     print(f"   {k1:>5s} x {k4:<5s} -> {run.table.entries[j][0]} x "
           f"{run.table.entries[j][1]}{mark}")
 
-report = full_fidelity_report()
+report = full_fidelity_report(ideal)
 print(f"\nnoiseless: F_ZX = {report.f_zx:.6f}, F_XZ = {report.f_xz:.6f}, "
       f"bracket [{report.lower:.6f}, {report.upper:.6f}]")
 
 print("\nSeven superposition inputs (row 7 exits entangled):")
-for e in superposition_suite():
+for e in superposition_suite(ideal):
     extra = ""
     if e.expectations:
         exps = ", ".join(f"{k}={v:+.3f}" for k, v in e.expectations.items())

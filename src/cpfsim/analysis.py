@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyPostSelection
 from .fock import sample_counts
 from .gate_d4 import PREPARATION_TABLE, pipeline
-from .noise import IDEAL_DRAW, NoiseDraw, NoiseSpec
+from .noise import IDEAL_DRAW, NoiseSpec
 from .protocol import BellOutcome, QuditState, cpf_oracle
 
 
@@ -62,10 +62,6 @@ class BasisTable:
 
     name: str
     entries: tuple
-
-    def __post_init__(self):
-        # a tuple, so that a table keys the cache of its readout inputs
-        object.__setattr__(self, "entries", tuple(self.entries))
 
     def vectors(self):
         return [(STATE_VECTORS[a], STATE_VECTORS[b]) for a, b in self.entries]
@@ -111,10 +107,11 @@ def expected_output_index(table: BasisTable, row: int) -> int:
     return table.entries.index((a, b))
 
 
-@functools.lru_cache(maxsize=16)
-def _table_inputs(table: BasisTable) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only joint input vectors of a table's rows, (rows, 16), and the
-    expected outcome index of each row; built once per table."""
+@functools.cache
+def _table_inputs(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only joint input vectors of a named table's rows, (rows, 16), and
+    the expected outcome index of each row; built once per table."""
+    table = basis_table(name)
     inputs = np.array([np.kron(v1, v4) for v1, v4 in table.vectors()])
     expected = np.array([expected_output_index(table, row) for row in range(len(inputs))])
     return _read_only(inputs), _read_only(expected)
@@ -148,13 +145,6 @@ def stabilizer_fidelity(e1: float, e2: float, e3: float) -> float:
 # Experiments on the heralded channel
 
 
-def noise_draws(noise: NoiseSpec | None, n_draws: int) -> list[NoiseDraw]:
-    if noise is None or noise.trivial:
-        return [IDEAL_DRAW]
-    noise.validate()
-    return noise.draws(n_draws)
-
-
 @dataclass
 class BasisRun:
     """One measurement-basis experiment: per-input outcome probabilities."""
@@ -166,26 +156,14 @@ class BasisRun:
     counts: dict | None = None  # present in shot mode
 
 
-def run_fidelity_experiment(
-    basis: str | BasisTable,
-    shots: int = 0,
-    noise: NoiseSpec | None = None,
-    accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
-    n_draws: int = DEFAULT_DRAWS,
-    seed: int = 0,
-) -> BasisRun:
-    """Measure the flip pattern of one basis table on the heralded channel.
+def run_fidelity_experiment(basis: str, channel: HeraldedChannel,
+                            shots: int = 0, seed: int = 0) -> BasisRun:
+    """Measure the flip pattern of the named basis table on ``channel``.
 
     ``shots == 0`` is analytic mode (exact outcome distributions); otherwise
     each input row is sampled with a multinomial of the given size.
     """
-    channel = _heralded_channel(noise, n_draws, accepted)
-    return _basis_run(basis, channel, shots, seed)
-
-
-def _basis_run(basis, channel: HeraldedChannel, shots: int, seed: int) -> BasisRun:
-    table = basis_table(basis) if isinstance(basis, str) else basis
-    inputs, expected = _table_inputs(table)
+    inputs, expected = _table_inputs(basis)
     n = len(inputs)
     matrix, heralds = channel.readout(inputs, inputs)
     herald_probability = _running_sum(heralds) / n
@@ -199,7 +177,7 @@ def _basis_run(basis, channel: HeraldedChannel, shots: int, seed: int) -> BasisR
         fidelity = float(np.mean(est))
     else:
         fidelity = float(np.mean(matrix[np.arange(n), expected]))
-    return BasisRun(table, matrix, fidelity, herald_probability,
+    return BasisRun(basis_table(basis), matrix, fidelity, herald_probability,
                     counts if shots else None)
 
 
@@ -256,16 +234,10 @@ class FidelityReport:
         return rows
 
 
-def full_fidelity_report(
-    shots: int = 0,
-    noise: NoiseSpec | None = None,
-    accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
-    n_draws: int = DEFAULT_DRAWS,
-    seed: int = 0,
-) -> FidelityReport:
-    channel = _heralded_channel(noise, n_draws, accepted)
-    zx = _basis_run("ZX", channel, shots, seed)
-    xz = _basis_run("XZ", channel, shots, seed + 1)
+def full_fidelity_report(channel: HeraldedChannel, shots: int = 0,
+                         seed: int = 0) -> FidelityReport:
+    zx = run_fidelity_experiment("ZX", channel, shots, seed)
+    xz = run_fidelity_experiment("XZ", channel, shots, seed + 1)
     return FidelityReport.from_runs(zx, xz)
 
 
@@ -321,7 +293,7 @@ def _suite_inputs() -> tuple:
     """Read-only inputs of the superposition table, (rows, 16), with their
     oracle outputs, (rows, 1, 16); the names of the three stabilizer settings
     with their stacked eigenbases, (3, 16, 16), and eigenvalues, (3, 16)."""
-    inputs, _expected = _table_inputs(superposition_table())
+    inputs, _expected = _table_inputs("superpositions")
     u = cpf_oracle(4)
     targets = np.array([[u @ v] for v in inputs])
     settings = stabilizer_settings()
@@ -332,19 +304,14 @@ def _suite_inputs() -> tuple:
             _read_only(eigvecs), _read_only(eigvals))
 
 
-def superposition_suite(
-    noise: NoiseSpec | None = None,
-    accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
-    n_draws: int = DEFAULT_DRAWS,
-) -> list[SuiteEntry]:
-    """Score the seven superposition inputs.
+def superposition_suite(channel: HeraldedChannel) -> list[SuiteEntry]:
+    """Score the seven superposition inputs on ``channel``.
 
     Rows 1 to 6 are scored against their unchanged product outputs; row 7
     against the entangled target, both by direct overlap and through the
     three stabilizer averages.
     """
     table = superposition_table()
-    channel = _heralded_channel(noise, n_draws, accepted)
     inputs, targets, names, eigvecs, eigvals = _suite_inputs()
     probs, heralds = channel.readout(inputs, targets)
     entries = [SuiteEntry(row + 1, keys, float(p))
@@ -379,10 +346,6 @@ class HeraldedChannel:
         self.kraus = _read_only(np.array(self.kraus, dtype=complex).reshape(-1, 16, 16))
         self.herald_probability = float(np.sum(np.abs(self.kraus) ** 2) / 16.0)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = self.kraus @ rho @ self.kraus.conj().transpose(0, 2, 1)
-        return out.sum(axis=0) / self.herald_probability
-
     def readout(self, inputs: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Heralded probabilities of output vectors for a batch of inputs.
 
@@ -410,22 +373,20 @@ def build_heralded_channel(
     n_draws: int = DEFAULT_DRAWS,
     accepted=frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus}),
 ) -> HeraldedChannel:
-    """Average the per-draw heralded transfer operators into one channel."""
-    channel = _heralded_channel(noise, n_draws, accepted)
-    if len(channel.kraus) == 0:
-        raise EmptyPostSelection("every sampled shot lost a photon")
-    return channel
+    """Average the per-draw heralded transfer operators into one channel.
 
-
-def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> HeraldedChannel:
-    """Kraus operators of the draw-averaged heralded gate, each weighted by
-    its draw's share and labelled with its (outcome, pattern).  The draws
-    without noise share one weighted operator set; lost draws herald nothing,
-    so every draw lost gives no operators and herald probability 0.
-    EncodingError if the Bell stage cannot tell an accepted outcome apart."""
+    Each operator is weighted by its draw's share and labelled with its
+    (outcome, pattern).  The draws without noise share one weighted operator
+    set; a lost draw heralds nothing, so an ensemble whose every draw is lost
+    gives the empty channel, herald probability 0.  EncodingError if the Bell
+    stage cannot tell an accepted outcome apart."""
     pipe = pipeline()
     accepted = pipe.stage.require_distinguishable(accepted)
-    draws = noise_draws(noise, n_draws)
+    if noise is None or noise.trivial:
+        draws = [IDEAL_DRAW]
+    else:
+        noise.validate()
+        draws = noise.draws(n_draws)
     w = 1.0 / len(draws)
     n_ideal = sum(d.trivial for d in draws)
     weighted = [(w * n_ideal, IDEAL_DRAW)] if n_ideal else []
@@ -437,18 +398,16 @@ def _heralded_channel(noise: NoiseSpec | None, n_draws: int, accepted) -> Herald
     return HeraldedChannel([k for _label, k in labelled], [label for label, _k in labelled])
 
 
-def heralded_ensemble(noise: NoiseSpec, v: np.ndarray, accepted,
-                      n_draws: int = DEFAULT_DRAWS) -> tuple[dict, dict]:
-    """The gate on joint input ``v``, averaged over ``n_draws`` noise draws.
+def heralded_ensemble(channel: HeraldedChannel, v: np.ndarray, accepted) -> tuple[dict, dict]:
+    """The gate on joint input ``v`` through ``channel``, a channel built
+    over both distinguishable outcomes.
 
-    Returns the analyzer-pattern probabilities sum ||K v||^2 over both
-    distinguishable outcomes, and for each accepted outcome that heralds,
+    Returns the analyzer-pattern probabilities sum ||K v||^2 over all of the
+    channel's operators, and for each accepted outcome that heralds,
     (rho, probability) with rho = sum K v v^dag K^dag / probability over
-    that outcome's operators.  Lost draws herald nothing.
+    that outcome's operators.
     """
-    stage = pipeline().stage
-    accepted = stage.require_distinguishable(accepted)
-    channel = _heralded_channel(noise, n_draws, stage.DISTINGUISHABLE)
+    accepted = pipeline().stage.require_distinguishable(accepted)
     out = (channel.kraus @ v[:, None])[..., 0]                      # K v per operator
     norms = (out.conj()[:, None, :] @ out[:, :, None]).real.ravel()  # np.vdot(K v, K v)
     projectors = out[:, :, None] * out.conj()[:, None, :]           # np.outer(K v, (K v)^*)
@@ -468,7 +427,11 @@ def heralded_ensemble(noise: NoiseSpec, v: np.ndarray, accepted,
 
 
 def process_fidelity(channel: HeraldedChannel, unitary: np.ndarray) -> float:
-    """Overlap of the conditional channel's process matrix with a unitary."""
+    """Overlap of the conditional channel's process matrix with a unitary.
+    EmptyPostSelection if the channel heralds nothing, so has no conditional
+    process to compare."""
+    if channel.herald_probability == 0.0:
+        raise EmptyPostSelection("the channel heralds nothing")
     traces = np.trace(unitary.conj().T @ channel.kraus, axis1=1, axis2=2)
     return float(np.sum(np.abs(traces / 16.0) ** 2)) / channel.herald_probability
 
@@ -511,9 +474,3 @@ def channel_bounds(channel: HeraldedChannel, pair: str = "zx") -> tuple[float, f
     (in1, t1), (in2, t2) = _bound_inputs(pair)
     return hofmann_bounds(channel_classical_fidelity(channel, in1, t1),
                           channel_classical_fidelity(channel, in2, t2))
-
-
-def loss_scaled_heralding(noise: NoiseSpec, n_draws: int = 200) -> float:
-    """Monte Carlo heralding probability including loss-failed shots."""
-    both = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
-    return _heralded_channel(noise, n_draws, both).herald_probability

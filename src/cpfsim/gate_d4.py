@@ -475,10 +475,11 @@ def _phased(state: MultiPhotonState, phase: list) -> MultiPhotonState:
     """``state`` after the per-mode phases ``phase`` (complex numbers by dense
     index): each term times the product of its modes' phases, repeated modes
     included, multiplied left to right as numpy's ``prod`` does."""
-    return MultiPhotonState(state.space, state.n,
-                            {cfg: amp * functools.reduce(operator.mul, [phase[i] for i in cfg])
-                             for cfg, amp in state.terms.items()},
-                            normalized=state.normalized)
+    return MultiPhotonState._trusted(
+        state.space, state.n,
+        {cfg: amp * functools.reduce(operator.mul, [phase[i] for i in cfg])
+         for cfg, amp in state.terms.items()},
+        state.normalized)
 
 
 @dataclass
@@ -711,8 +712,9 @@ def run_cpf_d4(
     input.
 
     Inputs are H-polarized alphabet photons (as SinglePhotonState or 4 level
-    amplitudes) or a joint 4x4 amplitude matrix.  Noisy runs average the
-    heralded channel over draws: :func:`cpfsim.analysis.heralded_ensemble`.
+    amplitudes) or a joint 4x4 amplitude matrix.  Noisy runs read the
+    channel averaged over draws: :func:`cpfsim.analysis.build_heralded_channel`
+    and :func:`cpfsim.analysis.heralded_ensemble`.
     """
     c = _coerce_input(in1, in4, joint)
     norm = np.linalg.norm(c)

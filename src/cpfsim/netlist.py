@@ -34,6 +34,10 @@ _BELL_NAMES = {o.value: o for o in BellOutcome}
 # builds is a PBS with four distinct ports, 8(2L+1) modes square; at L = 63
 # that complex matrix takes 16.5 MB, within a 16 MiB budget (L = 64 would not).
 MAX_TRUNCATION = 63
+# The most noise draws a netlist may ask for.  The channel keeps up to four
+# 16x16 complex operators, 16 KiB, for each unlost draw; 4096 draws take
+# 64 MiB.
+MAX_DRAWS = 4096
 # The largest |l| a source recipe puts its photon in, the truncation a
 # circuit needs to hold it: a data row's target levels, the auxiliary's terms.
 _RECIPE_REACH = {
@@ -196,7 +200,7 @@ SCHEMA = {
         "shots": _integer(0, 2**63 - 1),        # numpy's multinomial takes a C long
         "seed": _integer(0),
         "duration": _number, "setpoint": _number,
-        **_fields("noise.", NoiseSpec, skip=("seed",)), "noise.draws": _integer(1),
+        **_fields("noise.", NoiseSpec, skip=("seed",)), "noise.draws": _integer(1, MAX_DRAWS),
     },
     "lock": {**_fields("", LockParams), **_fields("drift.", DriftModel),
              **_fields("pid.", PidGains)},

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_DRAWS, full_fidelity_report, heralded_ensemble
+from .analysis import (DEFAULT_DRAWS, build_heralded_channel, full_fidelity_report,
+                       heralded_ensemble)
 from .elements import element_transform
 from .errors import CpfSimError, EmptyPostSelection
 from .fock import (
@@ -188,8 +189,8 @@ def _run_cpf(nl: Netlist) -> RunResult:
         per_outcome = {o: p for o, (_s, p) in run.per_outcome.items()}
         states = {o.value: s.to_json_entries() for o, (s, _p) in run.per_outcome.items()}
     else:
-        pattern_probs, outputs = heralded_ensemble(
-            noise, np.kron(v1, v4), accepted, nl.noise.get("draws", DEFAULT_DRAWS))
+        channel = build_heralded_channel(noise, nl.noise.get("draws", DEFAULT_DRAWS))
+        pattern_probs, outputs = heralded_ensemble(channel, np.kron(v1, v4), accepted)
         port_prob = float(sum(pattern_probs.values()))
         per_outcome = {o: p for o, (_rho, p) in outputs.items()}
         states = None
@@ -219,10 +220,9 @@ def _density_entries(rho: np.ndarray) -> list:
 
 
 def _run_fidelity(nl: Netlist) -> RunResult:
-    report = full_fidelity_report(
-        shots=nl.shots, noise=_noise_spec(nl), accepted=frozenset(nl.accept), seed=nl.seed,
-        n_draws=nl.noise.get("draws", DEFAULT_DRAWS),
-    )
+    channel = build_heralded_channel(_noise_spec(nl), nl.noise.get("draws", DEFAULT_DRAWS),
+                                     frozenset(nl.accept))
+    report = full_fidelity_report(channel, nl.shots, nl.seed)
     fid = report.to_json_dict()
     fid["outcome_rows"] = [
         {"basis": b, "input": i, "outcome": o, "probability": p,

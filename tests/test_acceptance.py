@@ -190,7 +190,7 @@ def test_criterion_4_cross_engine_equivalence(pipe):
 def test_criterion_5_flip_pattern(pipe):
     rows_ok = 0
     for name in ("ZX", "XZ"):
-        run = run_fidelity_experiment(name, accepted=BOTH)
+        run = run_fidelity_experiment(name, build_heralded_channel(accepted=BOTH))
         table = run.table
         for row in range(16):
             expect = np.zeros(16)
@@ -216,7 +216,7 @@ def test_criterion_6a_bound_arithmetic():
 
 
 def test_criterion_6b_noiseless_bounds(pipe):
-    report = full_fidelity_report()
+    report = full_fidelity_report(build_heralded_channel())
     ok = abs(report.lower - 1.0) < 1e-9 and abs(report.upper - 1.0) < 1e-9
     assert verdict("6b", ok,
                    f"noiseless bounds [{report.lower:.12f}, {report.upper:.12f}]")
@@ -240,18 +240,14 @@ def _random_specs(n):
 def noisy_channels(pipe):
     import dataclasses
 
-    from cpfsim.errors import EmptyPostSelection
-
     t0 = time.perf_counter()
     channels = []
     for spec in _random_specs(50):
         for bump in range(10):  # reseed the rare all-shots-lost ensembles
-            try:
-                ch = build_heralded_channel(
-                    dataclasses.replace(spec, seed=spec.seed + bump), n_draws=6)
+            ch = build_heralded_channel(
+                dataclasses.replace(spec, seed=spec.seed + bump), n_draws=6)
+            if ch.herald_probability != 0.0:
                 break
-            except EmptyPostSelection:
-                continue
         channels.append((spec, ch))
     print(f"[acceptance] built 50 noisy channels in "
           f"{time.perf_counter() - t0:.1f} s")
@@ -306,7 +302,7 @@ def test_criterion_6_support_conjugate_basis_containment(noisy_channels):
 
 
 def test_criterion_7_entangled_output(pipe, rng):
-    entries = superposition_suite()
+    entries = superposition_suite(build_heralded_channel())
     row7 = entries[6]
     exp_ok = all(abs(v - 1.0) < 1e-10 for v in row7.expectations.values())
 

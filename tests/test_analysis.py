@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpfsim.analysis import (
+    STATE_VECTORS,
     basis_table,
     build_heralded_channel,
     channel_bounds,
     entangled_target,
     expected_output_index,
     full_fidelity_report,
+    heralded_ensemble,
     hofmann_bounds,
     process_fidelity,
     run_fidelity_experiment,
@@ -138,7 +140,7 @@ def test_expected_output_flips():
 
 def test_flip_pattern_matrices_noiseless():
     for name in ("ZX", "XZ"):
-        run = run_fidelity_experiment(name, accepted=BOTH)
+        run = run_fidelity_experiment(name, build_heralded_channel(accepted=BOTH))
         table = run.table
         for row in range(16):
             expect = np.zeros(16)
@@ -148,7 +150,7 @@ def test_flip_pattern_matrices_noiseless():
 
 
 def test_noiseless_report_bounds_are_unity():
-    report = full_fidelity_report()
+    report = full_fidelity_report(build_heralded_channel())
     assert abs(report.f_zx - 1.0) < 1e-9
     assert abs(report.f_xz - 1.0) < 1e-9
     assert abs(report.lower - 1.0) < 1e-9 and abs(report.upper - 1.0) < 1e-9
@@ -157,7 +159,8 @@ def test_noiseless_report_bounds_are_unity():
 
 
 def test_shot_mode_statistics():
-    run = run_fidelity_experiment("ZX", shots=2000, seed=11, accepted=BOTH)
+    run = run_fidelity_experiment("ZX", build_heralded_channel(accepted=BOTH), shots=2000,
+                                  seed=11)
     assert run.counts is not None
     for row, counts in run.counts.items():
         assert sum(counts.values()) == 2000
@@ -169,7 +172,7 @@ def test_shot_mode_statistics():
 
 
 def test_superposition_suite_noiseless():
-    entries = superposition_suite()
+    entries = superposition_suite(build_heralded_channel())
     for e in entries[:6]:
         assert abs(e.fidelity - 1.0) < 1e-9
     row7 = entries[6]
@@ -198,13 +201,14 @@ def test_noiseless_channel_is_the_gate():
 
 @pytest.mark.parametrize("outcome", [BellOutcome.PsiPlus, BellOutcome.PsiMinus])
 def test_channel_refuses_outcomes_the_stage_cannot_tell_apart(outcome):
-    """Every experiment on the heralded channel refuses a Psi outcome rather
-    than reporting that it never heralds."""
+    """Both functions that take accepted outcomes, the channel builder and
+    the ensemble, refuse a Psi outcome rather than reporting that it never
+    heralds."""
     accepted = {BellOutcome.PhiPlus, outcome}
-    for run in (lambda: full_fidelity_report(accepted=accepted),
-                lambda: run_fidelity_experiment("ZX", accepted=accepted),
-                lambda: superposition_suite(accepted=accepted),
-                lambda: build_heralded_channel(accepted=accepted)):
+    channel = build_heralded_channel()
+    v = np.kron(STATE_VECTORS["z1"], STATE_VECTORS["x13+"])
+    for run in (lambda: build_heralded_channel(accepted=accepted),
+                lambda: heralded_ensemble(channel, v, accepted)):
         with pytest.raises(EncodingError, match="not unambiguously distinguished"):
             run()
 
@@ -260,10 +264,8 @@ def test_pairwise_x_lower_bound_blind_to_arm_jitter():
 
 
 def test_loss_scales_heralding(rng):
-    from cpfsim.analysis import loss_scaled_heralding
-
     p = 0.15
-    h = loss_scaled_heralding(NoiseSpec(loss=p, seed=21), n_draws=3000)
+    h = build_heralded_channel(NoiseSpec(loss=p, seed=21), n_draws=3000).herald_probability
     expect = (1 - p) ** 4 * 0.125
     sigma = math.sqrt(expect * 0.125 / 3000) + 0.125 * math.sqrt(
         (1 - p) ** 4 * (1 - (1 - p) ** 4) / 3000)
@@ -272,13 +274,13 @@ def test_loss_scales_heralding(rng):
 
 def test_shot_noise_scales_as_inverse_sqrt_shots():
     """Standard error of the sampled fidelity halves when shots quadruple."""
+    # the single fixed-seed noise draw pins the outcome matrix, so only the
+    # multinomial sampling varies with the seed
+    channel = build_heralded_channel(NoiseSpec(oam_dephasing=0.4, seed=5), n_draws=1,
+                                     accepted=BOTH)
+
     def estimate(shots, seed):
-        # the single fixed-seed noise draw pins the outcome matrix, so only
-        # the multinomial sampling varies with the seed
-        r = run_fidelity_experiment(
-            "ZX", shots=shots, seed=seed, accepted=BOTH,
-            noise=NoiseSpec(oam_dephasing=0.4, seed=5), n_draws=1)
-        return r.fidelity
+        return run_fidelity_experiment("ZX", channel, shots, seed).fidelity
 
     seeds = range(24)
     small = np.array([estimate(200, s) for s in seeds])

@@ -1,6 +1,6 @@
 """The stacked readout of the heralded channel against the per-row,
 per-operator reference form, its shared read-only inputs, empty channels,
-and the work a warm readout does."""
+and the work a readout of a built channel does."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from cpfsim.analysis import (
     superposition_suite,
 )
 from cpfsim.errors import EmptyPostSelection
+from cpfsim.gate_d4 import CpfPipeline
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome, cpf_oracle
 
@@ -91,7 +92,7 @@ def test_readout_matches_per_row_reference(channel, seed, rows, outputs, shared)
 @example(channel=ZERO_OPERATORS, name="XZ", shots=0, seed=0)
 def test_basis_run_matches_per_row_reference(channel, name, shots, seed):
     ops, labels = channel
-    run = analysis._basis_run(name, HeraldedChannel(ops, labels), shots, seed)
+    run = run_fidelity_experiment(name, HeraldedChannel(ops, labels), shots, seed)
     matrix, fidelity, herald, counts = reference_basis_run(basis_table(name), ops, shots, seed)
     assert run.matrix.tobytes() == matrix.tobytes()
     assert (run.fidelity, run.herald_probability, run.counts) == (fidelity, herald, counts)
@@ -108,7 +109,7 @@ def test_process_fidelity_and_bounds_match_reference(channel):
     assert abs(ch.herald_probability - herald) <= 1e-15 * max(herald, 1.0)
     u = cpf_oracle(4)
     if herald == 0.0:
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(EmptyPostSelection):
             process_fidelity(ch, u)
     else:
         assert abs(process_fidelity(ch, u) - reference_process_fidelity(ops, herald, u)) <= 1e-15
@@ -128,9 +129,7 @@ def test_ensemble_matches_per_operator_reference(channel, seed, accepted):
     ops, labels = channel
     ch = HeraldedChannel(ops, labels)
     v = np.random.default_rng(seed).normal(size=16) + 0j
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_heralded_channel", lambda *args: ch)
-        got_probs, got_out = heralded_ensemble(None, v, accepted)
+    got_probs, got_out = heralded_ensemble(ch, v, accepted)
     want_probs, want_out = reference_ensemble(ops, labels, v, accepted)
     assert list(got_probs.items()) == list(want_probs.items())
     assert list(got_out) == list(want_out)
@@ -145,7 +144,7 @@ def test_shared_inputs_are_read_only():
     later run."""
     arrays = list(STATE_VECTORS.values())
     for name in ("ZX", "XZ", "superpositions"):
-        arrays += analysis._table_inputs(basis_table(name))
+        arrays += analysis._table_inputs(name)
     for pair in ("zx", "fourier"):
         for inputs, targets in analysis._bound_inputs(pair):
             arrays += [inputs, targets]
@@ -157,22 +156,51 @@ def test_shared_inputs_are_read_only():
             a[(0,) * a.ndim] = 1.0
 
 
-def test_table_given_as_list_runs_as_its_tuple():
-    entries = list(basis_table("ZX").entries)
-    run = run_fidelity_experiment(analysis.BasisTable("ZX", entries))
-    assert run.matrix.tobytes() == run_fidelity_experiment("ZX").matrix.tobytes()
-
-
 def test_all_lost_ensemble_heralds_nothing():
+    """Every draw lost builds the empty channel: each readout gives zeros,
+    and only the process fidelity, which conditions on a herald, refuses."""
+    channel = build_heralded_channel(ALL_LOST, n_draws=3)
+    assert channel.kraus.shape == (0, 16, 16) and channel.labels == []
+    assert channel.herald_probability == 0.0
     with pytest.raises(EmptyPostSelection):
-        build_heralded_channel(ALL_LOST, n_draws=3)
-    run = run_fidelity_experiment("ZX", shots=100, noise=ALL_LOST, n_draws=3, seed=5)
+        process_fidelity(channel, cpf_oracle(4))
+    run = run_fidelity_experiment("ZX", channel, shots=100, seed=5)
     assert run.counts == {row: dict.fromkeys(range(16), 0) for row in range(16)}
     assert run.fidelity == 0.0 and run.herald_probability == 0.0
     assert not run.matrix.any()
-    entries = superposition_suite(noise=ALL_LOST, n_draws=3)
+    report = full_fidelity_report(channel)
+    assert (report.f_zx, report.f_xz, report.lower, report.upper) == (0.0,) * 4
+    assert channel_bounds(channel, "fourier") == (0.0, 0.0)
+    entries = superposition_suite(channel)
     assert [e.fidelity for e in entries] == [0.0] * 7
     assert entries[6].expectations is None and entries[6].stabilizer_estimate is None
+    v = np.kron(STATE_VECTORS["x13+"], STATE_VECTORS["x13+"])
+    assert heralded_ensemble(channel, v, frozenset(PHI)) == ({}, {})
+
+
+def test_built_channel_feeds_every_analysis_without_a_fock_pass(monkeypatch):
+    """Once a channel is built, no analysis of it runs the pipeline again:
+    the fidelity report, the superposition suite, both brackets, the process
+    fidelity and the ensemble make no transfer_operators call."""
+    spec = NoiseSpec(sigma_zeta=0.3, oam_dephasing=0.2, visibility=0.9, seed=4)
+    calls = []
+    real = CpfPipeline.transfer_operators
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CpfPipeline, "transfer_operators", counted)
+    channel = build_heralded_channel(spec, n_draws=3)
+    both = build_heralded_channel(spec, n_draws=3, accepted=frozenset(PHI))
+    assert len(calls) == 6
+    full_fidelity_report(channel, shots=50, seed=1)
+    superposition_suite(channel)
+    channel_bounds(channel, "zx")
+    channel_bounds(channel, "fourier")
+    process_fidelity(channel, cpf_oracle(4))
+    heralded_ensemble(both, np.kron(STATE_VECTORS["z3"], STATE_VECTORS["x13+"]), PHI[:1])
+    assert len(calls) == 6
 
 
 def test_warm_readout_takes_one_product_per_basis(monkeypatch):
@@ -180,8 +208,7 @@ def test_warm_readout_takes_one_product_per_basis(monkeypatch):
     fidelity report and of the Fourier bracket is read in one product with
     the Kraus stack: no np.kron, no single operator taken from the stack."""
     channel = build_heralded_channel(NoiseSpec(sigma_zeta=0.3, visibility=0.9, seed=2), n_draws=2)
-    monkeypatch.setattr(analysis, "_heralded_channel", lambda *args: channel)
-    want = (full_fidelity_report(), channel_bounds(channel, "fourier"))
+    want = (full_fidelity_report(channel), channel_bounds(channel, "fourier"))
     touches = []
 
     class WatchedStack(np.ndarray):
@@ -205,7 +232,7 @@ def test_warm_readout_takes_one_product_per_basis(monkeypatch):
 
     channel.kraus = channel.kraus.view(WatchedStack)
     monkeypatch.setattr(np, "kron", kron)
-    report = full_fidelity_report()
+    report = full_fidelity_report(channel)
     assert touches == ["matmul", "matmul"]
     assert channel_bounds(channel, "fourier") == want[1]
     assert touches == ["matmul"] * 4

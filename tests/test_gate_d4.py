@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from cpfsim import elements as el
 from cpfsim import fock, gate_d4
-from cpfsim.analysis import heralded_ensemble
+from cpfsim.analysis import build_heralded_channel, heralded_ensemble
 from cpfsim.errors import EmptyPostSelection, EncodingError, PatternMismatch
 from cpfsim.fock import (
     DetectionPattern,
@@ -454,10 +454,11 @@ def test_ensemble_matches_direct_fock_evolution(pipe):
     spec = NoiseSpec(sigma_zeta=0.4, oam_dephasing=0.3, visibility=0.8, loss=0.1, seed=17)
     draws = spec.draws(4)
     assert 0 < sum(d.lost for d in draws) < len(draws)
+    channel = build_heralded_channel(spec, 4)
     for _ in range(2):
         c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         c /= np.linalg.norm(c)
-        pattern_probs, per_outcome = heralded_ensemble(spec, c.reshape(-1), BOTH, n_draws=4)
+        pattern_probs, per_outcome = heralded_ensemble(channel, c.reshape(-1), BOTH)
         want_probs: dict = {}
         want_rho: dict = {}
         for draw in draws:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpfsim.analysis import full_fidelity_report
+from cpfsim.analysis import build_heralded_channel
 from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE, REQUIRED, parse_descriptor
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
@@ -120,9 +120,12 @@ _VALUE_DEFECTS = [
      "[elements]\nHWP(angle=0.1) @ A\n[run]\ntask circuit",
      "truncation: expects an integer in [0, 63]"),
     ("[run]\nduration nan", "duration: expects a finite number"),
-    ("[run]\nnoise.draws 0", "noise.draws: expects an integer >= 1"),
-    ("[run]\nnoise.draws -3", "noise.draws: expects an integer >= 1"),
-    ("[run]\nnoise.draws 2.5", "noise.draws: expects an integer >= 1"),
+    ("[run]\nnoise.draws 0", "noise.draws: expects an integer in [1, 4096]"),
+    ("[run]\nnoise.draws -3", "noise.draws: expects an integer in [1, 4096]"),
+    ("[run]\nnoise.draws 2.5", "noise.draws: expects an integer in [1, 4096]"),
+    # would keep up to four 16x16 operators per draw without the bound
+    ("[run]\ntask fidelity\nnoise.sigma_zeta 0.1\nnoise.draws 4097",
+     "noise.draws: expects an integer in [1, 4096]"),
     ("[run]\nmode shotz", "unknown mode 'shotz'"),
     ("[run]\nseed -1", "seed: expects an integer >= 0"),
     ("[space]\npaths A A", "expects distinct path names"),
@@ -493,6 +496,14 @@ def test_truncation_bound(tmp_path, capsys, monkeypatch):
     assert max(job.meta["truncation"] for job in deck) <= netlist.MAX_TRUNCATION
 
 
+def test_draws_bound_admits_max_draws():
+    """MAX_DRAWS itself parses in both front ends; one more is a defect row."""
+    body = f"[run]\ntask fidelity\nnoise.sigma_zeta 0.1\nnoise.draws {netlist.MAX_DRAWS}\n"
+    assert netlist.MAX_DRAWS == 4096
+    assert parse_netlist("version 1\n" + body).ok
+    assert parse_netlist_json(json.dumps(_json_form(body))).ok
+
+
 _CHAIN_ELEMENTS = st.one_of(
     st.integers(-3, 3).map(lambda k: f"QP(q={k / 2:g})"),
     st.integers(-3, 3).map(lambda k: f"SPP(dl={k})"),
@@ -604,7 +615,7 @@ def test_readme_key_table_matches_schema():
     for prefix, cls in (("noise.", NoiseSpec), ("", LockParams), ("drift.", DriftModel),
                         ("pid.", PidGains)):
         defaults.update({prefix + f.name: f.default for f in fields(cls)})
-    defaults["noise.draws"] = inspect.signature(full_fidelity_report).parameters[
+    defaults["noise.draws"] = inspect.signature(build_heralded_channel).parameters[
         "n_draws"].default
     for _, _, key, cell, _ in rows:
         try:

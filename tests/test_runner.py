@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpfsim.analysis import DEFAULT_DRAWS, STATE_VECTORS, heralded_ensemble
+from cpfsim.analysis import (DEFAULT_DRAWS, STATE_VECTORS, build_heralded_channel,
+                             heralded_ensemble)
 from cpfsim.cli import main as cli_main
 from cpfsim import elements, gate_d4, netlist, runner
 from cpfsim.elements import parse_descriptor
@@ -313,7 +314,7 @@ def test_noisy_cpf_one_draw_is_that_draw(cpf_netlist, pipe):
         pattern_want[pattern] = np.vdot(amps, amps).real
         outcome_want[outcome] = outcome_want.get(outcome, 0.0) + pattern_want[pattern]
         first.setdefault(outcome, amps / np.linalg.norm(amps))
-    pattern_probs, _ = heralded_ensemble(spec, c, BOTH, n_draws=1)
+    pattern_probs, _ = heralded_ensemble(build_heralded_channel(spec, 1), c, BOTH)
     assert set(pattern_probs) == set(pattern_want)
     for pattern, p in pattern_want.items():
         assert abs(pattern_probs[pattern] - p) < 1e-12
