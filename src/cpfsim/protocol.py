@@ -13,6 +13,7 @@ ground truth used across the package.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,11 +165,23 @@ def subspace_hadamard(p: int, d: int) -> np.ndarray:
     return h
 
 
+# Correction pairs correction_factors keeps, the least recently used dropped
+# first: room for the four outcomes at several dimensions.
+CORRECTION_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=CORRECTION_CACHE_SIZE)
 def correction_factors(outcome: BellOutcome, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local corrections (on system 1, on system 4) for one Bell outcome."""
+    """Local corrections (on system 1, on system 4) for one Bell outcome.
+
+    Built once per (outcome, d), up to :data:`CORRECTION_CACHE_SIZE` pairs,
+    and shared by later calls, so both factors are read-only.
+    """
     flip = np.eye(d, dtype=complex)
     flip[d - 1, d - 1] = -1.0
+    flip.setflags(write=False)
     eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)
     return {
         BellOutcome.PhiPlus: (eye, eye),
         BellOutcome.PhiMinus: (flip, eye),

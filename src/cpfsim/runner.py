@@ -66,6 +66,8 @@ class RunResult:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_NONE = type(None)
+_BULK_TYPES = frozenset((float, str, int, _NONE, dict))
 
 
 def _rounded_float(x: float) -> str:
@@ -80,57 +82,99 @@ def _dump_json(obj) -> str:
     """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with
     every float value rounded to 12 significant digits, written in one pass
     (the stdlib's indenting encoder is pure Python and walks a rounded copy)."""
-    parts: list[str] = []
-    _write_json(obj, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    return _text(obj, "\n") + "\n"
 
 
-def _write_json(o, nl: str, put) -> None:
-    """Pass the text of ``o`` to ``put``, piece by piece; ``nl`` is a newline
-    and the indentation of the line ``o`` starts on.  A plain function, not a
-    closure over itself: such a closure is a reference cycle that keeps the
-    pieces alive until the cyclic collector runs."""
-    if isinstance(o, float):
-        put(_rounded_float(o))
-    elif isinstance(o, str):
-        put(_encode_str(o))
-    elif o is None:
-        put("null")
-    elif o is True:
-        put("true")
-    elif o is False:
-        put("false")
-    elif isinstance(o, int):
-        put(int.__repr__(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            put("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in o:
-            put(sep)
-            _write_json(v, inner, put)
-            sep = "," + inner
-        put(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            put("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
+def _key_error(k) -> TypeError:
+    """Every key of a result is a string; any other key is refused."""
+    return TypeError(f"keys must be str, not {k.__class__.__name__}")
+
+
+def _text(o, nl: str) -> str:
+    """The JSON text of ``o``; ``nl`` is a newline and the indentation of the
+    line ``o`` starts on.  Plain functions, not closures over themselves:
+    such a closure is a reference cycle that keeps its pieces alive until the
+    cyclic collector runs."""
+    t = type(o)
+    if t is float:
+        return _rounded_float(o)
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(o, float):
+            return _rounded_float(o)
+        if isinstance(o, str):
+            return _encode_str(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, dict):
+            t = dict
+        elif not isinstance(o, (list, tuple)):
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = nl + "  "
+    if t is dict:
+        parts = []
         for k, v in sorted(o.items()):
             if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-            put(sep)
-            put(_encode_str(k))
-            put(": ")
-            _write_json(v, inner, put)
-            sep = "," + inner
-        put(nl + "}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+                raise _key_error(k)
+            parts.append(f"{inner}{_encode_str(k)}: {_text(v, inner)}")
+        return "{" + ",".join(parts) + nl + "}"
+    return "[" + inner + ("," + inner).join(_items(o, inner)) + nl + "]"
+
+
+def _items(xs, nl: str):
+    """The texts of the values ``xs``, each starting a line indented as
+    ``nl``.  A run of one exact type is spelled in bulk: floats rounded in one
+    ``%`` format (value by value if one is not finite), strings, ints and
+    nulls by one ``map``, and dicts that share one key set column by column,
+    each record filling one row template.  Anything else (bools, subclasses
+    such as ``np.float64``, mixed runs) goes value by value through
+    :func:`_text`."""
+    # First and last item first: most mixed runs (a state entry's int, int,
+    # np.float64, np.float64) fail that test without building a set.
+    t = type(xs[0])
+    if type(xs[-1]) is t and t in _BULK_TYPES and len(set(map(type, xs))) == 1:
+        if t is float:
+            rounded = ("%.12g," * len(xs)) % tuple(xs)
+            if "n" in rounded:      # nan or inf
+                return map(_rounded_float, xs)
+            return map(float.__repr__, map(float, rounded[:-1].split(",")))
+        if t is str:
+            return map(_encode_str, xs)
+        if t is int:
+            return map(int.__repr__, xs)
+        if t is _NONE:
+            return ["null"] * len(xs)
+        if t is dict:
+            keys = xs[0].keys()
+            if keys and all(map(keys.__eq__, map(dict.keys, xs))):
+                keys = sorted(keys)
+                for k in keys:
+                    if not isinstance(k, str):
+                        raise _key_error(k)
+                inner = nl + "  "
+                # The keys are spelled into the template; a value is only
+                # substituted, so only a key's '%' needs escaping.
+                row = "{" + ",".join([f"{inner}{_encode_str(k).replace('%', '%%')}: %s"
+                                      for k in keys]) + nl + "}"
+                columns = [_items([d[k] for d in xs], inner) for k in keys]
+                return map(row.__mod__, zip(*columns))
+    # A loop, not a comprehension: in Python 3.11 a comprehension is one more
+    # call, which costs the small documents more than it saves.
+    out = []
+    for v in xs:
+        out.append(_text(v, nl))
+    return out
 
 
 def _provenance(nl: Netlist) -> dict:

@@ -1,5 +1,6 @@
 """Byte-stable outputs: pinned result files, and the one-pass JSON writer
-against the stdlib form it replaces."""
+(with its bulk spelling of float, string, int, null and record runs) against
+the stdlib form it replaces."""
 
 import gc
 import hashlib
@@ -7,6 +8,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -130,8 +132,73 @@ def test_json_writer_matches_stdlib_form(obj):
     assert _dump_json(obj) == _stdlib_form(obj)
 
 
+# Floats where the bulk rounding could part from the per-value one: not
+# finite, signed zero, the smallest subnormal, and [1e12, 1e16), where
+# ``%.12g`` switches to an exponent and ``repr`` does not.
+_edge_floats = (st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                                   1e12, 999999999999.5, 1e16 - 2.0, 0.1 + 0.2])
+                | st.floats(min_value=1e12, max_value=1e16, exclude_max=True)
+                | st.floats(min_value=-1e16, max_value=-1e12, exclude_min=True))
+
+
+@st.composite
+def _float_runs(draw):
+    """A long all-float list, sometimes with one ``np.float64`` mixed in."""
+    xs = draw(st.lists(_edge_floats, min_size=1, max_size=80))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(xs)))
+        xs.insert(i, np.float64(draw(_edge_floats)))
+    return xs
+
+
+# Keys that the row template must spell literally: '%' sequences, quotes,
+# escapes, non-ASCII text and the empty key.
+_record_keys = (st.sampled_from(["%", "%s", "%%", "a%d", '"', 'q"%"', "\\", "é", "☃",
+                                 "\U0001f600", "", "count", "probability"])
+                | st.text(max_size=4))
+_column_kinds = st.sampled_from([
+    st.none(), st.integers(), st.booleans(), _edge_floats, st.text(max_size=5),
+    _values, st.none() | st.integers()])
+
+
+@st.composite
+def _records(draw):
+    """Dicts sharing one key set, each built in its own insertion order;
+    most columns hold one kind of value, some mix kinds or nest."""
+    keys = draw(st.lists(_record_keys, min_size=1, max_size=5, unique=True))
+    kinds = {k: draw(_column_kinds) for k in keys}
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        rows.append({k: draw(kinds[k]) for k in draw(st.permutations(keys))})
+    return rows
+
+
+_bulk_documents = st.one_of(
+    _float_runs(), _records(),
+    _float_runs().map(lambda xs: {"m": [xs, xs[:1]], "n": (xs,)}),
+    _records().map(lambda rows: {"rows": rows, "nested": [[rows]]}),
+    st.lists(st.text(max_size=4) | st.none() | st.integers(), min_size=1, max_size=1),
+    st.lists(st.none(), min_size=1, max_size=20),
+    st.lists(st.integers(), min_size=1, max_size=20),
+    st.lists(st.text(max_size=4), min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_bulk_documents)
+@example(obj=[0.5])
+@example(obj=[{"%s": 1.5}])
+@example(obj=[{"a": 1, "b": None}, {"b": 2, "a": None}])
+@example(obj=[1e15, 123456789012.5, -0.0, 5e-324, math.nan])
+@example(obj=[0.25, np.float64(0.1 + 0.2), 1e13])
+@example(obj=[{}, {}])
+def test_json_writer_bulk_runs_match_stdlib_form(obj):
+    assert _dump_json(obj) == _stdlib_form(obj)
+
+
 def test_json_writer_refuses_what_json_refuses():
-    for obj in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
+    for obj in ({(1, 2): 0}, [object()], {"a": {1, 2}}, [0.5, object(), 1.5],
+                [{"a": 0.5}, {"a": object()}]):
         with pytest.raises(TypeError):
             _stdlib_form(obj)
         with pytest.raises(TypeError):
@@ -140,18 +207,22 @@ def test_json_writer_refuses_what_json_refuses():
 
 def test_json_writer_takes_only_str_keys():
     """Every key of a result is a string; any other key is refused, not
-    spelled."""
-    with pytest.raises(TypeError, match="keys must be str"):
-        _dump_json({"a": {1: 0.5}})
+    spelled, in a lone dict and in a list of dicts sharing their keys."""
+    for obj in ({"a": {1: 0.5}}, [{1: 0.5}, {1: 0.25}], {"rows": [{2: "x"}]}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _dump_json(obj)
 
 
 def test_json_writer_leaves_no_cyclic_garbage():
     """Garbage that only the cyclic collector frees piles up between its
     runs: a self-referencing writer raised peak memory with run length."""
+    doc = {"a": [1.0, {"b": [2.0, "c"]}], "d": (),
+           "rows": [{"p": 0.5, "s": "x", "n": None}, {"n": 3, "s": "y", "p": math.nan}],
+           "matrix": [[0.25 * i + j for j in range(4)] for i in range(4)]}
     gc.collect()
     gc.disable()
     try:
-        _dump_json({"a": [1.0, {"b": [2.0, "c"]}], "d": ()})
+        _dump_json(doc)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -176,3 +176,15 @@ def test_correction_unitary_is_kron_of_factors(outcome, d):
     got = correction_unitary(outcome, d)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("outcome", list(BellOutcome))
+def test_correction_factors_are_shared_read_only(outcome):
+    """The factors are built once per (outcome, d) and shared by every
+    caller, so writing to one raises instead of changing later gates."""
+    u1, u4 = correction_factors(outcome, 4)
+    assert correction_factors(outcome, 4)[0] is u1
+    for u in (u1, u4):
+        with pytest.raises(ValueError):
+            u[0, 0] = 2.0
+    assert correction_unitary(outcome, 4).flags.writeable
