@@ -44,77 +44,57 @@ DEFAULT_DRAWS = 32
 
 Z_ORDER = ("z0", "z1", "z2", "z3")
 X_ORDER = ("x02+", "x02-", "x13+", "x13-")
-_X_FLIP = {"x13+": "x13-", "x13-": "x13+", "x02+": "x02+", "x02-": "x02-"}
+F_ORDER = ("f0", "f1", "f2", "f3")
 
 
 def fourier_states() -> list[np.ndarray]:
     """Conjugate (Fourier) basis of the four levels; unbiased to Z."""
-    out = []
-    for k in range(4):
-        v = np.array([np.exp(2j * math.pi * k * l / 4) for l in range(4)]) / 2.0
-        out.append(v)
-    return out
+    return [np.array([np.exp(2j * math.pi * k * l / 4) for l in range(4)]) / 2.0
+            for k in range(4)]
 
 
-@dataclass(frozen=True)
+#: Rows of each named table, (photon-1 key, photon-4 key) product inputs.
+#: ZX/XZ give the fidelity experiments and the reported bracket, ZF/FZ the
+#: fully conjugate bracket; the superposition row 7 exits entangled.
+_TABLE_ENTRIES = {
+    "ZX": tuple((a, b) for a in Z_ORDER for b in X_ORDER),
+    "XZ": tuple((a, b) for a in X_ORDER for b in Z_ORDER),
+    "ZF": tuple((a, b) for a in Z_ORDER for b in F_ORDER),
+    "FZ": tuple((a, b) for a in F_ORDER for b in Z_ORDER),
+    "superpositions": (("x02+", "s23"), ("x02+", "s12"), ("x02+", "x02+"), ("x02+", "x13+"),
+                       ("x13+", "s12"), ("x13+", "x02+"), ("x13+", "x13+")),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class BasisTable:
-    """Ordered list of (photon-1 key, photon-4 key) product inputs."""
+    """A named table of product inputs and what the CPF oracle makes of them.
+
+    ``inputs`` and ``outputs`` are the read-only (rows, 16) joint inputs and
+    their ``cpf_oracle`` outputs; ``expected[row]`` is the row whose input
+    the output equals up to a global phase (the oracle only flips signs), or
+    -1 if the output is not a row of the table.
+    """
 
     name: str
     entries: tuple
-
-    def vectors(self):
-        return [(STATE_VECTORS[a], STATE_VECTORS[b]) for a, b in self.entries]
-
-
-def zx_table() -> BasisTable:
-    return BasisTable("ZX", tuple((a, b) for a in Z_ORDER for b in X_ORDER))
-
-
-def xz_table() -> BasisTable:
-    return BasisTable("XZ", tuple((a, b) for a in X_ORDER for b in Z_ORDER))
-
-
-def superposition_table() -> BasisTable:
-    """The seven superposition inputs; row 7 produces the entangled output."""
-    return BasisTable("superpositions", (
-        ("x02+", "s23"),
-        ("x02+", "s12"),
-        ("x02+", "x02+"),
-        ("x02+", "x13+"),
-        ("x13+", "s12"),
-        ("x13+", "x02+"),
-        ("x13+", "x13+"),
-    ))
-
-
-def basis_table(name: str) -> BasisTable:
-    return {"ZX": zx_table, "XZ": xz_table, "superpositions": superposition_table}[name]()
-
-
-def expected_output_index(table: BasisTable, row: int) -> int:
-    """Index of the expected outcome for one input row (flip pattern).
-
-    Only the inputs combining the top level |3> on one photon with a
-    same-parity superposition of levels 1 and 3 on the other change: their
-    superposition sign flips.  Everything else maps to itself.
-    """
-    a, b = table.entries[row]
-    if table.name == "ZX" and a == "z3":
-        b = _X_FLIP[b]
-    elif table.name == "XZ" and b == "z3":
-        a = _X_FLIP[a]
-    return table.entries.index((a, b))
+    inputs: np.ndarray
+    outputs: np.ndarray
+    expected: np.ndarray
 
 
 @functools.cache
-def _table_inputs(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only joint input vectors of a named table's rows, (rows, 16), and
-    the expected outcome index of each row; built once per table."""
-    table = basis_table(name)
-    inputs = np.array([np.kron(v1, v4) for v1, v4 in table.vectors()])
-    expected = np.array([expected_output_index(table, row) for row in range(len(inputs))])
-    return _read_only(inputs), _read_only(expected)
+def basis_table(name: str) -> BasisTable:
+    """The named table, built once per process."""
+    entries = _TABLE_ENTRIES[name]
+    vectors = {**STATE_VECTORS, **dict(zip(F_ORDER, fourier_states()))}
+    inputs = np.array([np.kron(vectors[a], vectors[b]) for a, b in entries])
+    u = cpf_oracle(4)
+    outputs = np.array([u @ v for v in inputs])
+    hits = np.isclose(np.abs(outputs @ inputs.conj().T), 1.0)
+    expected = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    return BasisTable(name, entries, _read_only(inputs), _read_only(outputs),
+                      _read_only(expected))
 
 
 def hofmann_bounds(f_zx: float, f_xz: float) -> tuple[float, float]:
@@ -162,8 +142,14 @@ def run_fidelity_experiment(basis: str, channel: HeraldedChannel,
 
     ``shots == 0`` is analytic mode (exact outcome distributions); otherwise
     each input row is sampled with a multinomial of the given size.
+    ValueError if the gate takes some row of the table out of the table, so
+    the table has no flip pattern to score.
     """
-    inputs, expected = _table_inputs(basis)
+    table = basis_table(basis)
+    if (table.expected < 0).any():
+        raise ValueError(f"the gate takes some {basis} inputs out of the table;"
+                         " it has no flip pattern to score")
+    inputs, expected = table.inputs, table.expected
     n = len(inputs)
     matrix, heralds = channel.readout(inputs, inputs)
     herald_probability = _running_sum(heralds) / n
@@ -177,7 +163,7 @@ def run_fidelity_experiment(basis: str, channel: HeraldedChannel,
         fidelity = float(np.mean(est))
     else:
         fidelity = float(np.mean(matrix[np.arange(n), expected]))
-    return BasisRun(basis_table(basis), matrix, fidelity, herald_probability,
+    return BasisRun(table, matrix, fidelity, herald_probability,
                     counts if shots else None)
 
 
@@ -210,28 +196,25 @@ class FidelityReport:
                    zx.counts, xz.counts)
 
     def to_json_dict(self) -> dict:
+        """The result's ``fidelity`` object: both matrices and one outcome
+        record per input x outcome, its probability and sampled count."""
+        matrices = {"ZX": self.matrix_zx.tolist(), "XZ": self.matrix_xz.tolist()}
+        rows = []
+        for name, counts in (("ZX", self.counts_zx), ("XZ", self.counts_xz)):
+            labels = [f"{a}|{b}" for a, b in basis_table(name).entries]
+            for i, (label, probs) in enumerate(zip(labels, matrices[name])):
+                rows += [{"basis": name, "input": label, "outcome": outcome, "probability": p,
+                          "count": counts[i].get(j, 0) if counts else None}
+                         for j, (outcome, p) in enumerate(zip(labels, probs))]
         return {
             "f_zx": self.f_zx,
             "f_xz": self.f_xz,
             "bounds": {"lower": self.lower, "upper": self.upper},
             "herald_probability": self.herald_probability,
-            "matrix_zx": self.matrix_zx.tolist(),
-            "matrix_xz": self.matrix_xz.tolist(),
+            "matrix_zx": matrices["ZX"],
+            "matrix_xz": matrices["XZ"],
+            "outcome_rows": rows,
         }
-
-    def outcome_rows(self):
-        """One record per input x outcome: probability plus sampled count."""
-        rows = []
-        for name, matrix, counts in (("ZX", self.matrix_zx, self.counts_zx),
-                                     ("XZ", self.matrix_xz, self.counts_xz)):
-            table = basis_table(name)
-            labels = [f"{a}|{b}" for a, b in table.entries]
-            for i, in_label in enumerate(labels):
-                for j, out_label in enumerate(labels):
-                    count = counts[i].get(j, 0) if counts else None
-                    rows.append((name, in_label, out_label,
-                                 float(matrix[i, j]), count))
-        return rows
 
 
 def full_fidelity_report(channel: HeraldedChannel, shots: int = 0,
@@ -290,18 +273,13 @@ class SuiteEntry:
 
 @functools.cache
 def _suite_inputs() -> tuple:
-    """Read-only inputs of the superposition table, (rows, 16), with their
-    oracle outputs, (rows, 1, 16); the names of the three stabilizer settings
-    with their stacked eigenbases, (3, 16, 16), and eigenvalues, (3, 16)."""
-    inputs, _expected = _table_inputs("superpositions")
-    u = cpf_oracle(4)
-    targets = np.array([[u @ v] for v in inputs])
+    """The names of the three stabilizer settings with their read-only
+    stacked eigenbases, (3, 16, 16), and eigenvalues, (3, 16)."""
     settings = stabilizer_settings()
     eigs = [np.linalg.eigh(op) for op in settings.values()]
     eigvecs = np.array([vecs.T for _vals, vecs in eigs])
     eigvals = np.array([vals for vals, _vecs in eigs])
-    return (inputs, _read_only(targets), tuple(settings),
-            _read_only(eigvecs), _read_only(eigvals))
+    return tuple(settings), _read_only(eigvecs), _read_only(eigvals)
 
 
 def superposition_suite(channel: HeraldedChannel) -> list[SuiteEntry]:
@@ -311,14 +289,15 @@ def superposition_suite(channel: HeraldedChannel) -> list[SuiteEntry]:
     against the entangled target, both by direct overlap and through the
     three stabilizer averages.
     """
-    table = superposition_table()
-    inputs, targets, names, eigvecs, eigvals = _suite_inputs()
-    probs, heralds = channel.readout(inputs, targets)
+    table = basis_table("superpositions")
+    names, eigvecs, eigvals = _suite_inputs()
+    probs, heralds = channel.readout(table.inputs, table.outputs[:, None, :])
     entries = [SuiteEntry(row + 1, keys, float(p))
                for row, (keys, p) in enumerate(zip(table.entries, probs[:, 0]))]
     if heralds[6]:
         # row 7 once per stabilizer setting, each against its eigenbasis
-        stab, _heralds = channel.readout(np.repeat(inputs[6:7], len(eigvecs), axis=0), eigvecs)
+        stab, _heralds = channel.readout(np.repeat(table.inputs[6:7], len(eigvecs), axis=0),
+                                         eigvecs)
         exps = {k: float(vals @ p)
                 for k, vals, p in zip(names, eigvals, stab)}
         entries[6].expectations = exps
@@ -436,41 +415,19 @@ def process_fidelity(channel: HeraldedChannel, unitary: np.ndarray) -> float:
     return float(np.sum(np.abs(traces / 16.0) ** 2)) / channel.herald_probability
 
 
-def channel_classical_fidelity(
-    channel: HeraldedChannel, inputs: np.ndarray, targets: np.ndarray
-) -> float:
-    """Mean probability of the target output over a set of input states."""
-    probs, _heralds = channel.readout(inputs, np.asarray(targets)[:, None, :])
-    return _running_sum(probs[:, 0]) / len(probs)
-
-
-@functools.cache
-def _bound_inputs(pair: str) -> tuple:
-    """Read-only ((inputs, oracle targets), (inputs, oracle targets)) of the
-    two product bases of a Hofmann pair, first photon in Z, then second."""
-    z = [STATE_VECTORS[k] for k in Z_ORDER]
-    if pair == "zx":
-        x = [STATE_VECTORS[k] for k in X_ORDER]
-    elif pair == "fourier":
-        x = fourier_states()
-    else:
-        raise ValueError(f"unknown basis pair {pair!r}")
-    u = cpf_oracle(4)
-    runs = []
-    for first, second in ((z, x), (x, z)):
-        inputs = np.array([np.kron(a, b) for a in first for b in second])
-        targets = np.array([u @ v for v in inputs])
-        runs.append((_read_only(inputs), _read_only(targets)))
-    return tuple(runs)
-
-
 def channel_bounds(channel: HeraldedChannel, pair: str = "zx") -> tuple[float, float]:
-    """Hofmann bracket for a channel from two complementary basis runs.
+    """Hofmann bracket for a channel from two complementary basis runs, each
+    the mean probability of the oracle output over its table's inputs.
 
     ``pair='zx'`` uses the pairwise-superposition X states (the bracket
     reported by the fidelity experiments); ``pair='fourier'`` uses the fully
     conjugate basis, for which the lower bound holds for every channel.
     """
-    (in1, t1), (in2, t2) = _bound_inputs(pair)
-    return hofmann_bounds(channel_classical_fidelity(channel, in1, t1),
-                          channel_classical_fidelity(channel, in2, t2))
+    names = {"zx": ("ZX", "XZ"), "fourier": ("ZF", "FZ")}.get(pair)
+    if names is None:
+        raise ValueError(f"unknown basis pair {pair!r}")
+    fidelities = []
+    for table in map(basis_table, names):
+        probs, _heralds = channel.readout(table.inputs, table.outputs[:, None, :])
+        fidelities.append(_running_sum(probs[:, 0]) / len(probs))
+    return hofmann_bounds(*fidelities)

@@ -18,6 +18,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
+from .analysis import DEFAULT_DRAWS
 from .elements import DescriptorError, element_transform, parse_descriptor, spec_problem
 from .errors import CpfSimError, TruncationOverflow
 from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
@@ -226,20 +227,37 @@ TASK_TABLE = (
 _DEFAULT = Netlist()
 
 
+def _value_problems(nl: Netlist) -> list[str]:
+    """The values that size the run, read again (a Netlist changed after
+    parsing skipped their readers), and the ranges of the noise, lock, drift
+    and PID settings, which their dataclasses check."""
+    checks = [(key, SCHEMA[section][key], getattr(nl, key))
+              for section, key in (("space", "truncation"), ("run", "shots"), ("run", "seed"))]
+    checks += [
+        ("noise.draws", SCHEMA["run"]["noise.draws"], nl.noise.get("draws", DEFAULT_DRAWS)),
+        ("noise", lambda d: NoiseSpec(**d).validate(),
+         {k: v for k, v in nl.noise.items() if k != "draws"}),
+        ("lock", lambda d: check_lock_run(LockParams(**d), nl.duration), nl.lock),
+        ("drift", lambda d: DriftModel(**d).validate(), nl.drift),
+        ("pid", lambda d: PidGains(**d).validate(), nl.pid),
+    ]
+    problems = []
+    for name, check, value in checks:
+        try:
+            check(value)
+        except (TypeError, ValueError) as e:
+            problems.append(f"{name}: {e}")
+    return problems
+
+
 def task_problems(nl: Netlist) -> list[str]:
-    """Why task ``nl.task`` cannot run ``nl``: the parts it sets that the task
-    does not read (:data:`TASK_TABLE`) and the task's rules on those it does,
-    for cpf_d4 the gate's fixed wiring.  Never raises."""
+    """Why task ``nl.task`` cannot run ``nl``: its values out of range, else
+    the parts it sets that the task does not read (:data:`TASK_TABLE`) and
+    the task's rules on those it does, for cpf_d4 the gate's fixed wiring.
+    Never raises."""
     if nl.task not in KNOWN_TASKS:
         return [f"unknown task {nl.task!r}"]
-    # a Netlist changed after parsing skipped the readers of the values that
-    # size the run; read them again before anything is built from them
-    problems = []
-    for section, key in (("space", "truncation"), ("run", "shots"), ("run", "seed")):
-        try:
-            SCHEMA[section][key](getattr(nl, key))
-        except (TypeError, ValueError) as e:
-            problems.append(f"{key}: {e}")
+    problems = _value_problems(nl)
     if problems:
         return problems
     problems = [f"task {nl.task} runs no {part}; tasks that do: {', '.join(readers)}"
@@ -409,8 +427,8 @@ def parse_netlist(text: str) -> ParseResult:
 
 
 def _finish(nl: Netlist, diags: list) -> ParseResult:
-    """Checks across values (declared paths, the dataclasses' ranges) and,
-    once every value has read, the task's (:func:`task_problems`)."""
+    """Checks across values (declared paths, the value checks of
+    :func:`task_problems`) and, once every value has read, the task's."""
     def err(msg, severity="error"):
         diags.append(Diagnostic(0, 0, msg, severity))
 
@@ -425,15 +443,8 @@ def _finish(nl: Netlist, diags: list) -> ParseResult:
     for path in nl.pattern:
         if declared and path not in declared:
             err(f"detection pattern names undeclared path {path!r}")
-    noise = NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"})
-    for group, check in (("noise", noise.validate),
-                         ("lock", lambda: check_lock_run(LockParams(**nl.lock), nl.duration)),
-                         ("drift", DriftModel(**nl.drift).validate),
-                         ("pid", PidGains(**nl.pid).validate)):
-        try:
-            check()
-        except ValueError as e:
-            err(f"{group}: {e}")
+    for problem in _value_problems(nl):
+        err(problem)
     if not any(d.severity == "error" for d in diags):   # a value that failed kept its default
         diags += [Diagnostic(0, 0, problem) for problem in task_problems(nl)]
     has_error = any(d.severity == "error" for d in diags)

@@ -86,13 +86,9 @@ class QuditState:
         return abs(self.overlap(other)) ** 2
 
     def to_json_entries(self):
-        out = []
-        for m in range(self.d):
-            for n in range(self.d):
-                a = self.amps[m * self.d + n]
-                if abs(a) > 1e-15:
-                    out.append([m, n, a.real, a.imag])
-        return out
+        """[m, n, re, im] of each amplitude above 1e-15, as Python numbers."""
+        return [[*divmod(i, self.d), a.real, a.imag]
+                for i, a in enumerate(self.amps.tolist()) if abs(a) > 1e-15]
 
     @classmethod
     def from_json_entries(cls, d: int, entries) -> "QuditState":

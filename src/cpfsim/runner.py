@@ -188,7 +188,6 @@ def _provenance(nl: Netlist) -> dict:
 
 def _noise_spec(nl: Netlist) -> NoiseSpec | None:
     spec = NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"}, seed=nl.seed)
-    spec.validate()
     return None if spec.trivial else spec
 
 
@@ -268,11 +267,6 @@ def _run_fidelity(nl: Netlist) -> RunResult:
                                      frozenset(nl.accept))
     report = full_fidelity_report(channel, nl.shots, nl.seed)
     fid = report.to_json_dict()
-    fid["outcome_rows"] = [
-        {"basis": b, "input": i, "outcome": o, "probability": p,
-         "count": c}
-        for b, i, o, p, c in report.outcome_rows()
-    ]
     summary = {"bounds": fid["bounds"], "f_zx": report.f_zx, "f_xz": report.f_xz}
     return RunResult(
         "fidelity", report.herald_probability, {}, fid, None, None,

@@ -10,7 +10,6 @@ from cpfsim.analysis import (
     STATE_VECTORS,
     X_ORDER,
     Z_ORDER,
-    expected_output_index,
     fourier_states,
     hofmann_bounds,
 )
@@ -45,10 +44,10 @@ def reference_basis_run(table, kraus, shots: int, seed: int) -> tuple:
             counts[row] = (sample_counts(dist, shots, seed, experiment_id=row)
                            if herald else dict.fromkeys(dist, 0))
     if shots:
-        fidelity = float(np.mean([counts[row].get(expected_output_index(table, row), 0) / shots
+        fidelity = float(np.mean([counts[row].get(table.expected[row], 0) / shots
                                   for row in range(n)]))
     else:
-        fidelity = float(np.mean([matrix[row, expected_output_index(table, row)]
+        fidelity = float(np.mean([matrix[row, table.expected[row]]
                                   for row in range(n)]))
     return matrix, fidelity, herald_mass / n, counts if shots else None
 

@@ -21,7 +21,6 @@ from cpfsim.analysis import (
     basis_table,
     build_heralded_channel,
     channel_bounds,
-    expected_output_index,
     full_fidelity_report,
     hofmann_bounds,
     process_fidelity,
@@ -194,7 +193,7 @@ def test_criterion_5_flip_pattern(pipe):
         table = run.table
         for row in range(16):
             expect = np.zeros(16)
-            expect[expected_output_index(table, row)] = 1.0
+            expect[table.expected[row]] = 1.0
             if np.max(np.abs(run.matrix[row] - expect)) < 1e-9:
                 rows_ok += 1
     ok = rows_ok == 32

@@ -12,7 +12,6 @@ from cpfsim.analysis import (
     build_heralded_channel,
     channel_bounds,
     entangled_target,
-    expected_output_index,
     full_fidelity_report,
     heralded_ensemble,
     hofmann_bounds,
@@ -21,7 +20,6 @@ from cpfsim.analysis import (
     stabilizer_fidelity,
     stabilizer_settings,
     superposition_suite,
-    superposition_table,
 )
 from cpfsim.errors import EncodingError
 from cpfsim.noise import NoiseSpec
@@ -126,16 +124,37 @@ def test_stabilizer_fidelity_equals_direct_overlap(rng):
 def test_basis_tables_shapes():
     assert len(zx := basis_table("ZX").entries) == 16
     assert len(basis_table("XZ").entries) == 16
-    assert len(superposition_table().entries) == 7
+    assert len(basis_table("superpositions").entries) == 7
     assert zx[0] == ("z0", "x02+")
 
 
-def test_expected_output_flips():
-    zx = basis_table("ZX")
-    flipped = [row for row in range(16)
-               if expected_output_index(zx, row) != row]
-    want = [zx.entries.index(("z3", "x13+")), zx.entries.index(("z3", "x13-"))]
-    assert sorted(flipped) == sorted(want)
+#: The paper's flip pattern: the top level |3> on one photon with
+#: (|1> +- |3>)/sqrt2 on the other comes out with the sign flipped; the other
+#: 14 rows of each table come out unchanged.
+FLIPS = {
+    "ZX": {("z3", "x13+"): ("z3", "x13-"), ("z3", "x13-"): ("z3", "x13+")},
+    "XZ": {("x13+", "z3"): ("x13-", "z3"), ("x13-", "z3"): ("x13+", "z3")},
+}
+
+
+@pytest.mark.parametrize("name", ("ZX", "XZ"))
+def test_expected_outputs_are_the_flip_pattern(name):
+    """The expected outputs src derives from the CPF oracle are the pattern
+    stated here."""
+    table = basis_table(name)
+    want = [table.entries.index(FLIPS[name].get(keys, keys)) for keys in table.entries]
+    assert table.expected.tolist() == want
+    assert sum(j != row for row, j in enumerate(want)) == 2
+
+
+@pytest.mark.parametrize("name", ("superpositions", "ZF", "FZ"))
+def test_tables_without_a_flip_pattern_are_refused(name):
+    """A table where the gate takes some input out of the table has no
+    expected output to score: the x13+ x x13+ superposition exits entangled,
+    and |3> with a Fourier state leaves the Fourier basis."""
+    assert (basis_table(name).expected == -1).any()
+    with pytest.raises(ValueError, match="no flip pattern to score"):
+        run_fidelity_experiment(name, build_heralded_channel())
 
 
 def test_flip_pattern_matrices_noiseless():
@@ -144,7 +163,7 @@ def test_flip_pattern_matrices_noiseless():
         table = run.table
         for row in range(16):
             expect = np.zeros(16)
-            expect[expected_output_index(table, row)] = 1.0
+            expect[table.expected[row]] = 1.0
             assert np.max(np.abs(run.matrix[row] - expect)) < 1e-9, (name, row)
         assert abs(run.fidelity - 1.0) < 1e-9
 

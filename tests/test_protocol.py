@@ -168,6 +168,17 @@ def test_qudit_state_json_round_trip(rng):
     assert np.allclose(back.amps, psi.amps, atol=1e-12)
 
 
+def test_qudit_state_json_entries_are_python_numbers():
+    """Levels are exact ints and parts exact floats, never numpy scalars,
+    and only amplitudes above 1e-15 are listed, in row-major order."""
+    amps = np.zeros(16, dtype=complex)
+    amps[[1, 7, 14]] = [0.6, 0.8j, 1e-16]
+    entries = QuditState(4, amps).to_json_entries()
+    assert entries == [[0, 1, 0.6, 0.0], [1, 3, 0.0, 0.8]]
+    for m, n, re, im in entries:
+        assert (type(m), type(n), type(re), type(im)) == (int, int, float, float)
+
+
 @pytest.mark.parametrize("d", range(2, 8))
 @pytest.mark.parametrize("outcome", list(BellOutcome))
 def test_correction_unitary_is_kron_of_factors(outcome, d):

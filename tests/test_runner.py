@@ -186,6 +186,27 @@ def test_bare_netlist_values_are_read_again(monkeypatch, key, value, needle):
         execute(nl)
 
 
+@pytest.mark.parametrize("task,part,value,needle", [
+    ("fidelity", "noise", {"loss": 2.0}, "noise: loss must be a probability"),
+    ("lock", "lock", {"mod_depth": -1.0}, "lock: mod_depth must be positive"),
+    ("lock", "drift", {"kind": "bogus"}, "drift: unknown drift kind 'bogus'"),
+    ("fidelity", "noise", {"draws": 0, "loss": 0.1},
+     "noise.draws: expects an integer in [1, 4096], got 0"),
+    ("fidelity", "noise", {"draws": 2.5, "loss": 0.1},
+     "noise.draws: expects an integer in [1, 4096], got 2.5"),
+    ("cpf_d4", "noise", {"draws": 10**9, "loss": 0.1}, "noise.draws: expects an integer"),
+    ("lock", "pid", {"out_min": 1.0, "out_max": 0.0}, "pid: output limits must be ordered"),
+])
+def test_bare_netlist_settings_are_checked(cpf_netlist, lock_netlist, task, part, value, needle):
+    """A bare Netlist's noise, lock, drift and PID settings go through the
+    checks parsing runs: each bad value is a NetlistError before the run."""
+    base = {"cpf_d4": cpf_netlist, "fidelity": Netlist(task="fidelity"),
+            "lock": lock_netlist}[task]
+    nl = dataclasses.replace(base, **{part: value})
+    with pytest.raises(NetlistError, match=re.escape(needle)):
+        execute(nl)
+
+
 def test_execute_rejects_aux_data_photon(cpf_netlist):
     nl = parse_netlist(serialize(cpf_netlist)).netlist
     nl.sources["photon1"].recipe = "aux"
