@@ -12,6 +12,7 @@ the compensating phase.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +69,9 @@ class LockParams:
         return self.mod_freq / (2 * math.pi * 50.0)
 
     def validate(self):
+        if not (math.isfinite(self.e0h) and math.isfinite(self.e0v) and self.e0h * self.e0v != 0):
+            raise ValueError("e0h and e0v must be finite and non-zero; at e0h e0v = 0 the"
+                             " beams do not interfere and there is no error signal")
         if not self.mod_depth > 0:
             raise ValueError("mod_depth must be positive; at 0 there is no error signal (J1(0) = 0)")
         if self.mod_freq <= 0:
@@ -195,12 +199,14 @@ class DriftModel:
     step_time: float = 0.0
 
     def validate(self):
-        if self.magnitude < 0:
-            raise ValueError("drift magnitude must be non-negative")
+        if not (self.magnitude >= 0 and math.isfinite(self.magnitude)):
+            raise ValueError("drift magnitude must be non-negative and finite")
         if self.kind not in ("random-walk", "sinusoidal", "step"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if not self.period > 0:
             raise ValueError("drift period must be positive")
+        if not math.isfinite(self.step_time):
+            raise ValueError("drift step_time must be finite")
 
     def path(self, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
         t = dt * np.arange(n)
@@ -237,7 +243,11 @@ class PidState:
 
 def pid_update(state: PidState, error: float, dt: float,
                gains: PidGains) -> tuple[PidState, float]:
-    """One PID step; integral anti-windup clamps at the output limits."""
+    """One PID step; integral anti-windup clamps at the output limits.
+
+    This is the servo law of :func:`simulate_lock`, which runs it inline on
+    plain floats, term for term; the tests replay it to check that loop.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     derivative = 0.0
@@ -324,19 +334,21 @@ def simulate_lock(
     # error ~ G sin(zeta) sin(tau); divide out the measured slope so the
     # servo sign does not depend on the hardware constants.
     slope = gain * math.sin(p.demod_phase)
+    if slope == 0:
+        raise ValueError("the calibrated error slope is 0: the lock has no error signal")
 
     carry, decay, (aw, bw, cw), (av, bv, cv) = _period_terms(
         p, _lpf_alpha(p.mod_freq / (2 * math.pi * 8.0), dt))
     y = 0.0
-    pid = PidState()
+    # pid_update, inline on floats: no state object or call per step
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
+    out_min, out_max = gains.out_min, gains.out_max
+    integral = prev_error = 0.0
     actuation = 0.0
 
     t_out = np.arange(n_steps) * control_dt
     zeta_open = zeta0 + drift_path
-    zeta_closed = np.empty(n_steps)
-    error_out = np.empty(n_steps)
-    act_out = np.empty(n_steps)
-    diverged = False
+    zeta_closed, error_out, act_out = array("d"), array("d"), array("d")
     for k, open_phase in enumerate(zeta_open.tolist()):
         closed_phase = open_phase + actuation
         try:
@@ -347,14 +359,26 @@ def simulate_lock(
         # fixed-phase sample would alias into a systematic offset
         raw_error = carry * y + aw + cos_z * bw + sin_z * cw
         y = decay * y + av + cos_z * bv + sin_z * cv
-        norm_error = (raw_error - offset) / slope
         if k >= WARMUP_PERIODS:
-            pid, u = pid_update(pid, -norm_error, control_dt, gains)
-            actuation = u
-        zeta_closed[k] = closed_phase
-        error_out[k] = raw_error
-        act_out[k] = actuation
-        if not math.isfinite(actuation) or abs(closed_phase - setpoint) > 10.0:
-            diverged = True
+            error = -((raw_error - offset) / slope)
+            derivative = 0.0
+            if kd and k > WARMUP_PERIODS:
+                derivative = (error - prev_error) / control_dt
+            held = integral
+            integral = held + error * control_dt
+            # kd * derivative stays when kd == 0: dropping it can flip a zero's sign
+            actuation = kp * error + ki * integral + kd * derivative
+            if actuation > out_max:
+                actuation = out_max
+                integral = held  # hold the integrator while saturated
+            elif actuation < out_min:
+                actuation = out_min
+                integral = held
+            prev_error = error
+        zeta_closed.append(closed_phase)
+        error_out.append(raw_error)
+        act_out.append(actuation)
+    zeta_closed, error_out, act_out = (np.frombuffer(c) for c in (zeta_closed, error_out, act_out))
+    diverged = bool(not np.isfinite(act_out).all() or (np.abs(zeta_closed - setpoint) > 10.0).any())
     return LockTrace(t_out, zeta_open, zeta_closed, error_out, act_out,
                      setpoint, diverged)

@@ -36,8 +36,9 @@ class NoiseSpec:
     seed: int = 0
 
     def validate(self):
-        if self.sigma_zeta < 0 or self.oam_dephasing < 0:
-            raise ValueError("noise magnitudes must be non-negative")
+        for magnitude in (self.sigma_zeta, self.oam_dephasing):
+            if not (magnitude >= 0 and math.isfinite(magnitude)):
+                raise ValueError("noise magnitudes must be non-negative and finite")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError("loss must be a probability")
         if not 0.0 <= self.visibility <= 1.0:

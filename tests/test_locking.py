@@ -115,10 +115,34 @@ def test_param_validation():
     with pytest.raises(ValueError, match=f"nearest dt that does is {found.mod_period / 63!r} s"):
         found.validate()
     replace(found, dt=found.mod_period / 63).validate()
+    # without both beams nothing interferes: the error signal is 0 (or rounding)
+    for e0h, e0v in ((0.0, 0.0), (0.0, 1.0), (1.0, -0.0), (1e-170, 1e-170),
+                     (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="e0h and e0v must be finite and non-zero"):
+            LockParams(e0h=e0h, e0v=e0v).validate()
+    LockParams(e0h=-0.5, e0v=2.0).validate()
     with pytest.raises(ValueError):
         DriftModel(kind="brownian").validate()
+    for magnitude in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="drift magnitude must be non-negative and finite"):
+            DriftModel(magnitude=magnitude).validate()
+    for step_time in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="drift step_time must be finite"):
+            DriftModel("step", step_time=step_time).validate()
     with pytest.raises(ValueError):
         PidGains(out_min=1.0, out_max=-1.0).validate()
+
+
+@pytest.mark.parametrize("params", [
+    LockParams(demod_phase=5e-324),  # sin(demod_phase) != 0, gain * sin underflows
+    LockParams(e0h=1e-161, e0v=1e-161),  # e0h e0v != 0, the calibrated gain is 0
+])
+def test_vanishing_error_slope_is_refused(params):
+    """Settings that validate but leave a calibrated error slope of exactly
+    0 are refused before the loop divides by it."""
+    params.validate()
+    with pytest.raises(ValueError, match="calibrated error slope is 0"):
+        simulate_lock(params, DriftModel(), PidGains(), duration=0.05)
 
 
 def test_lock_work_is_bounded():
@@ -414,6 +438,37 @@ def test_servo_step_matches_per_sample_loop(p, kind, magnitude, kp, ki, kd,
     assert got.diverged == want.diverged
     # the PID scales an error difference by up to |kp| + |ki| t into actuation
     assert_same_run(got, want, p, zeta_tol=1e-13 * max(1.0, abs(kp) + abs(ki) * duration))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=lock_params(), kind=DRIFT_KINDS, magnitude=st.floats(0.0, 1.5),
+       kp=st.floats(-6.0, 0.6), ki=st.floats(-5000.0, 400.0),
+       kd=st.sampled_from([0.0, -0.0, 1e-4, -3e-4]), limit=LIMITS,
+       setpoint=st.floats(-1.0, 1.0), duration=st.floats(0.02, 0.25),
+       seed=st.integers(0, 2**16))
+@example(p=LockParams(), kind="step", magnitude=0.0, kp=0.0, ki=0.0, kd=0.0,
+         limit=0.2, setpoint=-0.5, duration=0.05, seed=0)  # actuation -0.0 + 0.0
+@example(p=LockParams(), kind="step", magnitude=0.0, kp=0.0, ki=0.0, kd=-0.0,
+         limit=0.2, setpoint=-0.5, duration=0.05, seed=0)
+def test_inline_servo_step_is_pid_update(p, kind, magnitude, kp, ki, kd, limit,
+                                         setpoint, duration, seed):
+    """simulate_lock runs pid_update inline: replaying pid_update over the
+    run's normalized errors from step WARMUP_PERIODS on gives its actuation
+    column bit for bit, the sign of every zero included."""
+    drift = DriftModel(kind, magnitude, period=0.1, step_time=duration / 3)
+    gains = PidGains(kp, ki, kd, out_min=-limit, out_max=limit)
+    tr = simulate_lock(p, drift, gains, duration=duration, setpoint=setpoint, seed=seed)
+    gain = calibrate_gain(p)
+    offset = gain * math.sin(setpoint) * math.sin(p.demod_phase)
+    slope = gain * math.sin(p.demod_phase)
+    control_dt = p.samples_per_period * p.sample_dt
+    state, want = PidState(), [0.0] * WARMUP_PERIODS
+    for raw_error in tr.error[WARMUP_PERIODS:].tolist():
+        state, u = pid_update(state, -((raw_error - offset) / slope), control_dt, gains)
+        want.append(u)
+    want = np.array(want[:len(tr.actuation)])
+    assert np.array_equal(tr.actuation, want)
+    assert tr.actuation.tobytes() == want.tobytes()
 
 
 @settings(max_examples=15, deadline=None)

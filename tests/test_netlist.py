@@ -139,6 +139,10 @@ _VALUE_DEFECTS = [
      "drift: drift period must be positive"),
     ("[lock]\nlpf_cutoff 0", "cutoff must be positive"),
     ("[lock]\ndemod_phase 0", "demod_phase leaves no error signal"),
+    # without both beams the error signal is 0 (a division by zero) or rounding
+    ("[run]\ntask lock\n[lock]\ne0h 0\ne0v 0", "lock: e0h and e0v must be finite and non-zero"),
+    ("[lock]\ne0h 0", "lock: e0h and e0v must be finite and non-zero"),
+    ("[lock]\ne0v 1e-170\ne0h 1e-170", "lock: e0h and e0v must be finite and non-zero"),
     ("[run]\nduration -1", "lock: duration must be positive"),
     ("[run]\nduration 0", "lock: duration must be positive"),
     ("[run]\nduration 1e9", "lock: duration 1e+09 s spans 6.4e+13 samples"),

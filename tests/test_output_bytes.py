@@ -1,4 +1,5 @@
-"""Byte-stable outputs: pinned result files, and the one-pass JSON writer
+"""Byte-stable outputs: pinned result files (gate, fidelity and lock runs),
+and the one-pass JSON writer
 (with its bulk spelling of float, string, int, null and record runs) against
 the stdlib form it replaces."""
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from cpfsim.netlist import parse_netlist
 from cpfsim.runner import _dump_json, emit, execute
 
-SHIPPED = Path(__file__).resolve().parent.parent / "netlists" / "cpf_d4.netlist"
+NETLIST_DIR = Path(__file__).resolve().parent.parent / "netlists"
+SHIPPED = NETLIST_DIR / "cpf_d4.netlist"
 
 NOISY_FIDELITY = """\
 version 1
@@ -49,17 +51,66 @@ def _noisy_cpf() -> str:
             + "noise.draws 4\n")
 
 
+_LOCK = """\
+version 1
+
+[run]
+task lock
+seed {seed}
+duration 2.0
+setpoint {setpoint}
+
+[lock]
+{lock}"""
+
+#: Lock runs beside the shipped random-walk one: a sinusoidal drift, a step
+#: on a 40-sample period, and a loop with a derivative term whose tight,
+#: unequal output limits both clamp.
+LOCKS = {
+    "lock_sinusoidal": _LOCK.format(seed=5, setpoint=0.1, lock="""\
+mod_depth 0.25
+drift.kind sinusoidal
+drift.magnitude 0.8
+drift.period 0.4
+pid.kp 0.3
+pid.ki 250
+"""),
+    "lock_step": _LOCK.format(seed=2, setpoint=-0.2, lock="""\
+mod_freq 5026.548245743669
+dt 2.5e-05
+drift.kind step
+drift.magnitude 0.6
+drift.step_time 0.7
+pid.kp 0.25
+pid.ki 300
+"""),
+    "lock_clamped_pid": _LOCK.format(seed=9, setpoint=0.0, lock="""\
+e0h 1.2
+e0v 0.8
+drift.kind sinusoidal
+drift.magnitude 0.5
+drift.period 0.5
+pid.kp 0.3
+pid.ki 250
+pid.kd 0.0002
+pid.out_min -0.15
+pid.out_max 0.2
+"""),
+}
+
 NETLISTS = {
     "noisy_fidelity": lambda: NOISY_FIDELITY,
     "noisy_cpf_d4": _noisy_cpf,
     "shipped_cpf_d4": SHIPPED.read_text,
+    "shipped_lock": (NETLIST_DIR / "lock.netlist").read_text,
+    **{name: (lambda text=text: text) for name, text in LOCKS.items()},
 }
 
 _EMPTY_TALLIES = "dd7208c6347363b0a9c2e074297cded2d26b4c6ee8f24e4da763ae8c4888acb3"
 
 #: sha256 of ``to_json()`` and of every file ``emit(..., "both", ...)``
 #: writes, recorded before the per-draw Fock pass and the JSON writer were
-#: last changed.
+#: last changed; the lock runs', before the servo step was inlined.
 GOLDEN = {
     "noisy_fidelity": {
         "to_json": "e83a1a448746e85afccf4c5814ecb810d0c091d034732c39f61d61d34f62ae4b",
@@ -79,6 +130,30 @@ GOLDEN = {
         "out.json": "5174c2039bfd37992d0d3e8fc6d06a1d1ecc0559249e9d892ee940934ad296af",
         "out_tallies.csv": _EMPTY_TALLIES,
     },
+    "shipped_lock": {
+        "to_json": "605dcb456bbb270e6cd9bec67dc4414d074da0c787ac60a9b63d7d5aaf824ad3",
+        "out.json": "605dcb456bbb270e6cd9bec67dc4414d074da0c787ac60a9b63d7d5aaf824ad3",
+        "out_tallies.csv": _EMPTY_TALLIES,
+        "out_trace.csv": "e877aa0a5dfc2a3020f0fa48bfb14033ac399cc6a8b1745dc98cc25a946b7d08",
+    },
+    "lock_sinusoidal": {
+        "to_json": "b092b72802ba8cfbe849a91e80e88b6fba5751333a93e83b53e05261724a554e",
+        "out.json": "b092b72802ba8cfbe849a91e80e88b6fba5751333a93e83b53e05261724a554e",
+        "out_tallies.csv": _EMPTY_TALLIES,
+        "out_trace.csv": "fd3c9d4f59ea7f4b906a67c567bd6769d5e9aa05e6be7a743448c91ab310ced4",
+    },
+    "lock_step": {
+        "to_json": "bc486541fc7f0c6b69605fa7fe71b3eb79d12f80a664bb70ae3c4ec9c7b731b0",
+        "out.json": "bc486541fc7f0c6b69605fa7fe71b3eb79d12f80a664bb70ae3c4ec9c7b731b0",
+        "out_tallies.csv": _EMPTY_TALLIES,
+        "out_trace.csv": "6ab2e39db1c2d47f5a27f0eaf3a990cf5918a650a0e6d092cfc0ff41201a2fd2",
+    },
+    "lock_clamped_pid": {
+        "to_json": "7df34fd15ef147239cbe37c2597d9e9492327a004b08c85cbe0225e65831f61e",
+        "out.json": "7df34fd15ef147239cbe37c2597d9e9492327a004b08c85cbe0225e65831f61e",
+        "out_tallies.csv": _EMPTY_TALLIES,
+        "out_trace.csv": "3e4d3be02166648726e538e81ae9e6f31ff30c16580bf3c945fc87774b467938",
+    },
 }
 
 
@@ -94,6 +169,15 @@ def test_result_files_are_byte_stable(tmp_path, name):
     got = {p.name: _sha256(p.read_bytes()) for p in emit(result, "both", tmp_path, "out")}
     got["to_json"] = _sha256(result.to_json().encode())
     assert got == GOLDEN[name]
+
+
+def test_clamped_lock_pin_reaches_both_limits():
+    """The pinned derivative run saturates at each output limit, so its
+    bytes cover both clamps of the servo step."""
+    result = execute(parse_netlist(LOCKS["lock_clamped_pid"]))
+    actuation = [float(row.rsplit(",", 1)[1]) for row in result.trace_csv.splitlines()[1:]]
+    assert min(actuation) == -0.15 and max(actuation) == 0.2
+    assert not result.summary["diverged"]
 
 
 def _round_floats(obj):

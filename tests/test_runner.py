@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -196,6 +197,15 @@ def test_bare_netlist_values_are_read_again(monkeypatch, key, value, needle):
      "noise.draws: expects an integer in [1, 4096], got 2.5"),
     ("cpf_d4", "noise", {"draws": 10**9, "loss": 0.1}, "noise.draws: expects an integer"),
     ("lock", "pid", {"out_min": 1.0, "out_max": 0.0}, "pid: output limits must be ordered"),
+    # parsing refuses nan and inf; a bare Netlist is checked for them too
+    ("fidelity", "noise", {"sigma_zeta": math.nan, "draws": 2},
+     "noise: noise magnitudes must be non-negative and finite"),
+    ("fidelity", "noise", {"oam_dephasing": math.inf},
+     "noise: noise magnitudes must be non-negative and finite"),
+    ("lock", "drift", {"magnitude": math.nan}, "drift: drift magnitude must be non-negative and finite"),
+    ("lock", "drift", {"kind": "step", "step_time": math.nan}, "drift: drift step_time must be finite"),
+    ("lock", "lock", {"e0h": 0.0, "e0v": 0.0}, "lock: e0h and e0v must be finite and non-zero"),
+    ("lock", "lock", {"e0v": math.nan}, "lock: e0h and e0v must be finite and non-zero"),
 ])
 def test_bare_netlist_settings_are_checked(cpf_netlist, lock_netlist, task, part, value, needle):
     """A bare Netlist's noise, lock, drift and PID settings go through the
