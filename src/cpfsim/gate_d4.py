@@ -97,31 +97,27 @@ class HdBeamSplitter:
 
 
 def build_hd_beamsplitter(
-    space: ModeSpace,
-    paths: SplitterPaths = SplitterPaths(),
-    include_b_leg: bool = True,
-    include_d_tail: bool = True,
+    space: ModeSpace, paths: SplitterPaths = SplitterPaths()
 ) -> HdBeamSplitter:
     """Assemble the splitter from its element chain.
 
-    ``include_b_leg=False`` omits the port-B conversion leg (used when the
-    auxiliary is prepared directly in its converted form); ``include_d_tail``
-    controls the final port-D composite that restores horizontal polarization
-    and the original azimuthal indices.
+    ``BLEG@B`` is the port-B conversion leg and ``DTAIL@D`` the final port-D
+    composite that restores horizontal polarization and the original
+    azimuthal indices; the gate, whose auxiliaries enter already converted,
+    runs the chain without them.
     """
     if space.truncation < 2:
         raise TruncationOverflow("splitter needs truncation >= 2")
     p = paths
     quarter = math.pi / 4
-    stages = [Stage("O1@A", el.o1_cnot(space, p.a))]
-    if include_b_leg:
-        stages.append(Stage("BLEG@B", compose_transforms([
+    return HdBeamSplitter(space, paths, [
+        Stage("O1@A", el.o1_cnot(space, p.a)),
+        Stage("BLEG@B", compose_transforms([
             el.o2_cnot(space, p.b),
             el.hwp(space, p.b, quarter),
             el.dove_prism(space, p.b, 0.0),
             el.phase_plate(space, p.b),
-        ])))
-    stages += [
+        ])),
         Stage("PBS1", el.pbs(space, (p.a, None), (p.p1, p.p2))),
         Stage("O2@P2", el.o2_cnot(space, p.p2)),
         Stage("PBS2", el.pbs(space, (p.p2, p.b), (p.d, p.p2))),
@@ -132,15 +128,13 @@ def build_hd_beamsplitter(
         ])),
         Stage("PBS3", el.pbs(space, (p.p1, p.p2), (p.c, p.dump))),
         Stage("O1@C", el.o1_cnot(space, p.c)),
-    ]
-    if include_d_tail:
-        stages.append(Stage("DTAIL@D", compose_transforms([
+        Stage("DTAIL@D", compose_transforms([
             el.mirror(space, p.d),
             el.o2_cnot(space, p.d),
             el.hwp(space, p.d, quarter),
             el.dove_prism(space, p.d, quarter),
-        ])))
-    return HdBeamSplitter(space, paths, stages)
+        ])),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +207,12 @@ def _fixture_state(space, role_map, terms) -> SinglePhotonState:
     )
 
 
-def transcript_check(bs: HdBeamSplitter, ports=("A", "B")) -> TranscriptReport:
+def transcript_check(bs: HdBeamSplitter) -> TranscriptReport:
     """Run each port's chain element group by element group and compare every
     intermediate state against the golden transcript, amplitude exact."""
     role_map = bs.paths.as_dict()
     entries = []
-    for port in ports:
+    for port in ("A", "B"):
         sections = _load_transcript(port)
         label0, input_terms = sections[0]
         if label0 != "input":
@@ -310,7 +304,7 @@ def encode_qudit_vector(space: ModeSpace, path: str, levels) -> SinglePhotonStat
         for i in range(4)
         if abs(levels[i]) > 0
     }
-    return SinglePhotonState.from_terms(space, terms, normalize=False)
+    return SinglePhotonState.from_terms(space, terms)
 
 
 def qudit_amplitudes(state: SinglePhotonState) -> np.ndarray:
@@ -515,13 +509,14 @@ class CpfPipeline:
 
     def __init__(self):
         self.space = ModeSpace(self.PATHS, DEFAULT_TRUNCATION)
-        # Each splitter's stage list is cut at PBS3: arm-phase jitter enters
-        # inside the loop, ahead of the recombining splitter.
+        # Each splitter runs without its B leg and D tail, and its stage list
+        # is cut at PBS3: arm-phase jitter enters inside the loop, ahead of
+        # the recombining splitter.
         pre, post, self._jitter_paths = [], [], ()
         for paths in (SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1"),
                       SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2")):
-            stages = build_hd_beamsplitter(
-                self.space, paths, include_b_leg=False, include_d_tail=False).stages
+            stages = [st for st in build_hd_beamsplitter(self.space, paths).stages
+                      if st.label not in ("BLEG@B", "DTAIL@D")]
             cut = [st.label for st in stages].index("PBS3")
             pre += [st.transform for st in stages[:cut]]
             post += [st.transform for st in stages[cut:]]
@@ -638,12 +633,9 @@ class CpfPipeline:
                 kraus[(outcome, pattern)] = correction_unitary(outcome, 4) @ r
         return kraus
 
-    def run(
-        self,
-        c_matrix: np.ndarray,
-        accepted=frozenset({BellOutcome.PhiPlus}),
-    ) -> HeraldedRun:
-        """Heralded outcomes of one joint input through the noise-free gate.
+    def run(self, c_matrix: np.ndarray, accepted) -> HeraldedRun:
+        """Heralded outcomes of one joint input through the noise-free gate,
+        for the Bell outcomes ``accepted``.
 
         Each outcome keeps its first pattern's state; a second pattern of the
         same outcome must herald the same state up to a global phase.
@@ -683,41 +675,12 @@ def pipeline() -> CpfPipeline:
     return CpfPipeline()
 
 
-def _coerce_input(in1, in4, joint) -> np.ndarray:
-    if joint is not None:
-        c = np.asarray(joint, dtype=complex)
-        if c.shape == (16,):
-            c = c.reshape(4, 4)
-        if c.shape != (4, 4):
-            raise EncodingError("joint input must be 4x4 or length 16")
-        return c
-    def amps(x):
-        if isinstance(x, SinglePhotonState):
-            return qudit_amplitudes(x)
-        v = np.asarray(x, dtype=complex)
-        if v.shape != (4,):
-            raise EncodingError("single-photon input must have 4 level amplitudes")
-        return v
-    return np.outer(amps(in1), amps(in4))
-
-
-def run_cpf_d4(
-    in1=None,
-    in4=None,
-    *,
-    joint=None,
-    accepted=frozenset({BellOutcome.PhiPlus}),
-) -> HeraldedRun:
-    """Run the noise-free d=4 heralded gate on a product or joint two-qudit
-    input.
-
-    Inputs are H-polarized alphabet photons (as SinglePhotonState or 4 level
-    amplitudes) or a joint 4x4 amplitude matrix.  Noisy runs read the
-    channel averaged over draws: :func:`cpfsim.analysis.build_heralded_channel`
-    and :func:`cpfsim.analysis.heralded_ensemble`.
-    """
-    c = _coerce_input(in1, in4, joint)
-    norm = np.linalg.norm(c)
-    if abs(norm - 1.0) > 1e-9:
-        c = c / norm
-    return pipeline().run(c, accepted=accepted)
+def run_cpf_d4(in1, in4, accepted) -> HeraldedRun:
+    """Run the noise-free d=4 heralded gate on the product of two qudits,
+    each 4 level amplitudes, for the Bell outcomes ``accepted``.  A joint 4x4
+    input goes to ``pipeline().run``; noisy runs read the channel averaged
+    over draws (:func:`cpfsim.analysis.build_heralded_channel`)."""
+    v1, v4 = np.asarray(in1, dtype=complex), np.asarray(in4, dtype=complex)
+    if v1.shape != (4,) or v4.shape != (4,):
+        raise EncodingError("single-photon input must have 4 level amplitudes")
+    return pipeline().run(np.outer(v1, v4), accepted=accepted)

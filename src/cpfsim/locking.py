@@ -72,6 +72,8 @@ class LockParams:
         if not (math.isfinite(self.e0h) and math.isfinite(self.e0v) and self.e0h * self.e0v != 0):
             raise ValueError("e0h and e0v must be finite and non-zero; at e0h e0v = 0 the"
                              " beams do not interfere and there is no error signal")
+        if not math.isfinite(self.e0h * self.e0h + self.e0v * self.e0v):
+            raise ValueError("e0h^2 + e0v^2 overflows: the detected intensity is not finite")
         if not self.mod_depth > 0:
             raise ValueError("mod_depth must be positive; at 0 there is no error signal (J1(0) = 0)")
         if self.mod_freq <= 0:
@@ -178,6 +180,19 @@ def calibrate_gain(p: LockParams) -> float:
     """
     quad = replace(p, demod_phase=math.pi / 2)
     return measured_error(math.pi / 2, quad)
+
+
+def lock_gain(p: LockParams) -> float:
+    """The calibrated gain G of a lock with an error signal: ValueError unless
+    the slope G sin(demod_phase) exceeds 1e-8 A, A = (e0h^2 + e0v^2) / 4 the
+    detected DC level.  Calibration reads G to a rounding floor of ~2e-11 A,
+    so a slope that clears the bound is known to better than 0.3 %."""
+    gain = calibrate_gain(p)
+    slope, level = gain * math.sin(p.demod_phase), (p.e0h ** 2 + p.e0v ** 2) / 4
+    if not abs(slope) > 1e-8 * level:      # a NaN slope is refused too
+        raise ValueError(f"the calibrated error slope is 0 to rounding ({abs(slope):.3g}, not above"
+                         f" 1e-8 x the DC level {level:.3g}): the lock has no error signal")
+    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +344,11 @@ def simulate_lock(
     rng = np.random.default_rng(seed)
     drift_path = drift.path(n_steps, control_dt, rng)
 
-    gain = calibrate_gain(p)
+    gain = lock_gain(p)
     offset = gain * math.sin(setpoint) * math.sin(p.demod_phase)
     # error ~ G sin(zeta) sin(tau); divide out the measured slope so the
     # servo sign does not depend on the hardware constants.
     slope = gain * math.sin(p.demod_phase)
-    if slope == 0:
-        raise ValueError("the calibrated error slope is 0: the lock has no error signal")
 
     carry, decay, (aw, bw, cw), (av, bv, cv) = _period_terms(
         p, _lpf_alpha(p.mod_freq / (2 * math.pi * 8.0), dt))

@@ -99,17 +99,10 @@ class SinglePhotonState:
         self.normalized = normalized
 
     @classmethod
-    def from_terms(
-        cls,
-        space: ModeSpace,
-        terms: Mapping[Mode, complex],
-        normalize: bool = False,
-    ) -> "SinglePhotonState":
+    def from_terms(cls, space: ModeSpace, terms: Mapping[Mode, complex]) -> "SinglePhotonState":
         amps = np.zeros(space.dim, dtype=complex)
         for mode, amp in terms.items():
             amps[space.index(mode)] += amp
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
         norm_ok = abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL
         return cls(space, amps, normalized=norm_ok)
 

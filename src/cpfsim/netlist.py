@@ -2,8 +2,8 @@
 
 A netlist is a sequence of ``[section]`` blocks holding ``key value`` lines;
 element descriptors reuse the grammar of :mod:`cpfsim.elements`.  Parsing is
-total: malformed input never raises, it accumulates diagnostics with line and
-column positions, and a netlist object is produced whenever no error-level
+total: malformed input never raises, it accumulates diagnostics (all errors)
+with line and column positions, and a netlist object is produced whenever no
 diagnostic occurred (defaults filled in).  :data:`SCHEMA` lists every key.
 
 A JSON object with the same structure is accepted as an alternative
@@ -23,7 +23,7 @@ from .elements import DescriptorError, element_transform, parse_descriptor, spec
 from .errors import CpfSimError, TruncationOverflow
 from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
                       BsmStage, CpfPipeline, auxiliary_target, encode_qudit_vector)
-from .locking import DriftModel, LockParams, PidGains, check_lock_run
+from .locking import DriftModel, LockParams, PidGains, check_lock_run, lock_gain
 from .modes import ModeSpace, apply_to_single_photon
 from .noise import NoiseSpec
 from .protocol import BellOutcome
@@ -53,10 +53,9 @@ class Diagnostic:
     line: int            # 1-based
     col: int             # 0-based
     message: str
-    severity: str = "error"
 
     def __str__(self):
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 @dataclass
@@ -253,7 +252,8 @@ def _value_problems(nl: Netlist) -> list[str]:
 def task_problems(nl: Netlist) -> list[str]:
     """Why task ``nl.task`` cannot run ``nl``: its values out of range, else
     the parts it sets that the task does not read (:data:`TASK_TABLE`) and
-    the task's rules on those it does, for cpf_d4 the gate's fixed wiring.
+    the task's rules on those it does: for cpf_d4 the gate's fixed wiring,
+    for lock an error slope the calibration resolves (:func:`lock_gain`).
     Never raises."""
     if nl.task not in KNOWN_TASKS:
         return [f"unknown task {nl.task!r}"]
@@ -284,6 +284,11 @@ def task_problems(nl: Netlist) -> list[str]:
                         " shots > 0, mode analytic shots 0")
     if nl.task == "circuit" and not problems:
         problems += _chain_problems(nl)
+    if nl.task == "lock":
+        try:
+            lock_gain(LockParams(**nl.lock))
+        except ValueError as e:
+            problems.append(f"lock: {e}")
     if nl.task != "cpf_d4":
         return problems
     pipe = CpfPipeline
@@ -378,8 +383,8 @@ def parse_netlist(text: str) -> ParseResult:
     section = ""             # None: lines under a rejected header are skipped
     section_arg = None
 
-    def err(line_no, col, msg, severity="error"):
-        diags.append(Diagnostic(line_no, col, msg, severity))
+    def err(line_no, col, msg):
+        diags.append(Diagnostic(line_no, col, msg))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -427,10 +432,11 @@ def parse_netlist(text: str) -> ParseResult:
 
 
 def _finish(nl: Netlist, diags: list) -> ParseResult:
-    """Checks across values (declared paths, the value checks of
-    :func:`task_problems`) and, once every value has read, the task's."""
-    def err(msg, severity="error"):
-        diags.append(Diagnostic(0, 0, msg, severity))
+    """Checks across values: declared paths, then, once every value has read
+    and every path is declared, the task's (:func:`task_problems`, which
+    starts with the value checks), else the value checks alone."""
+    def err(msg):
+        diags.append(Diagnostic(0, 0, msg))
 
     declared = set(nl.paths)
     for spec in nl.elements:
@@ -443,12 +449,10 @@ def _finish(nl: Netlist, diags: list) -> ParseResult:
     for path in nl.pattern:
         if declared and path not in declared:
             err(f"detection pattern names undeclared path {path!r}")
-    for problem in _value_problems(nl):
+    # a value that failed kept its default, which the task's rules would judge
+    for problem in _value_problems(nl) if diags else task_problems(nl):
         err(problem)
-    if not any(d.severity == "error" for d in diags):   # a value that failed kept its default
-        diags += [Diagnostic(0, 0, problem) for problem in task_problems(nl)]
-    has_error = any(d.severity == "error" for d in diags)
-    return ParseResult(None if has_error else nl, diags)
+    return ParseResult(None if diags else nl, diags)
 
 
 def netlist_to_json_dict(nl: Netlist) -> dict:

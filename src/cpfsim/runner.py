@@ -257,9 +257,9 @@ def _run_cpf(nl: Netlist) -> RunResult:
 
 def _density_entries(rho: np.ndarray) -> list:
     """[i, j, re, im] for each entry of a 16x16 density matrix above 1e-15,
-    with i = 4 m + n indexing the qudit pair (m, n)."""
-    return [[i, j, rho[i, j].real, rho[i, j].imag]
-            for i in range(16) for j in range(16) if abs(rho[i, j]) > 1e-15]
+    with i = 4 m + n indexing the qudit pair (m, n); parts are Python floats."""
+    return [[i, j, z.real, z.imag]
+            for i, row in enumerate(rho.tolist()) for j, z in enumerate(row) if abs(z) > 1e-15]
 
 
 def _run_fidelity(nl: Netlist) -> RunResult:

@@ -35,6 +35,8 @@ from cpfsim.fock import (
     post_select,
 )
 from cpfsim.gate_d4 import (
+    HdBeamSplitter,
+    SplitterPaths,
     build_hd_beamsplitter,
     encode_qudit_vector,
     prepare_auxiliary,
@@ -100,7 +102,9 @@ def test_criterion_2_heralding_probabilities(pipe):
     rng = np.random.default_rng(7)
     # per-splitter post-selection probability
     sp = ModeSpace(("A", "B", "P1", "P2", "C", "D", "X"), 4)
-    bs = build_hd_beamsplitter(sp, include_b_leg=False, include_d_tail=False)
+    # as the gate runs it: the auxiliary enters B already converted
+    bs = HdBeamSplitter(sp, SplitterPaths(), [st for st in build_hd_beamsplitter(sp).stages
+                                              if st.label not in ("BLEG@B", "DTAIL@D")])
     worst_split = 0.0
     for _ in range(5):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -119,7 +123,7 @@ def test_criterion_2_heralding_probabilities(pipe):
         res = run_protocol(QuditState.from_matrix(c), AuxiliaryConfig(1))
         for _s, p in res.values():
             worst_branch = max(worst_branch, abs(p - 1 / 16))
-        run = run_cpf_d4(joint=c, accepted=BOTH)
+        run = pipe.run(c, accepted=BOTH)
         for _o, (_s, p) in run.per_outcome.items():
             worst_branch = max(worst_branch, abs(p - 1 / 16))
         worst_pair = max(worst_pair, abs(run.heralding_probability - 1 / 8))

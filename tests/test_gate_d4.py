@@ -25,6 +25,7 @@ from cpfsim.fock import (
 from cpfsim.gate_d4 import (
     AUX_TARGET_TERMS,
     LEVEL_TO_OAM,
+    HdBeamSplitter,
     PREPARATION_TABLE,
     PreparationRecipe,
     SplitterPaths,
@@ -323,7 +324,7 @@ def test_heralding_input_independent(pipe, rng):
     for _ in range(4):
         c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         c /= np.linalg.norm(c)
-        run = run_cpf_d4(joint=c, accepted=BOTH)
+        run = pipe.run(c, accepted=BOTH)
         probs.append(run.heralding_probability)
     assert np.max(np.abs(np.array(probs) - 0.125)) < 1e-10
 
@@ -331,7 +332,7 @@ def test_heralding_input_independent(pipe, rng):
 def test_joint_input_matches_abstract_engine(pipe, rng):
     c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     c /= np.linalg.norm(c)
-    run = run_cpf_d4(joint=c, accepted=BOTH)
+    run = pipe.run(c, accepted=BOTH)
     abstract = run_protocol(QuditState.from_matrix(c), AuxiliaryConfig(1))
     for outcome, (state, p) in run.per_outcome.items():
         ref, p_ref = abstract[outcome]
@@ -342,13 +343,13 @@ def test_joint_input_matches_abstract_engine(pipe, rng):
 def test_prepared_states_drive_pipeline(pipe):
     state1, _ = prepare_input("z3")
     state4, _ = prepare_input("x13+")
-    run = run_cpf_d4(state1, state4, accepted=BOTH)
+    run = run_cpf_d4(qudit_amplitudes(state1), qudit_amplitudes(state4), accepted=BOTH)
     assert abs(run.heralding_probability - 0.125) < 1e-10
 
 
 def test_encoding_errors(pipe):
     with pytest.raises(EncodingError):
-        run_cpf_d4([1, 0, 0], [1, 0, 0, 0])
+        run_cpf_d4([1, 0, 0], [1, 0, 0, 0], accepted=BOTH)
     sp = ModeSpace(("S",), 4)
     bad = SinglePhotonState.from_terms(sp, {Mode("S", "V", 0): 1.0})
     with pytest.raises(EncodingError):
@@ -372,7 +373,8 @@ def _gate_stages(sp):
     """The gate's draw-independent stages, built here: both splitters'
     stage lists as the gate runs them (no B leg, no D tail), then the D1/D2
     fold mirrors and the Bell stage."""
-    splitters = [build_hd_beamsplitter(sp, paths, include_b_leg=False, include_d_tail=False)
+    splitters = [HdBeamSplitter(sp, paths, [st for st in build_hd_beamsplitter(sp, paths).stages
+                                            if st.label not in ("BLEG@B", "DTAIL@D")])
                  for paths in (SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1"),
                                SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2"))]
     return splitters, [el.mirror(sp, "D1"), el.mirror(sp, "D2"), build_bsm_stage(sp).transform]

@@ -49,7 +49,7 @@ def test_state_normalization_flag():
         SinglePhotonState(sp, amps, normalized=True)
     sub = SinglePhotonState.from_terms(sp, {Mode("A", "H", 0): 0.5})
     assert not sub.normalized
-    ok = SinglePhotonState.from_terms(sp, {Mode("A", "H", 0): 0.5}, normalize=True)
+    ok = SinglePhotonState.from_terms(sp, {Mode("A", "H", 0): 1.0})
     assert ok.normalized and abs(ok.norm2() - 1) < 1e-12
     # a NaN norm fails the check, as a NaN residual fails ModeTransform.check
     amps[0] = np.nan

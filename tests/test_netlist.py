@@ -1,14 +1,17 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpfsim.analysis import build_heralded_channel
@@ -16,7 +19,7 @@ from cpfsim.cli import main as cli_main
 from cpfsim.elements import CATALOGUE, REQUIRED, parse_descriptor
 from cpfsim.locking import DriftModel, LockParams, PidGains, check_lock_run
 from cpfsim import netlist, runner
-from cpfsim.netlist import (KNOWN_RECIPES, KNOWN_TASKS, SCHEMA, TASK_TABLE, Diagnostic, Netlist,
+from cpfsim.netlist import (KNOWN_RECIPES, KNOWN_TASKS, SCHEMA, TASK_TABLE, Netlist, SourceSpec,
                             parse_netlist, parse_netlist_json, serialize, task_problems)
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
@@ -59,7 +62,7 @@ def test_minimal_netlist_fills_defaults():
 def test_missing_parameter_value_diagnostic_with_position():
     res = parse_netlist("version 1\n[elements]\nHWP(angle=) @ A\n")
     assert not res.ok
-    (diag,) = [d for d in res.diagnostics if d.severity == "error"]
+    (diag,) = res.diagnostics
     assert diag.line == 3
     assert "missing parameter value" in diag.message
     assert diag.col > 0
@@ -143,6 +146,12 @@ _VALUE_DEFECTS = [
     ("[run]\ntask lock\n[lock]\ne0h 0\ne0v 0", "lock: e0h and e0v must be finite and non-zero"),
     ("[lock]\ne0h 0", "lock: e0h and e0v must be finite and non-zero"),
     ("[lock]\ne0v 1e-170\ne0h 1e-170", "lock: e0h and e0v must be finite and non-zero"),
+    # e0h^2 overflows in the detected intensity
+    ("[lock]\ne0h 1e200", "lock: e0h^2 + e0v^2 overflows"),
+    # an error slope the calibration cannot tell from its rounding floor
+    ("[run]\ntask lock\n[lock]\ndemod_phase 5e-324", "lock: the calibrated error slope is 0"),
+    ("[run]\ntask lock\n[lock]\ne0h 1e-300", "lock: the calibrated error slope is 0"),
+    ("[run]\ntask lock\n[lock]\nmod_depth 1e-15", "lock: the calibrated error slope is 0"),
     ("[run]\nduration -1", "lock: duration must be positive"),
     ("[run]\nduration 0", "lock: duration must be positive"),
     ("[run]\nduration 1e9", "lock: duration 1e+09 s spans 6.4e+13 samples"),
@@ -562,9 +571,10 @@ _SCHEMA_VALUES = st.one_of(
 def test_schema_values_parse_or_diagnose(entries):
     """Keys from the schema with junk, negative, non-finite and fractional
     values: parsing never raises and the JSON front end agrees with the text
-    one.  A netlist whose values all read builds and validates its four
-    dataclasses, with its lock run's work inside the bound (lock runs are not
-    executed), and its task's problems are its only further diagnostics."""
+    one.  Reading a value or declaring a path that fails leaves the value
+    checks as the only further diagnostics; else the task's problems are.  A
+    netlist whose values all pass builds and validates its four dataclasses,
+    with its lock run's work inside the bound (lock runs are not executed)."""
     sections: dict = {}
     for (section, key), value in entries:
         sections.setdefault(section, []).append(f"{key} {value}")
@@ -576,21 +586,76 @@ def test_schema_values_parse_or_diagnose(entries):
     assert sorted(d.message for d in js.diagnostics) == sorted(
         d.message for d in res.diagnostics)
     assert js.netlist == res.netlist
-    # Most generated netlists set parts their task does not read; the value
-    # checks are reached with the task's left out.
-    with mock.patch.object(netlist, "task_problems", return_value=[]):
-        values = parse_netlist(text)
-    if not values.ok:
-        assert res.diagnostics == values.diagnostics
+    # The netlist both front ends build: every value read by _set, one that
+    # fails keeping its default.
+    nl = Netlist(sources={"p": SourceSpec("p", "", "")} if "source" in sections else {})
+    for (section, key), value in entries:
+        netlist._set(nl, section, "p", key, value)
+    # Reading and path diagnostics come first: the text front end places the
+    # first, every message of the second names an undeclared path.
+    early = [d for d in res.diagnostics if d.line or "undeclared path" in d.message]
+    assert res.diagnostics[:len(early)] == early
+    later = [d.message for d in res.diagnostics[len(early):]]
+    values = netlist._value_problems(nl)
+    if early or values:
+        assert later == values
         return
-    nl = values.netlist
-    assert res.diagnostics == values.diagnostics + [
-        Diagnostic(0, 0, problem) for problem in task_problems(nl)]
+    assert later == task_problems(nl)
+    assert res.netlist in (None, nl)
     NoiseSpec(**{k: v for k, v in nl.noise.items() if k != "draws"},
               seed=nl.seed).validate()
     check_lock_run(LockParams(**nl.lock), nl.duration)
     DriftModel(**nl.drift).validate()
     PidGains(**nl.pid).validate()
+
+
+@pytest.mark.parametrize("body", [
+    "[space]\npaths A B\n[source p]\npath A\nrecipe z0\n[run]\ntask circuit",
+    "[run]\ntask lock\nduration 0.05", _CPF_SOURCES.rstrip(), "[run]\nseed abc",
+    "[run]\ntask lock\n[lock]\nmod_depth 0"])
+def test_value_checks_run_once_per_parse(body, monkeypatch):
+    """Both front ends run the value checks once per parse: alone after a
+    value that failed to read, else as the start of the task's rules."""
+    real, calls = netlist._value_problems, []
+
+    def counted(nl):
+        calls.append(nl.task)
+        return real(nl)
+
+    monkeypatch.setattr(netlist, "_value_problems", counted)
+    parse_netlist("version 1\n" + body)
+    assert len(calls) == 1
+    parse_netlist_json(_json_form(body))
+    assert len(calls) == 2
+
+
+def _log_uniform(low: int, high: int, signed: bool = True):
+    """Floats 10^x, x uniform in [low, high], of either sign if ``signed``;
+    from 1e-323, a subnormal, on."""
+    sign = st.sampled_from([1.0, -1.0] if signed else [1.0])
+    return st.builds(lambda s, x: s * 10.0 ** x, sign, st.floats(low, high))
+
+
+@settings(max_examples=60, deadline=None)
+@given(e0h=_log_uniform(-323, 160), e0v=_log_uniform(-323, 160),
+       mod_depth=_log_uniform(-323, 1, signed=False), demod_phase=_log_uniform(-323, 1))
+@example(e0h=1.0, e0v=1.0, mod_depth=0.2, demod_phase=5e-324)
+@example(e0h=1e-300, e0v=1.0, mod_depth=0.2, demod_phase=math.pi / 2)
+@example(e0h=1.0, e0v=1.0, mod_depth=1e-15, demod_phase=math.pi / 2)
+@example(e0h=1e200, e0v=1.0, mod_depth=0.2, demod_phase=math.pi / 2)
+def test_lock_netlist_that_validates_runs(e0h, e0v, mod_depth, demod_phase):
+    """Lock settings down to subnormal amplitudes, depths and demodulation
+    phases: validate and lock both exit 0 or both exit 1, and neither
+    raises."""
+    text = (f"version 1\n[run]\ntask lock\nduration 0.05\n[lock]\ne0h {e0h!r}\n"
+            f"e0v {e0v!r}\nmod_depth {mod_depth!r}\ndemod_phase {demod_phase!r}\n")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "lock.netlist"
+        path.write_text(text)
+        validated = cli_main(["validate", "--netlist", str(path)])
+        ran = cli_main(["lock", "--netlist", str(path), "--out", tmp])
+    assert validated == ran and ran in (0, 1), text
 
 
 def _field(section: str, key: str) -> str:

@@ -310,6 +310,14 @@ def test_noisy_cpf_reports_the_draw_average(cpf_netlist, seed):
     assert set(rr.summary["density"]) == ({"PhiPlus"} if unlost else set())
 
 
+def test_density_parts_are_python_floats(cpf_netlist, pipe):
+    """Each density entry reaches the JSON writer as [int, int, float,
+    float]: no numpy scalar, which the writer would spell value by value."""
+    rr = _noisy_cpf(cpf_netlist, NoiseSpec(sigma_zeta=0.5, oam_dephasing=0.2, seed=3), 4)
+    entries = [e for es in rr.summary["density"].values() for e in es]
+    assert entries and {tuple(map(type, e)) for e in entries} == {(int, int, float, float)}
+
+
 @settings(max_examples=4, deadline=None)
 @given(spec=st.builds(NoiseSpec, sigma_zeta=st.floats(0.0, 2.0),
                       oam_dephasing=st.floats(0.0, 2.0), loss=st.floats(0.0, 0.5),
