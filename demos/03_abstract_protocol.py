@@ -9,7 +9,6 @@ Every Bell branch succeeds with probability 1/16 regardless of dimension.
 import numpy as np
 
 from cpfsim.protocol import (
-    AuxiliaryConfig,
     BellOutcome,
     QuditState,
     cpf_oracle,
@@ -21,7 +20,7 @@ rng = np.random.default_rng(42)
 
 for d in (2, 3, 4, 6):
     psi = QuditState.random(d, rng)
-    results = run_protocol(psi, AuxiliaryConfig(0))
+    results = run_protocol(psi, 0)
     ideal = QuditState(d, cpf_oracle(d) @ psi.amps)
     fids = {o.value: abs(s.overlap(ideal)) ** 2 for o, (s, _p) in results.items()}
     probs = {o.value: p for o, (_s, p) in results.items()}
@@ -34,8 +33,7 @@ for d in (2, 3, 4, 6):
           f"(dimension independent)\n")
 
 print("A basis case, d = 4, input |3,3>:")
-res = run_protocol(QuditState.product([0, 0, 0, 1], [0, 0, 0, 1]),
-                   AuxiliaryConfig(1))
+res = run_protocol(QuditState.product([0, 0, 0, 1], [0, 0, 0, 1]), 1)
 state, p = res[BellOutcome.PhiPlus]
 print(f"   PhiPlus heralds amplitude {state.matrix()[3, 3]:+.3f} on |3,3> "
       f"with p = {p:.6f}  (the phase flip)")

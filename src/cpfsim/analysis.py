@@ -24,7 +24,7 @@ from .errors import EmptyPostSelection
 from .fock import sample_counts
 from .gate_d4 import PREPARATION_TABLE, pipeline
 from .noise import IDEAL_DRAW, NoiseSpec
-from .protocol import BellOutcome, QuditState, cpf_oracle
+from .protocol import BellOutcome, cpf_oracle
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -254,12 +254,6 @@ def stabilizer_settings() -> dict:
         "yy": np.kron(_qubit_operator_on_levels(_PAULI["y"]),
                       _qubit_operator_on_levels(_PAULI["y"])),
     }
-
-
-def entangled_target() -> QuditState:
-    """Output of the gate on the (|1>+|3>) x (|1>+|3>) / 2 input."""
-    v = STATE_VECTORS["x13+"]
-    return QuditState(4, cpf_oracle(4) @ np.kron(v, v))
 
 
 @dataclass

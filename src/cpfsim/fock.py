@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -118,23 +117,6 @@ class MultiPhotonState:
 
     def norm2(self) -> float:
         return _norm2(self.terms.values())
-
-    def overlap(self, other: "MultiPhotonState") -> complex:
-        """<other|self>."""
-        if self.space != other.space or self.n != other.n:
-            raise SpaceMismatch("overlap of incompatible states")
-        acc = 0.0 + 0.0j
-        if len(self.terms) <= len(other.terms):
-            for cfg, a in self.terms.items():
-                b = other.terms.get(cfg)
-                if b is not None:
-                    acc += np.conj(b) * a
-        else:
-            for cfg, b in other.terms.items():
-                a = self.terms.get(cfg)
-                if a is not None:
-                    acc += np.conj(b) * a
-        return complex(acc)
 
     def normalized_copy(self) -> "MultiPhotonState":
         nrm = math.sqrt(self.norm2())
@@ -244,27 +226,14 @@ def apply_transform(t: ModeTransform, s: MultiPhotonState) -> MultiPhotonState:
     return MultiPhotonState._trusted(s.space, n, terms, s.normalized)
 
 
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Required photon count per path; other paths, polarizations and OAM
-    values are unconstrained."""
-
-    required: tuple  # ((path, count), ...)
-
-    @classmethod
-    def from_dict(cls, required: Mapping[str, int]):
-        items = tuple(sorted(required.items()))
-        for _, c in items:
-            if c < 0:
-                raise ValueError("photon counts must be non-negative")
-        return cls(items)
-
-
 def post_select(
-    s: MultiPhotonState, p: DetectionPattern
+    s: MultiPhotonState, required: Mapping[str, int]
 ) -> tuple[MultiPhotonState, float]:
-    """Keep configurations matching the pattern; return (state, probability)."""
-    required = dict(p.required)
+    """Keep the configurations with ``required[path]`` photons on each listed
+    path, other paths, polarizations and OAM values unconstrained; return
+    (state, probability)."""
+    if any(c < 0 for c in required.values()):
+        raise ValueError("photon counts must be non-negative")
     if sum(required.values()) > s.n:
         raise EmptyPostSelection(
             f"pattern needs {sum(required.values())} photons, state holds {s.n}"
@@ -355,50 +324,6 @@ def group_basis_vector(space: ModeSpace, paths: Sequence[str], terms: Mapping[tu
         by_path = {m.path: m for m in modes}
         vec[_group_vector_index(space, tuple(paths), by_path)] += amp
     return vec
-
-
-def outcome_distribution(s: MultiPhotonState, resolution: Mapping) -> dict:
-    """Joint outcome probabilities for a grouped projective readout.
-
-    ``resolution`` maps a tuple of path labels to a list of
-    ``(label, joint vector)`` pairs forming an orthonormal basis of the
-    occupied subspace of that group.  Every occupied path must appear in
-    exactly one group and hold exactly one photon.
-    """
-    if not s.normalized:
-        s = s.normalized_copy()
-    occ = _occupied_paths(s)
-    groups = [tuple(g) for g in resolution]
-    covered = [p for g in groups for p in g]
-    if sorted(covered) != sorted(set(covered)):
-        raise BasisIncomplete("a path appears in more than one resolution group")
-    missing = [p for p, c in occ.items() if c > 0 and p not in covered]
-    if missing:
-        raise BasisIncomplete(f"paths {missing} are occupied but not resolved")
-
-    dist: dict[tuple, float] = {}
-
-    def recurse(state, remaining, outcome, prob):
-        if prob <= 1e-30:
-            return
-        if not remaining:
-            key = outcome if len(outcome) > 1 else outcome[0]
-            dist[key] = dist.get(key, 0.0) + prob
-            return
-        group = remaining[0]
-        for label, vector in resolution[group]:
-            sub, p = project_group(state, group, vector)
-            if p <= 0.0:
-                continue
-            recurse(sub, remaining[1:], outcome + (label,), prob * p)
-
-    recurse(s, groups, (), 1.0)
-    total = sum(dist.values())
-    if abs(total - 1.0) > 1e-10:
-        raise BasisIncomplete(
-            f"resolution captures probability {total:.6f}, not 1; basis incomplete"
-        )
-    return dist
 
 
 def path_count_distribution(s: MultiPhotonState) -> dict:

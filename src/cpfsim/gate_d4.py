@@ -160,12 +160,6 @@ class TranscriptReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def first_divergence(self):
-        for e in self.entries:
-            if not e.ok:
-                return e
-        return None
-
     def lines(self):
         out = []
         for e in self.entries:

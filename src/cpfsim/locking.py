@@ -184,14 +184,17 @@ def calibrate_gain(p: LockParams) -> float:
 
 def lock_gain(p: LockParams) -> float:
     """The calibrated gain G of a lock with an error signal: ValueError unless
-    the slope G sin(demod_phase) exceeds 1e-8 A, A = (e0h^2 + e0v^2) / 4 the
-    detected DC level.  Calibration reads G to a rounding floor of ~2e-11 A,
+    the slope G sin(demod_phase) exceeds the floor 1e-8 A, A = (e0h^2 + e0v^2)
+    / 4 the detected DC level, and that floor is above 0 (it underflows for A
+    below ~2.5e-316).  Calibration reads G to a rounding floor of ~2e-11 A,
     so a slope that clears the bound is known to better than 0.3 %."""
     gain = calibrate_gain(p)
     slope, level = gain * math.sin(p.demod_phase), (p.e0h ** 2 + p.e0v ** 2) / 4
-    if not abs(slope) > 1e-8 * level:      # a NaN slope is refused too
+    floor = 1e-8 * level
+    if not (floor > 0 and abs(slope) > floor):      # a NaN slope is refused too
         raise ValueError(f"the calibrated error slope is 0 to rounding ({abs(slope):.3g}, not above"
-                         f" 1e-8 x the DC level {level:.3g}): the lock has no error signal")
+                         f" 1e-8 x the DC level {level:.3g} = {floor:.3g}): the lock has no"
+                         " error signal")
     return gain
 
 

@@ -125,18 +125,6 @@ class SinglePhotonState:
         return f"SinglePhotonState({parts})"
 
 
-def phase_align(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Multiply ``candidate`` by the unit phase that best matches ``reference``.
-
-    The phase is taken from the overlap component of largest magnitude, so
-    physically equal rays compare elementwise after alignment.
-    """
-    ov = np.vdot(candidate, reference)
-    if abs(ov) < 1e-14:
-        return candidate
-    return candidate * (ov / abs(ov))
-
-
 @dataclass
 class ModeTransform:
     """Unitary ``block`` on the modes of ``paths`` (listed in the space's

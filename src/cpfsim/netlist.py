@@ -118,6 +118,13 @@ def _integer(minimum=-math.inf, maximum=math.inf):
     return read
 
 
+def _version(raw) -> int:
+    """The format version: 1, the only one there is."""
+    if _integer()(raw) != 1:
+        raise ValueError(f"expects 1, the only format version, got {raw!r}")
+    return 1
+
+
 def _number(raw) -> float:
     """A finite float."""
     try:
@@ -189,7 +196,7 @@ def _fields(prefix: str, cls, skip=()) -> dict:
 # [lock] key in ``Netlist.lock``, a [source] key on its SourceSpec and every
 # other key on the Netlist.
 SCHEMA = {
-    "": {"version": _integer()},
+    "": {"version": _version},
     "space": {"paths": _paths, "truncation": _integer(0, MAX_TRUNCATION)},
     # the JSON form writes an unset recipe as ""; text has no empty values
     "source": {"path": _text, "recipe": _choice("recipe", ("", *KNOWN_RECIPES))},
@@ -231,7 +238,8 @@ def _value_problems(nl: Netlist) -> list[str]:
     parsing skipped their readers), and the ranges of the noise, lock, drift
     and PID settings, which their dataclasses check."""
     checks = [(key, SCHEMA[section][key], getattr(nl, key))
-              for section, key in (("space", "truncation"), ("run", "shots"), ("run", "seed"))]
+              for section, key in (("", "version"), ("space", "truncation"), ("run", "shots"),
+                                   ("run", "seed"))]
     checks += [
         ("noise.draws", SCHEMA["run"]["noise.draws"], nl.noise.get("draws", DEFAULT_DRAWS)),
         ("noise", lambda d: NoiseSpec(**d).validate(),

@@ -31,17 +31,6 @@ class BellOutcome(enum.Enum):
     PsiMinus = "PsiMinus"
 
 
-@dataclass(frozen=True)
-class AuxiliaryConfig:
-    """Index p of the two-level subspace {|p>, |d-1>} the auxiliaries occupy."""
-
-    p: int
-
-    def validate(self, d: int):
-        if not 0 <= self.p < d - 1:
-            raise InvalidSubspace(f"auxiliary index p={self.p} not in [0, {d - 1})")
-
-
 class QuditState:
     """Joint pure state of the two data qudits, amplitudes c[m, n]."""
 
@@ -129,21 +118,6 @@ class IdealHdBeamSplitter:
             return "D" if top else "C"
         return "C" if top else "D"
 
-    def matrix(self) -> np.ndarray:
-        """Permutation unitary on the (port x qudit) space, ports (A,B)->(C,D)."""
-        d = self.d
-        m = np.zeros((2 * d, 2 * d), dtype=complex)
-        for pi, port in enumerate(("A", "B")):
-            for q in range(d):
-                out = self.route(port, q)
-                oi = ("C", "D").index(out)
-                m[oi * d + q, pi * d + q] = 1.0
-        return m
-
-
-def ideal_hd_bs(d: int) -> IdealHdBeamSplitter:
-    return IdealHdBeamSplitter(d)
-
 
 def subspace_hadamard(p: int, d: int) -> np.ndarray:
     """Hadamard on span{|p>, |d-1>}, identity elsewhere."""
@@ -211,9 +185,10 @@ def bell_vectors(p: int, d: int) -> dict:
     }
 
 
-def run_protocol(psi: QuditState, aux: AuxiliaryConfig) -> dict:
+def run_protocol(psi: QuditState, p: int) -> dict:
     """Run the heralded protocol; map each Bell outcome to its heralded state.
 
+    The auxiliaries occupy the two-level subspace {|p>, |d-1>}, 0 <= p < d-1.
     Simulates routing of the four labelled photons through the two ideal
     beam splitters, post-selects one photon per output port (relabelling the
     swapped cases by exit port), applies the two-level Hadamard to system 3,
@@ -222,8 +197,7 @@ def run_protocol(psi: QuditState, aux: AuxiliaryConfig) -> dict:
     """
     psi.require_normalized()
     d = psi.d
-    aux.validate(d)
-    p = aux.p
+    h3 = subspace_hadamard(p, d)        # refuses p outside [0, d - 1)
     top = d - 1
     c = psi.matrix()
 
@@ -232,7 +206,7 @@ def run_protocol(psi: QuditState, aux: AuxiliaryConfig) -> dict:
     # the two auxiliary superpositions; discarded branches (two photons in
     # one port) account for the remaining 3/4 of the probability.
     out = np.zeros((d, d, d, d), dtype=complex)
-    bs = ideal_hd_bs(d)
+    bs = IdealHdBeamSplitter(d)
     for m in range(d):
         for n in range(d):
             amp = c[m, n]
@@ -253,7 +227,6 @@ def run_protocol(psi: QuditState, aux: AuxiliaryConfig) -> dict:
                     s4, s3 = (n, a3) if p4 == "C" else (a3, n)
                     out[s1, s2, s3, s4] += val
 
-    h3 = subspace_hadamard(p, d)
     out = np.einsum("ab,mnbq->mnaq", h3, out)
 
     results = {}

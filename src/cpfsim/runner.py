@@ -21,7 +21,6 @@ from .analysis import (DEFAULT_DRAWS, build_heralded_channel, full_fidelity_repo
 from .elements import element_transform
 from .errors import CpfSimError, EmptyPostSelection
 from .fock import (
-    DetectionPattern,
     apply_transform,
     inject_product,
     path_count_distribution,
@@ -302,8 +301,7 @@ def _run_circuit(nl: Netlist) -> RunResult:
     herald = None
     if nl.pattern:
         try:
-            state, herald = post_select(
-                state, DetectionPattern.from_dict(nl.pattern))
+            state, herald = post_select(state, nl.pattern)
         except EmptyPostSelection:
             return RunResult("circuit", 0.0, {}, None, None, None,
                              {"note": "post-selection kept no amplitude"},

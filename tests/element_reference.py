@@ -5,7 +5,8 @@ and the overflow set, built column by column from a per-(polarization, OAM)
 map of images, the identity on every other path.  The tests hold the Jones
 (x) OAM blocks of :mod:`cpfsim.elements` to these matrices.  :func:`polarizer`,
 the one projector, keeps the dense ``np.kron`` build it replaced.  :func:`compose`
-is the dense product with overflow tracking.
+is the dense product with overflow tracking, and :func:`phase_align` lines a
+result up with its expectation up to a global phase.
 """
 
 from __future__ import annotations
@@ -205,3 +206,15 @@ def o2_cnot(space, path):
     return compose([hwp(space, path, math.pi / 8),
                     parity_interferometer(space, path, math.pi / 8),
                     qwp(space, path, math.pi / 4)])
+
+
+def phase_align(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Multiply ``candidate`` by the unit phase that best matches ``reference``.
+
+    The phase is taken from the overlap component of largest magnitude, so
+    physically equal rays compare elementwise after alignment.
+    """
+    ov = np.vdot(candidate, reference)
+    if abs(ov) < 1e-14:
+        return candidate
+    return candidate * (ov / abs(ov))

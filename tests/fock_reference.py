@@ -7,17 +7,21 @@ numpy arrays for every mode of the space, identity columns included, and
 compute on numpy scalars.  The tests hold the engine to these functions
 term by term: the same configurations in the same order, bitwise-equal
 amplitudes and the same :class:`~cpfsim.errors.TruncationOverflow` cases.
+:func:`outcome_distribution` is the grouped projective readout, built on
+:func:`cpfsim.fock.project_group`, that the gate tests resolve Bell outcomes
+with.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
 from cpfsim.conventions import PRUNE_TOL
-from cpfsim.errors import EmptyPostSelection, SpaceMismatch, TruncationOverflow
-from cpfsim.fock import MultiPhotonState
+from cpfsim.errors import BasisIncomplete, EmptyPostSelection, SpaceMismatch, TruncationOverflow
+from cpfsim.fock import MultiPhotonState, _occupied_paths, project_group
 
 
 def _sqrt_fact(config: tuple) -> float:
@@ -116,3 +120,47 @@ def apply_transform(t, s: MultiPhotonState) -> MultiPhotonState:
         if abs(v) > PRUNE_TOL:
             terms[cfg] = v
     return MultiPhotonState(s.space, s.n, terms, normalized=s.normalized)
+
+
+def outcome_distribution(s: MultiPhotonState, resolution: Mapping) -> dict:
+    """Joint outcome probabilities for a grouped projective readout.
+
+    ``resolution`` maps a tuple of path labels to a list of
+    ``(label, joint vector)`` pairs forming an orthonormal basis of the
+    occupied subspace of that group.  Every occupied path must appear in
+    exactly one group and hold exactly one photon.
+    """
+    if not s.normalized:
+        s = s.normalized_copy()
+    occ = _occupied_paths(s)
+    groups = [tuple(g) for g in resolution]
+    covered = [p for g in groups for p in g]
+    if sorted(covered) != sorted(set(covered)):
+        raise BasisIncomplete("a path appears in more than one resolution group")
+    missing = [p for p, c in occ.items() if c > 0 and p not in covered]
+    if missing:
+        raise BasisIncomplete(f"paths {missing} are occupied but not resolved")
+
+    dist: dict[tuple, float] = {}
+
+    def recurse(state, remaining, outcome, prob):
+        if prob <= 1e-30:
+            return
+        if not remaining:
+            key = outcome if len(outcome) > 1 else outcome[0]
+            dist[key] = dist.get(key, 0.0) + prob
+            return
+        group = remaining[0]
+        for label, vector in resolution[group]:
+            sub, p = project_group(state, group, vector)
+            if p <= 0.0:
+                continue
+            recurse(sub, remaining[1:], outcome + (label,), prob * p)
+
+    recurse(s, groups, (), 1.0)
+    total = sum(dist.values())
+    if abs(total - 1.0) > 1e-10:
+        raise BasisIncomplete(
+            f"resolution captures probability {total:.6f}, not 1; basis incomplete"
+        )
+    return dist

@@ -29,7 +29,6 @@ from cpfsim.analysis import (
     superposition_suite,
 )
 from cpfsim.fock import (
-    DetectionPattern,
     apply_transform,
     inject_product,
     post_select,
@@ -54,7 +53,6 @@ from cpfsim.locking import (
 from cpfsim.modes import Mode, ModeSpace, ModeTransform, SinglePhotonState
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import (
-    AuxiliaryConfig,
     BellOutcome,
     QuditState,
     cpf_oracle,
@@ -85,7 +83,7 @@ def test_criterion_1_oracle_equivalence_any_dimension():
         for _ in range(100):
             psi = QuditState.random(d, rng)
             ideal = QuditState(d, u @ psi.amps)
-            for state, _p in run_protocol(psi, AuxiliaryConfig(0)).values():
+            for state, _p in run_protocol(psi, 0).values():
                 worst = min(worst, abs(state.overlap(ideal)))
     elapsed = time.perf_counter() - t0
     ok = worst >= 1 - 1e-10 and elapsed < 5.0
@@ -111,8 +109,7 @@ def test_criterion_2_heralding_probabilities(pipe):
         v /= np.linalg.norm(v)
         state = inject_product([encode_qudit_vector(sp, "A", v),
                                 prepare_auxiliary(sp, "B")])
-        _sel, p = post_select(bs.apply(state),
-                              DetectionPattern.from_dict({"C": 1, "D": 1}))
+        _sel, p = post_select(bs.apply(state), {"C": 1, "D": 1})
         worst_split = max(worst_split, abs(p - 0.5))
     # Bell branch probabilities, both engines
     worst_branch = 0.0
@@ -120,7 +117,7 @@ def test_criterion_2_heralding_probabilities(pipe):
     for _ in range(4):
         c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         c /= np.linalg.norm(c)
-        res = run_protocol(QuditState.from_matrix(c), AuxiliaryConfig(1))
+        res = run_protocol(QuditState.from_matrix(c), 1)
         for _s, p in res.values():
             worst_branch = max(worst_branch, abs(p - 1 / 16))
         run = pipe.run(c, accepted=BOTH)
@@ -173,7 +170,7 @@ def test_criterion_4_cross_engine_equivalence(pipe):
         v1, v4 = STATE_VECTORS[key1], STATE_VECTORS[key4]
         c = np.outer(v1, v4)
         run = run_cpf_d4(v1, v4, accepted=BOTH)
-        abstract = run_protocol(QuditState.from_matrix(c), AuxiliaryConfig(1))
+        abstract = run_protocol(QuditState.from_matrix(c), 1)
         ideal = QuditState(4, u @ c.reshape(-1))
         for outcome, (state, _p) in run.per_outcome.items():
             worst = min(worst, state.fidelity(ideal))

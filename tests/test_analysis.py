@@ -11,7 +11,6 @@ from cpfsim.analysis import (
     basis_table,
     build_heralded_channel,
     channel_bounds,
-    entangled_target,
     full_fidelity_report,
     heralded_ensemble,
     hofmann_bounds,
@@ -23,7 +22,7 @@ from cpfsim.analysis import (
 )
 from cpfsim.errors import EncodingError
 from cpfsim.noise import NoiseSpec
-from cpfsim.protocol import BellOutcome, cpf_oracle
+from cpfsim.protocol import BellOutcome, QuditState, cpf_oracle
 
 BOTH = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
 
@@ -202,7 +201,8 @@ def test_superposition_suite_noiseless():
 
 
 def test_entangled_target_is_stabilized():
-    t = entangled_target()
+    v = STATE_VECTORS["x13+"]
+    t = QuditState(4, cpf_oracle(4) @ np.kron(v, v))
     for op in stabilizer_settings().values():
         val = np.vdot(t.amps, op @ t.amps).real
         assert abs(val - 1.0) < 1e-12

@@ -13,8 +13,9 @@ from cpfsim.modes import (
     SinglePhotonState,
     apply_to_single_photon,
     compose_transforms,
-    phase_align,
 )
+
+from element_reference import phase_align
 
 S2 = 1 / math.sqrt(2)
 

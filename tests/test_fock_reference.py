@@ -1,7 +1,8 @@
 """The Fock engine against the numpy reference (``fock_reference``): random
 one- to three-photon states, bunched photons included, through random chains
 of every catalogue kind give the same configurations in the same order, with
-bitwise-equal amplitudes, and overflow in the same cases."""
+bitwise-equal amplitudes, and overflow in the same cases.  The reference's
+grouped readout, ``outcome_distribution``, on hand-built states."""
 
 import math
 import struct
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import fock_reference as ref
 from cpfsim.elements import CATALOGUE, element_transform
-from cpfsim.errors import TruncationOverflow
-from cpfsim.fock import MultiPhotonState, apply_transform, inject_product
+from cpfsim.errors import BasisIncomplete, TruncationOverflow
+from cpfsim.fock import MultiPhotonState, apply_transform, group_basis_vector, inject_product
 from cpfsim.modes import POLS, Mode, ModeSpace, SinglePhotonState
 
 # Exact parts (0, +-1, +-i) exercise the signs of zero parts; the rest are generic.
@@ -143,3 +144,81 @@ def test_signed_zero_parts_match_reference(amp, cfg):
     for desc in ("DL() @ A", "HWP(angle=0.3) @ A"):
         t = element_transform(desc, space)
         assert_same(apply_transform(t, state), ref.apply_transform(t, state))
+
+
+S2 = 1 / math.sqrt(2)
+
+
+def small_space():
+    return ModeSpace(("a", "b"), 1)
+
+
+def ket(sp, path, pol, oam):
+    return SinglePhotonState.from_terms(sp, {Mode(path, pol, oam): 1.0})
+
+
+def test_outcome_distribution_single_photon_examples():
+    sp = small_space()
+    hv = [("H", group_basis_vector(sp, ("a",), {(Mode("a", "H", 0),): 1.0})),
+          ("V", group_basis_vector(sp, ("a",), {(Mode("a", "V", 0),): 1.0}))]
+    st_ = inject_product([ket(sp, "a", "H", 0)])
+    dist = ref.outcome_distribution(st_, {("a",): hv})
+    assert abs(dist["H"] - 1.0) < 1e-12 and abs(dist.get("V", 0.0)) < 1e-12
+    plus = SinglePhotonState.from_terms(
+        sp, {Mode("a", "H", 0): S2, Mode("a", "V", 0): S2})
+    dist = ref.outcome_distribution(inject_product([plus]), {("a",): hv})
+    assert abs(dist["H"] - 0.5) < 1e-12 and abs(dist["V"] - 0.5) < 1e-12
+
+
+def test_outcome_distribution_bell_resolution():
+    # protocol-shaped four-photon state: one orthogonal photon-1 tag per Bell
+    # branch, each branch carrying amplitude 1/2, so every Bell outcome of the
+    # middle pair has probability 1/4
+    sp = ModeSpace(("p1", "p2", "p3", "p4"), 1)
+
+    def m(path, l, pol="H"):
+        return Mode(path, pol, l)
+
+    bell_patterns = (
+        ("PhiPlus", {(-1, -1): S2, (1, 1): S2}),
+        ("PhiMinus", {(-1, -1): S2, (1, 1): -S2}),
+        ("PsiPlus", {(-1, 1): S2, (1, -1): S2}),
+        ("PsiMinus", {(-1, 1): S2, (1, -1): -S2}),
+    )
+    tags = [m("p1", -1), m("p1", 0), m("p1", 1), m("p1", 0, "V")]
+    spectator4 = m("p4", 0)
+    terms = {}
+    for tag, (_name, pattern) in zip(tags, bell_patterns):
+        for (l2, l3), amp in pattern.items():
+            cfg = tuple(sorted([sp.index(tag), sp.index(m("p2", l2)),
+                                sp.index(m("p3", l3)), sp.index(spectator4)]))
+            terms[cfg] = terms.get(cfg, 0.0) + 0.5 * amp
+    state = MultiPhotonState(sp, 4, terms)
+    bell = {
+        name: group_basis_vector(
+            sp, ("p2", "p3"),
+            {(m("p2", a), m("p3", b)): amp for (a, b), amp in pattern.items()})
+        for name, pattern in bell_patterns
+    }
+    tag_basis = [(i, group_basis_vector(sp, ("p1",), {(t,): 1.0}))
+                 for i, t in enumerate(tags)]
+    spec4_basis = [("x", group_basis_vector(sp, ("p4",), {(spectator4,): 1.0}))]
+    dist = ref.outcome_distribution(state, {
+        ("p1",): tag_basis,
+        ("p2", "p3"): list(bell.items()),
+        ("p4",): spec4_basis,
+    })
+    marg = {}
+    for (tag, name, _x), p in dist.items():
+        marg[name] = marg.get(name, 0.0) + p
+    for name in bell:
+        assert abs(marg[name] - 0.25) < 1e-10
+
+
+def test_outcome_distribution_incomplete_basis():
+    sp = small_space()
+    only_h = [("H", group_basis_vector(sp, ("a",), {(Mode("a", "H", 0),): 1.0}))]
+    plus = SinglePhotonState.from_terms(
+        sp, {Mode("a", "H", 0): S2, Mode("a", "V", 0): S2})
+    with pytest.raises(BasisIncomplete):
+        ref.outcome_distribution(inject_product([plus]), {("a",): only_h})

@@ -16,7 +16,6 @@ from cpfsim import fock, gate_d4
 from cpfsim.analysis import build_heralded_channel, heralded_ensemble
 from cpfsim.errors import EmptyPostSelection, EncodingError, PatternMismatch
 from cpfsim.fock import (
-    DetectionPattern,
     apply_transform,
     from_joint_amplitudes,
     post_select,
@@ -38,11 +37,9 @@ from cpfsim.gate_d4 import (
     qudit_amplitudes,
     run_cpf_d4,
 )
-from cpfsim.fock import outcome_distribution
 from cpfsim.modes import Mode, ModeSpace, SinglePhotonState, apply_to_single_photon
 from cpfsim.noise import IDEAL_DRAW, NoiseSpec
 from cpfsim.protocol import (
-    AuxiliaryConfig,
     BellOutcome,
     QuditState,
     correction_factors,
@@ -50,6 +47,7 @@ from cpfsim.protocol import (
     run_protocol,
 )
 
+from fock_reference import outcome_distribution
 from gate_reference import reference_pattern_operators
 
 S2 = 1 / math.sqrt(2)
@@ -281,7 +279,7 @@ def test_decoder_identifies_phi_states(stage, stage_space):
     for name, expected in (("PhiPlus", BellOutcome.PhiPlus),
                            ("PhiMinus", BellOutcome.PhiMinus)):
         state = apply_transform(stage.transform, stage_input(sp, bell_tensor(name)))
-        selected, p = post_select(state, DetectionPattern.from_dict({"E1": 1, "E2": 1}))
+        selected, p = post_select(state, {"E1": 1, "E2": 1})
         assert abs(p - 0.5) < 1e-10  # the other half bunches into one port
         dist = outcome_distribution(selected, {
             ("E1",): stage.analyzer_basis("E1"),
@@ -333,7 +331,7 @@ def test_joint_input_matches_abstract_engine(pipe, rng):
     c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     c /= np.linalg.norm(c)
     run = pipe.run(c, accepted=BOTH)
-    abstract = run_protocol(QuditState.from_matrix(c), AuxiliaryConfig(1))
+    abstract = run_protocol(QuditState.from_matrix(c), 1)
     for outcome, (state, p) in run.per_outcome.items():
         ref, p_ref = abstract[outcome]
         assert abs(p - p_ref) < 1e-10
@@ -405,8 +403,7 @@ def _fock_patterns(pipe, c, draw):
     state = pipe.inject(c)
     for t in _noisy_chain(pipe, draw):
         state = apply_transform(t, state)
-    selected, p_ports = post_select(
-        state, DetectionPattern.from_dict({p: 1 for p in pipe.PORTS}))
+    selected, p_ports = post_select(state, {p: 1 for p in pipe.PORTS})
     out = {}
     for s1, v1 in pipe.stage.analyzer_basis("E1"):
         partial, p1 = project_group(selected, ("E1",), v1)

@@ -136,6 +136,8 @@ def test_param_validation():
 @pytest.mark.parametrize("params", [
     LockParams(demod_phase=5e-324),  # sin(demod_phase) != 0, gain * sin underflows
     LockParams(e0h=1e-161, e0v=1e-161),  # e0h e0v != 0, the calibrated gain is 0
+    LockParams(e0h=1e-160, e0v=1e-160),  # a gain of -2.5e-323 over a floor that underflows
+    LockParams(e0h=1e-158, e0v=1e-158),  # the floor 1e-8 x 5e-317 underflows to 0
 ])
 def test_vanishing_error_slope_is_refused(params):
     """Settings that validate but leave a calibrated error slope of exactly
@@ -143,6 +145,15 @@ def test_vanishing_error_slope_is_refused(params):
     params.validate()
     with pytest.raises(ValueError, match="calibrated error slope is 0"):
         simulate_lock(params, DriftModel(), PidGains(), duration=0.05)
+
+
+def test_smallest_fields_with_a_floor_lock():
+    """At e0h = e0v = 1e-157 the floor 1e-8 x the DC level is ~5e-323, still
+    above 0: the slope clears it and the servo follows the unit-field one."""
+    tiny, unit = (simulate_lock(LockParams(e0h=e, e0v=e), DriftModel(), PidGains(),
+                                duration=0.05) for e in (1e-157, 1.0))
+    assert not tiny.diverged
+    assert np.max(np.abs(tiny.zeta_closed - unit.zeta_closed)) < 1e-6
 
 
 def test_lock_work_is_bounded():

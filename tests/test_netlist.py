@@ -151,6 +151,8 @@ _VALUE_DEFECTS = [
     # an error slope the calibration cannot tell from its rounding floor
     ("[run]\ntask lock\n[lock]\ndemod_phase 5e-324", "lock: the calibrated error slope is 0"),
     ("[run]\ntask lock\n[lock]\ne0h 1e-300", "lock: the calibrated error slope is 0"),
+    # the floor 1e-8 x the DC level underflows to 0, which any slope would clear
+    ("[run]\ntask lock\n[lock]\ne0h 1e-160\ne0v 1e-160", "lock: the calibrated error slope is 0"),
     ("[run]\ntask lock\n[lock]\nmod_depth 1e-15", "lock: the calibrated error slope is 0"),
     ("[run]\nduration -1", "lock: duration must be positive"),
     ("[run]\nduration 0", "lock: duration must be positive"),
@@ -263,6 +265,24 @@ def test_validation_diagnostics_json(obj, needle):
     assert not res.ok
     assert any(needle in d.message for d in res.diagnostics), [
         str(d) for d in res.diagnostics]
+
+
+@pytest.mark.parametrize("version", ["2", "0"])
+def test_only_version_1_is_read(version, tmp_path, capsys):
+    """A format version other than 1 is refused by both front ends, by
+    ``cpfsim validate`` and by ``execute`` on a bare netlist; none runs as
+    version 1."""
+    needle = f"version: expects 1, the only format version, got {version!r}"
+    res = parse_netlist(f"version {version}\n[run]\ntask lock\n")
+    assert not res.ok and [d.message for d in res.diagnostics] == [needle]
+    res = parse_netlist_json({"version": int(version), "run": {"task": "lock"}})
+    assert not res.ok and [d.message for d in res.diagnostics] == [needle.replace("'", "")]
+    path = tmp_path / "v.netlist"
+    path.write_text(f"version {version}\n[run]\ntask lock\n")
+    assert cli_main(["validate", "--netlist", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(NetlistError, match="version: expects 1"):
+        execute(Netlist(version=int(version), task="lock"))
 
 
 def test_value_diagnostics_carry_positions():
@@ -643,6 +663,7 @@ def _log_uniform(low: int, high: int, signed: bool = True):
 @example(e0h=1e-300, e0v=1.0, mod_depth=0.2, demod_phase=math.pi / 2)
 @example(e0h=1.0, e0v=1.0, mod_depth=1e-15, demod_phase=math.pi / 2)
 @example(e0h=1e200, e0v=1.0, mod_depth=0.2, demod_phase=math.pi / 2)
+@example(e0h=1e-157, e0v=1e-157, mod_depth=0.2, demod_phase=math.pi / 2)
 def test_lock_netlist_that_validates_runs(e0h, e0v, mod_depth, demod_phase):
     """Lock settings down to subnormal amplitudes, depths and demodulation
     phases: validate and lock both exit 0 or both exit 1, and neither

@@ -6,15 +6,14 @@ import pytest
 
 from cpfsim.errors import InvalidDimension, InvalidSubspace, NotNormalized
 from cpfsim.protocol import (
-    AuxiliaryConfig,
     BellOutcome,
+    IdealHdBeamSplitter,
     QuditState,
     bell_vectors,
     correction_factors,
     correction_unitary,
     cpf_oracle,
     heralding_probability,
-    ideal_hd_bs,
     run_protocol,
     subspace_hadamard,
 )
@@ -55,20 +54,21 @@ def test_cpf_oracle_properties(d):
 
 
 def test_ideal_hd_bs_routing():
-    bs = ideal_hd_bs(4)
+    bs = IdealHdBeamSplitter(4)
     assert bs.route("A", 3) == "D"
     assert bs.route("B", 1) == "D"
     assert bs.route("A", 1) == "C"
     assert bs.route("B", 3) == "C"
-    m = bs.matrix()
-    assert np.allclose(m.conj().T @ m, np.eye(8))
+    # a permutation of the 2d (port, level) pairs, so a unitary
+    images = {(bs.route(port, q), q) for port in ("A", "B") for q in range(4)}
+    assert len(images) == 8
     with pytest.raises(InvalidDimension):
-        ideal_hd_bs(1)
+        IdealHdBeamSplitter(1)
 
 
 def test_ideal_hd_bs_involution_under_relabel():
     d = 4
-    bs = ideal_hd_bs(d)
+    bs = IdealHdBeamSplitter(d)
     # relabel outputs D -> A and C -> B, then route again: identity
     relabel = {"C": "B", "D": "A"}
     for port in ("A", "B"):
@@ -105,7 +105,7 @@ def test_correction_unitaries():
 
 def test_run_protocol_basis_input_d4():
     psi = QuditState.product([0, 0, 0, 1], [0, 0, 0, 1])
-    res = run_protocol(psi, AuxiliaryConfig(1))
+    res = run_protocol(psi, 1)
     state, prob = res[BellOutcome.PhiPlus]
     assert abs(prob - 1 / 16) < 1e-12
     assert abs(state.matrix()[3, 3] + 1.0) < 1e-12  # heralds -|3,3>
@@ -113,7 +113,7 @@ def test_run_protocol_basis_input_d4():
 
 def test_run_protocol_probabilities_and_efficiency(rng):
     psi = QuditState.random(4, rng)
-    res = run_protocol(psi, AuxiliaryConfig(1))
+    res = run_protocol(psi, 1)
     total = sum(p for _s, p in res.values())
     assert abs(total - 0.25) < 1e-12
     for _s, p in res.values():
@@ -129,7 +129,7 @@ def test_run_protocol_matches_oracle_all_branches(rng):
         for _ in range(5):
             psi = QuditState.random(d, rng)
             ideal = QuditState(d, u @ psi.amps)
-            res = run_protocol(psi, AuxiliaryConfig(0))
+            res = run_protocol(psi, 0)
             for state, _p in res.values():
                 assert abs(state.overlap(ideal)) > 1 - 1e-12
 
@@ -137,8 +137,8 @@ def test_run_protocol_matches_oracle_all_branches(rng):
 def test_run_protocol_aux_choice_irrelevant(rng):
     d = 5
     psi = QuditState.random(d, rng)
-    res_a = run_protocol(psi, AuxiliaryConfig(0))
-    res_b = run_protocol(psi, AuxiliaryConfig(2))
+    res_a = run_protocol(psi, 0)
+    res_b = run_protocol(psi, 2)
     for outcome in BellOutcome:
         sa, pa = res_a[outcome]
         sb, pb = res_b[outcome]
@@ -149,10 +149,17 @@ def test_run_protocol_aux_choice_irrelevant(rng):
 def test_run_protocol_requires_normalized():
     bad = QuditState(4, np.ones(16))
     with pytest.raises(NotNormalized):
-        run_protocol(bad, AuxiliaryConfig(1))
+        run_protocol(bad, 1)
     with pytest.raises(InvalidSubspace):
-        run_protocol(QuditState.product([0, 0, 0, 1], [0, 0, 0, 1]),
-                     AuxiliaryConfig(3))
+        run_protocol(QuditState.product([0, 0, 0, 1], [0, 0, 0, 1]), 3)
+
+
+@pytest.mark.parametrize("p", (-1, 4))
+def test_run_protocol_refuses_auxiliary_index_out_of_range(p):
+    """An index off {0, ..., d-2} is refused before the routing loop, whose
+    tensor a negative or too large index would otherwise wrap or overrun."""
+    with pytest.raises(InvalidSubspace):
+        run_protocol(QuditState.product([0, 0, 0, 1], [0, 0, 0, 1]), p)
 
 
 def test_bell_vectors_orthonormal():

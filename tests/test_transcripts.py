@@ -84,7 +84,7 @@ def test_wrong_pbs_phase_flagged_at_first_pbs(splitter_space, monkeypatch):
     monkeypatch.setattr(conv, "PBS_REFLECT_PHASE", -1j)
     bs = build_hd_beamsplitter(splitter_space)
     report = transcript_check(bs)
-    first = report.first_divergence()
+    first = next((e for e in report.entries if not e.ok), None)
     assert first is not None and (first.port, first.label) == ("A", "PBS1")
 
 
@@ -97,7 +97,7 @@ def test_missing_phase_plate_flagged_at_its_stage(splitter_space):
     stages[idx] = Stage("O2MP@P2", without_pp)
     broken = HdBeamSplitter(sp, bs.paths, stages)
     report = transcript_check(broken)
-    first = report.first_divergence()
+    first = next((e for e in report.entries if not e.ok), None)
     assert first is not None and (first.port, first.label) == ("A", "O2MP@P2")
     # earlier checkpoints still match
     labels_ok = [e.label for e in report.entries if e.ok and e.port == "A"]
