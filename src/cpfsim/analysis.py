@@ -41,6 +41,10 @@ STATE_VECTORS = {key: _read_only(np.array(recipe.target))
 #: Noise draws averaged by default in the fidelity experiments and noisy
 #: ``cpf_d4`` runs.
 DEFAULT_DRAWS = 32
+#: The most noise draws one channel averages.  The channel keeps up to four
+#: 16x16 complex operators, 16 KiB, for each unlost draw; 4096 draws take
+#: 64 MiB.
+MAX_DRAWS = 4096
 
 Z_ORDER = ("z0", "z1", "z2", "z3")
 X_ORDER = ("x02+", "x02-", "x13+", "x13-")
@@ -303,21 +307,25 @@ def superposition_suite(channel: HeraldedChannel) -> list[SuiteEntry]:
 # Heralded channel, brute-force process fidelity, bound containment
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HeraldedChannel:
     """Kraus form of the noise-averaged heralded gate (unnormalized).
 
     The operators are kept as one read-only (n, 16, 16) stack, so that a
     readout evaluates every input against every operator in one product.
+    A channel is a frozen, read-only value: every holder of a shared channel
+    sees the same operators.
     """
 
     kraus: np.ndarray          # (n, 16, 16) operators, weights folded in
-    labels: list               # (BellOutcome, analyzer pattern) of each operator
+    labels: tuple              # (BellOutcome, analyzer pattern) of each operator
     herald_probability: float = field(init=False)  # trace(sum K^dag K) / 16, input independent
 
     def __post_init__(self):
-        self.kraus = _read_only(np.array(self.kraus, dtype=complex).reshape(-1, 16, 16))
-        self.herald_probability = float(np.sum(np.abs(self.kraus) ** 2) / 16.0)
+        kraus = _read_only(np.array(self.kraus, dtype=complex).reshape(-1, 16, 16))
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "herald_probability", float(np.sum(np.abs(kraus) ** 2) / 16.0))
 
     def readout(self, inputs: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Heralded probabilities of output vectors for a batch of inputs.
@@ -351,15 +359,34 @@ def build_heralded_channel(
     Each operator is weighted by its draw's share and labelled with its
     (outcome, pattern).  The draws without noise share one weighted operator
     set; a lost draw heralds nothing, so an ensemble whose every draw is lost
-    gives the empty channel, herald probability 0.  EncodingError if the Bell
-    stage cannot tell an accepted outcome apart."""
-    pipe = pipeline()
-    accepted = pipe.stage.require_distinguishable(accepted)
+    gives the empty channel, herald probability 0.
+
+    The builder keeps its last channel and returns it to the next call with
+    the same settings, so a run followed by an analysis of those settings
+    runs the Fock passes once.  Channels are shared, read-only values; the
+    kept one holds at most 64 MiB (``MAX_DRAWS`` draws).  Every noise-free
+    spec, whatever its seed or draw count, gives the one ideal channel.
+
+    ValueError if ``n_draws`` is not an integer in [1, MAX_DRAWS] or the
+    noise settings are invalid; EncodingError if the Bell stage cannot tell
+    an accepted outcome apart.  A refused call leaves the kept channel as it
+    was."""
+    if type(n_draws) is not int or not 1 <= n_draws <= MAX_DRAWS:
+        raise ValueError(f"n_draws must be an integer in [1, {MAX_DRAWS}], got {n_draws!r}")
+    accepted = pipeline().stage.require_distinguishable(accepted)
     if noise is None or noise.trivial:
-        draws = [IDEAL_DRAW]
-    else:
-        noise.validate()
-        draws = noise.draws(n_draws)
+        return _build_channel(None, 1, accepted)
+    noise.validate()
+    return _build_channel(noise, n_draws, accepted)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_channel(noise: NoiseSpec | None, n_draws: int, accepted: frozenset) -> HeraldedChannel:
+    """The channel of checked settings, ``noise`` None for no noise.  One
+    entry saves the rebuild of the settings just built; more would keep
+    channels of settings that are not asked for again."""
+    pipe = pipeline()
+    draws = [IDEAL_DRAW] if noise is None else noise.draws(n_draws)
     w = 1.0 / len(draws)
     n_ideal = sum(d.trivial for d in draws)
     weighted = [(w * n_ideal, IDEAL_DRAW)] if n_ideal else []

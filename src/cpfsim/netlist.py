@@ -18,7 +18,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
-from .analysis import DEFAULT_DRAWS
+from .analysis import DEFAULT_DRAWS, MAX_DRAWS
 from .elements import DescriptorError, element_transform, parse_descriptor, spec_problem
 from .errors import CpfSimError, TruncationOverflow
 from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
@@ -35,10 +35,6 @@ _BELL_NAMES = {o.value: o for o in BellOutcome}
 # builds is a PBS with four distinct ports, 8(2L+1) modes square; at L = 63
 # that complex matrix takes 16.5 MB, within a 16 MiB budget (L = 64 would not).
 MAX_TRUNCATION = 63
-# The most noise draws a netlist may ask for.  The channel keeps up to four
-# 16x16 complex operators, 16 KiB, for each unlost draw; 4096 draws take
-# 64 MiB.
-MAX_DRAWS = 4096
 # The largest |l| a source recipe puts its photon in, the truncation a
 # circuit needs to hold it: a data row's target levels, the auxiliary's terms.
 _RECIPE_REACH = {

@@ -1,6 +1,10 @@
 """The stacked readout of the heralded channel against the per-row,
 per-operator reference form, its shared read-only inputs, empty channels,
-and the work a readout of a built channel does."""
+the channel the builder keeps, and the work a readout of a built channel
+does."""
+
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from cpfsim import analysis
 from cpfsim.analysis import (
+    MAX_DRAWS,
     STATE_VECTORS,
     HeraldedChannel,
     basis_table,
@@ -22,8 +27,10 @@ from cpfsim.analysis import (
 )
 from cpfsim.errors import EmptyPostSelection
 from cpfsim.gate_d4 import CpfPipeline
+from cpfsim.netlist import parse_netlist
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome, cpf_oracle
+from cpfsim.runner import execute
 
 from analysis_reference import (
     reference_basis_run,
@@ -158,7 +165,7 @@ def test_all_lost_ensemble_heralds_nothing():
     """Every draw lost builds the empty channel: each readout gives zeros,
     and only the process fidelity, which conditions on a herald, refuses."""
     channel = build_heralded_channel(ALL_LOST, n_draws=3)
-    assert channel.kraus.shape == (0, 16, 16) and channel.labels == []
+    assert channel.kraus.shape == (0, 16, 16) and channel.labels == ()
     assert channel.herald_probability == 0.0
     with pytest.raises(EmptyPostSelection):
         process_fidelity(channel, cpf_oracle(4))
@@ -176,11 +183,11 @@ def test_all_lost_ensemble_heralds_nothing():
     assert heralded_ensemble(channel, v, frozenset(PHI)) == ({}, {})
 
 
-def test_built_channel_feeds_every_analysis_without_a_fock_pass(monkeypatch):
-    """Once a channel is built, no analysis of it runs the pipeline again:
-    the fidelity report, the superposition suite, both brackets, the process
-    fidelity and the ensemble make no transfer_operators call."""
-    spec = NoiseSpec(sigma_zeta=0.3, oam_dephasing=0.2, visibility=0.9, seed=4)
+@pytest.fixture
+def fock_passes(monkeypatch):
+    """The arguments of every transfer_operators call, one Fock pass per
+    draw, from an emptied builder memo on."""
+    analysis._build_channel.cache_clear()
     calls = []
     real = CpfPipeline.transfer_operators
 
@@ -189,16 +196,26 @@ def test_built_channel_feeds_every_analysis_without_a_fock_pass(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(CpfPipeline, "transfer_operators", counted)
+    return calls
+
+
+def test_built_channel_feeds_every_analysis_without_a_fock_pass(fock_passes):
+    """Once a channel is built, no analysis of it runs the pipeline again:
+    the fidelity report, the superposition suite, both brackets, the process
+    fidelity and the ensemble make no transfer_operators call, and a second
+    build of the same settings returns the kept channel."""
+    spec = NoiseSpec(sigma_zeta=0.3, oam_dephasing=0.2, visibility=0.9, seed=4)
     channel = build_heralded_channel(spec, n_draws=3)
     both = build_heralded_channel(spec, n_draws=3, accepted=frozenset(PHI))
-    assert len(calls) == 6
+    assert len(fock_passes) == 3
+    assert both is channel
     full_fidelity_report(channel, shots=50, seed=1)
     superposition_suite(channel)
     channel_bounds(channel, "zx")
     channel_bounds(channel, "fourier")
     process_fidelity(channel, cpf_oracle(4))
     heralded_ensemble(both, np.kron(STATE_VECTORS["z3"], STATE_VECTORS["x13+"]), PHI[:1])
-    assert len(calls) == 6
+    assert len(fock_passes) == 3
 
 
 def test_warm_readout_takes_one_product_per_basis(monkeypatch):
@@ -228,7 +245,9 @@ def test_warm_readout_takes_one_product_per_basis(monkeypatch):
         touches.append("kron")
         return real_kron(*args)
 
-    channel.kraus = channel.kraus.view(WatchedStack)
+    # a private copy to watch: the builder shares the channel it keeps
+    channel = copy.copy(channel)
+    object.__setattr__(channel, "kraus", channel.kraus.view(WatchedStack))
     monkeypatch.setattr(np, "kron", kron)
     report = full_fidelity_report(channel)
     assert touches == ["matmul", "matmul"]
@@ -236,3 +255,124 @@ def test_warm_readout_takes_one_product_per_basis(monkeypatch):
     assert touches == ["matmul"] * 4
     assert (report.f_zx, report.f_xz, report.herald_probability) == (
         want[0].f_zx, want[0].f_xz, want[0].herald_probability)
+
+
+def test_builder_keeps_one_channel(fock_passes):
+    """Building A, then B, then A again runs three Fock builds: the builder
+    keeps its last channel and no other."""
+    a = NoiseSpec(sigma_zeta=0.2, seed=1)
+    b = NoiseSpec(sigma_zeta=0.2, seed=2)
+    first = build_heralded_channel(a, 1)
+    assert build_heralded_channel(a, 1) is first
+    assert len(fock_passes) == 1
+    build_heralded_channel(b, 1)
+    again = build_heralded_channel(a, 1)
+    assert len(fock_passes) == 3
+    assert again is not first and again.kraus.tobytes() == first.kraus.tobytes()
+    # the draw count and the accept set are part of the settings
+    build_heralded_channel(a, 2)
+    build_heralded_channel(a, 2, PHI[:1])
+    assert len(fock_passes) == 3 + 2 + 2
+
+
+def test_call_spellings_share_one_entry(fock_passes):
+    """Positional, keyword and default spellings of one accept set, in any
+    order or container, give the kept channel; so does every noise-free
+    spec, whatever its seed and draw count."""
+    spec = NoiseSpec(oam_dephasing=0.2, seed=3)
+    channel = build_heralded_channel(spec, 2)
+    for other in (build_heralded_channel(spec, 2, frozenset(PHI)),
+                  build_heralded_channel(spec, 2, PHI[::-1]),
+                  build_heralded_channel(spec, 2, set(PHI)),
+                  build_heralded_channel(noise=spec, n_draws=2, accepted=list(PHI)),
+                  build_heralded_channel(accepted=PHI, n_draws=2, noise=spec)):
+        assert other is channel
+    assert len(fock_passes) == 2
+    ideal = build_heralded_channel()
+    for other in (build_heralded_channel(None, 1, PHI),
+                  build_heralded_channel(NoiseSpec(seed=9), 7),
+                  build_heralded_channel(noise=NoiseSpec(seed=5), n_draws=MAX_DRAWS)):
+        assert other is ideal
+    assert len(fock_passes) == 3
+
+
+def test_fidelity_run_then_analysis_builds_once(fock_passes):
+    """A noisy fidelity run and an analysis of the same settings share one
+    channel: the runner's positional call and the default-accept call hit
+    the same entry."""
+    spec = NoiseSpec(sigma_zeta=0.1, oam_dephasing=0.05, visibility=0.95, seed=11)
+    text = ("[run]\ntask fidelity\nseed 11\n"
+            + "".join(f"noise.{k} {getattr(spec, k)!r}\n"
+                      for k in ("sigma_zeta", "oam_dephasing", "visibility"))
+            + "noise.draws 2\n")
+    res = parse_netlist(text)
+    assert res.ok
+    execute(res)
+    assert len(fock_passes) == 2
+    channel = build_heralded_channel(spec, 2)
+    assert len(fock_passes) == 2
+    assert process_fidelity(channel, cpf_oracle(4)) > 0.0
+
+
+_SPECS = st.one_of(st.none(), st.builds(
+    NoiseSpec,
+    sigma_zeta=st.sampled_from((0.0, 0.05, 0.7)), oam_dephasing=st.sampled_from((0.0, 0.3)),
+    loss=st.sampled_from((0.0, 0.2, 1.0)), visibility=st.sampled_from((1.0, 0.8, 0.0)),
+    seed=st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_SPECS, n_draws=st.integers(1, 4),
+       accepted=st.sampled_from((PHI, PHI[:1], PHI[1:])))
+def test_kept_channel_is_a_fresh_build(spec, n_draws, accepted):
+    """A memo hit gives bitwise the operators, labels and herald probability
+    that a fresh build gives after the memo is emptied."""
+    kept = build_heralded_channel(spec, n_draws, frozenset(accepted))
+    hit = build_heralded_channel(noise=spec, n_draws=n_draws, accepted=accepted)
+    assert hit is kept
+    analysis._build_channel.cache_clear()
+    fresh = build_heralded_channel(spec, n_draws, accepted)
+    assert fresh is not kept
+    assert fresh.kraus.shape == kept.kraus.shape
+    assert fresh.kraus.tobytes() == kept.kraus.tobytes()
+    assert fresh.labels == kept.labels
+    assert fresh.herald_probability == kept.herald_probability
+
+
+@pytest.mark.parametrize("bad", [NoiseSpec(sigma_zeta=float("nan"), seed=1),
+                                 NoiseSpec(oam_dephasing=float("inf")),
+                                 NoiseSpec(visibility=2.0), NoiseSpec(loss=-0.5)])
+def test_refused_spec_keeps_the_kept_channel(fock_passes, bad):
+    """A refused spec raises on every call, runs no Fock pass and leaves
+    the kept channel in place."""
+    spec = NoiseSpec(sigma_zeta=0.1, seed=6)
+    kept = build_heralded_channel(spec, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_heralded_channel(bad, 2)
+    assert build_heralded_channel(spec, 2) is kept
+    assert len(fock_passes) == 2
+
+
+@pytest.mark.parametrize("n_draws", [0, -3, 2.5, 2.0, True, False, "2", None, MAX_DRAWS + 1])
+@pytest.mark.parametrize("noise", [None, NoiseSpec(seed=2), NoiseSpec(sigma_zeta=0.1), ALL_LOST])
+def test_bad_draw_count_is_refused(fock_passes, n_draws, noise):
+    """Only an int in [1, MAX_DRAWS] is a draw count, whatever the noise;
+    a refused count runs no Fock pass and leaves the kept channel."""
+    kept = build_heralded_channel(NoiseSpec(sigma_zeta=0.1, seed=6), 1)
+    with pytest.raises(ValueError, match="n_draws"):
+        build_heralded_channel(noise, n_draws)
+    assert build_heralded_channel(NoiseSpec(sigma_zeta=0.1, seed=6), 1) is kept
+    assert len(fock_passes) == 1
+
+
+def test_channel_is_frozen():
+    """A shared channel cannot be changed by any of its holders."""
+    channel = build_heralded_channel()
+    herald = channel.herald_probability
+    assert isinstance(channel.labels, tuple)
+    for name, value in (("kraus", np.zeros((0, 16, 16))), ("labels", ()),
+                        ("herald_probability", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(channel, name, value)
+    assert channel.herald_probability == herald and len(channel.kraus) == len(channel.labels) == 4
