@@ -297,8 +297,15 @@ def _format_value(v):
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(str(x) for x in v) + "]"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return float_text(v)
     return str(v)
+
+
+def float_text(v: float) -> str:
+    """``v`` at 12 significant digits when that text reads back as ``v``,
+    else ``repr(v)``: netlist text keeps every float exactly."""
+    text = f"{v:.12g}"
+    return text if float(text) == v else repr(v)
 
 
 _DESCRIPTOR_RE = re.compile(

@@ -342,7 +342,7 @@ def prepare_input(recipe: PreparationRecipe | str):
     return SinglePhotonState(space, amps / math.sqrt(prob), normalized=True), prob
 
 
-def prepare_auxiliary(space: ModeSpace | None = None, path: str = "S") -> SinglePhotonState:
+def prepare_auxiliary(space: ModeSpace, path: str) -> SinglePhotonState:
     """Auxiliary photon (|V,-1> + |H,+1>)/sqrt(2), up to a global phase.
 
     Built from the q-plate and quarter-wave plate chain; the trailing Dove
@@ -350,8 +350,6 @@ def prepare_auxiliary(space: ModeSpace | None = None, path: str = "S") -> Single
     leave between the two components (frozen conventions, see
     :mod:`cpfsim.conventions`).
     """
-    if space is None:
-        space = _prep_space()
     state = SinglePhotonState.from_terms(space, {Mode(path, "H", 0): 1.0})
     for t in (
         el.qplate(space, path, 0.5),

@@ -106,15 +106,6 @@ class SinglePhotonState:
         norm_ok = abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL
         return cls(space, amps, normalized=norm_ok)
 
-    def norm2(self) -> float:
-        """Squared norm."""
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def overlap(self, other: "SinglePhotonState") -> complex:
-        if self.space != other.space:
-            raise SpaceMismatch("overlap of states on different spaces")
-        return complex(np.vdot(other.amps, self.amps))
-
     def terms(self, tol: float = PRUNE_TOL):
         """Nonzero (Mode, amplitude) pairs."""
         for i in np.flatnonzero(np.abs(self.amps) > tol):
@@ -157,13 +148,6 @@ class ModeTransform:
             raise SpaceMismatch("block shape does not match its paths")
         self._columns_cache = None
         self.check()
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense ``space.dim``-square view, built on each access."""
-        m = np.eye(self.space.dim, dtype=complex)
-        m[np.ix_(self._modes, self._modes)] = self.block
-        return m
 
     def check(self):
         """Verify unitarity on the non-overflow part of the block:

@@ -19,7 +19,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 from .analysis import DEFAULT_DRAWS, MAX_DRAWS
-from .elements import DescriptorError, element_transform, parse_descriptor, spec_problem
+from .elements import (DescriptorError, element_transform, float_text, parse_descriptor,
+                       spec_problem)
 from .errors import CpfSimError, TruncationOverflow
 from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
                       BsmStage, CpfPipeline, auxiliary_target, encode_qudit_vector)
@@ -201,7 +202,7 @@ SCHEMA = {
         "task": _choice("task", KNOWN_TASKS),
         "mode": _choice("mode", ("analytic", "shots")),
         "shots": _integer(0, 2**63 - 1),        # numpy's multinomial takes a C long
-        "seed": _integer(0),
+        "seed": _integer(0, 2**63 - 1),         # the RNG keys take 64 bits; XZ runs seed + 1
         "duration": _number, "setpoint": _number,
         **_fields("noise.", NoiseSpec, skip=("seed",)), "noise.draws": _integer(1, MAX_DRAWS),
     },
@@ -459,31 +460,6 @@ def _finish(nl: Netlist, diags: list) -> ParseResult:
     return ParseResult(None if diags else nl, diags)
 
 
-def netlist_to_json_dict(nl: Netlist) -> dict:
-    """Structured JSON form of a netlist (the programmatic front-end)."""
-    return {
-        "version": nl.version,
-        "space": {"paths": list(nl.paths), "truncation": nl.truncation},
-        "sources": {
-            name: {"path": src.path, "recipe": src.recipe}
-            for name, src in sorted(nl.sources.items())
-        },
-        "elements": [spec.descriptor() for spec in nl.elements],
-        "detect": {
-            "pattern": dict(sorted(nl.pattern.items())),
-            "accept": [o.value for o in nl.accept],
-        },
-        "run": {
-            "task": nl.task, "mode": nl.mode, "shots": nl.shots,
-            "seed": nl.seed, "duration": nl.duration,
-            "setpoint": nl.setpoint, "noise": dict(sorted(nl.noise.items())),
-        },
-        "lock": {"params": dict(sorted(nl.lock.items())),
-                 "drift": dict(sorted(nl.drift.items())),
-                 "pid": dict(sorted(nl.pid.items()))},
-    }
-
-
 # JSON objects nested in a section, and the key prefix their entries take.
 _JSON_GROUPS = {("run", "noise"): "noise.", ("lock", "params"): "",
                 ("lock", "drift"): "drift.", ("lock", "pid"): "pid."}
@@ -539,7 +515,8 @@ def parse_netlist_json(text: str | dict) -> ParseResult:
 
 
 def serialize(nl: Netlist) -> str:
-    """Canonical text form; parse(serialize(n)) reproduces n."""
+    """Canonical text form; parse(serialize(n)) reproduces n, every float
+    included (:func:`~cpfsim.elements.float_text`)."""
     out = [f"version {nl.version}"]
     if nl.paths:
         out += ["", "[space]", f"paths {' '.join(nl.paths)}",
@@ -563,11 +540,11 @@ def serialize(nl: Netlist) -> str:
     out += ["", "[run]", f"task {nl.task}", f"mode {nl.mode}",
             f"shots {nl.shots}", f"seed {nl.seed}"]
     if nl.task == "lock":
-        out += [f"duration {nl.duration:.12g}", f"setpoint {nl.setpoint:.12g}"]
-    out += [f"noise.{k} {v:.12g}" for k, v in sorted(nl.noise.items())]
+        out += [f"duration {float_text(nl.duration)}", f"setpoint {float_text(nl.setpoint)}"]
+    out += [f"noise.{k} {float_text(v)}" for k, v in sorted(nl.noise.items())]
     if nl.lock or nl.drift or nl.pid:
         out += ["", "[lock]"] + [
-            f"{prefix}{k} {v if isinstance(v, str) else format(v, '.12g')}"
+            f"{prefix}{k} {v if isinstance(v, str) else float_text(v)}"
             for prefix, values in (("", nl.lock), ("drift.", nl.drift), ("pid.", nl.pid))
             for k, v in sorted(values.items())]
     return "\n".join(out) + "\n"

@@ -31,8 +31,8 @@ from .gate_d4 import (encode_qudit_vector, prepare_auxiliary, prepare_input,
                       qudit_amplitudes, run_cpf_d4)
 from .locking import DriftModel, LockParams, PidGains, simulate_lock
 from .modes import ModeSpace
-from .netlist import (Netlist, ParseResult, parse_netlist, parse_netlist_json, serialize,
-                      task_problems)
+from .netlist import (Diagnostic, Netlist, ParseResult, parse_netlist, parse_netlist_json,
+                      serialize, task_problems)
 from .noise import NoiseSpec
 
 
@@ -365,9 +365,15 @@ def emit(result: RunResult, fmt: str, out_dir: str | Path, stem: str) -> list:
 
 
 def load_netlist(path: str | Path) -> ParseResult:
-    """Parse a netlist file; ``.json`` files use the JSON front-end."""
+    """Parse a netlist file; ``.json`` files use the JSON front-end.  A file
+    that cannot be read as UTF-8 text gives one diagnostic naming the path
+    and the reason."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        return ParseResult(None, [Diagnostic(0, 0, f"cannot read {path}: {reason}")])
     if path.suffix.lower() == ".json":
         return parse_netlist_json(text)
     return parse_netlist(text)

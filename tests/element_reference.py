@@ -5,8 +5,9 @@ and the overflow set, built column by column from a per-(polarization, OAM)
 map of images, the identity on every other path.  The tests hold the Jones
 (x) OAM blocks of :mod:`cpfsim.elements` to these matrices.  :func:`polarizer`,
 the one projector, keeps the dense ``np.kron`` build it replaced.  :func:`compose`
-is the dense product with overflow tracking, and :func:`phase_align` lines a
-result up with its expectation up to a global phase.
+is the dense product with overflow tracking, :func:`dense_matrix` the dense
+view of a transform, and :func:`phase_align` lines a result up with its
+expectation up to a global phase.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ OVERFLOW = object()  # sentinel: image of a mode leaves the truncation window
 class Dense(NamedTuple):
     matrix: np.ndarray
     overflow: frozenset
+
+
+def dense_matrix(t) -> np.ndarray:
+    """The ``space.dim``-square matrix of a :class:`cpfsim.modes.ModeTransform`:
+    its block on the modes of its paths, the identity on every other path."""
+    modes = np.concatenate([t.space.path_indices(p) for p in t.paths])
+    m = np.eye(t.space.dim, dtype=complex)
+    m[np.ix_(modes, modes)] = t.block
+    return m
 
 
 def _single_path(space, path, fn) -> Dense:

@@ -59,6 +59,7 @@ from cpfsim.protocol import (
     run_protocol,
 )
 from cpfsim.runner import execute, load_netlist
+from element_reference import dense_matrix
 
 BOTH = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
 S2 = 1 / math.sqrt(2)
@@ -143,7 +144,7 @@ def test_criterion_3_transcripts_and_closed_form(splitter_space):
     worst_o1 = 0.0
     for l in range(-4, 5):
         for pol, sign in (("H", 1.0), ("V", -1.0)):
-            col = o1.matrix[:, splitter_space.index(Mode("A", pol, l))]
+            col = dense_matrix(o1)[:, splitter_space.index(Mode("A", pol, l))]
             phase = sign * np.exp(-1j * l * math.pi / 2)
             pol_out = pol if l % 2 == 0 else ("V" if pol == "H" else "H")
             ref = np.zeros_like(col)

@@ -1,17 +1,17 @@
-"""Every function, method and class of the package has a caller outside the
-tests.
+"""Every class of the package is named outside the tests, and every
+optional parameter is passed there.
 
-A stand-in for a linter's dead-code rule, built on the standard library's
-``ast`` like ``test_imports``.  A definition counts as called when its name
-appears anywhere in ``src/``, ``demos/`` or ``bench/`` other than in the
-definition itself: as a name, an attribute, an imported name, or, in
+A stand-in for a linter's dead-code rules, built on the standard library's
+``ast`` like ``test_imports``.  A class counts as used when its name appears
+anywhere in ``src/``, ``demos/`` or ``bench/`` other than in the definition
+itself: as a name, an attribute, an imported name, or, in
 ``bench/tracing.py``, a part of a dotted target string (the tracer wraps
-functions by name).  Dunder methods are called by Python and are exempt.
+functions by name).
 
-The guard matches names, not definitions, so it cannot see a method whose
-name another definition shares: one call of either name passes both.  A
-``MultiPhotonState.overlap`` with no caller at all passed it, because
-``QuditState.overlap`` has callers.
+Names match definitions only where names are unique, as class names are in
+the package.  Functions and methods are held to a stronger rule by
+``test_reachability``, which records the calls a run makes; it cannot see a
+dataclass that has no method of its own, so classes stay here.
 """
 
 import ast
@@ -20,23 +20,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cpfsim"
 TRACING = ROOT / "bench" / "tracing.py"
-
-#: Definitions only the tests call, each kept for the tests' sake: the
-#: netlist JSON writer of the front-end round trip.
-TEST_ONLY = {"netlist.netlist_to_json_dict"}
-
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
-def _definitions(tree: ast.AST, prefix: str):
-    """(qualified name, name) of every definition, nested ones included."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, _DEFS):
-            qualified = f"{prefix}.{node.name}"
-            yield qualified, node.name
-            yield from _definitions(node, qualified)
-        else:
-            yield from _definitions(node, prefix)
 
 
 def _names(path: Path) -> set:
@@ -58,15 +41,10 @@ def _names(path: Path) -> set:
 def test_every_definition_has_a_caller():
     files = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     used = set().union(*map(_names, files))
-    defined = {qualified: name
-               for path in sorted(SRC.glob("*.py"))
-               for qualified, name in _definitions(ast.parse(path.read_text()), path.stem)
-               if not (name.startswith("__") and name.endswith("__"))}
-    assert TEST_ONLY <= defined.keys(), sorted(TEST_ONLY - defined.keys())
-    uncalled = sorted(q for q, name in defined.items() if name not in used)
-    assert uncalled == sorted(TEST_ONLY), (
-        f"uncalled outside the tests: {sorted(set(uncalled) - TEST_ONLY)};"
-        f" allowed but called: {sorted(TEST_ONLY - set(uncalled))}")
+    classes = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    assert len({name for _, name in classes}) == len(classes), "class names repeat"
+    assert [f"{module}.{name}" for module, name in classes if name not in used] == []
 
 
 #: Parameters only the tests set, each kept for the tests' sake: the

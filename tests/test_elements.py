@@ -15,7 +15,7 @@ from cpfsim.modes import (
     compose_transforms,
 )
 
-from element_reference import phase_align
+from element_reference import dense_matrix, phase_align
 
 S2 = 1 / math.sqrt(2)
 
@@ -53,7 +53,7 @@ def test_hwp_squares_to_identity(sp, alpha):
     # direct 2x2 product oracle
     assert np.allclose(m @ m, np.eye(2), atol=1e-12)
     t = compose_transforms([el.hwp(sp, "A", alpha), el.hwp(sp, "A", alpha)])
-    aligned = phase_align(t.matrix.reshape(-1), np.eye(sp.dim).reshape(-1))
+    aligned = phase_align(dense_matrix(t).reshape(-1), np.eye(sp.dim).reshape(-1))
     assert np.max(np.abs(aligned.reshape(sp.dim, sp.dim) - np.eye(sp.dim))) < 1e-10
 
 
@@ -138,7 +138,7 @@ def test_dove_prism_twice_gives_minus_identity(sp, gamma):
     for pol in ("H", "V"):
         for l in range(-4, 5):
             i = sp.index(Mode("A", pol, l))
-            col = t.matrix[:, i]
+            col = dense_matrix(t)[:, i]
             assert abs(col[i] + 1.0) < 1e-10
             assert abs(np.linalg.norm(col) - 1.0) < 1e-10
 
@@ -149,7 +149,7 @@ def test_dove_prism_pair_diagonal_phases(sp):
     t = compose_transforms([el.dove_prism(sp, "A", g), el.dove_prism(sp, "A", -g)])
     for l in range(-4, 5):
         i = sp.index(Mode("A", "H", l))
-        assert abs(t.matrix[i, i] + np.exp(4j * g * l)) < 1e-12
+        assert abs(dense_matrix(t)[i, i] + np.exp(4j * g * l)) < 1e-12
 
 
 def test_mirror_convention(sp):
@@ -168,7 +168,7 @@ def test_pbs_routing_and_flux(sp):
     # flux conservation: the two-path block has orthonormal columns
     cols = [sp.index(Mode(p, pol, l)) for p in ("A", "B") for pol in ("H", "V")
             for l in range(-4, 5)]
-    block = t.matrix[:, cols]
+    block = dense_matrix(t)[:, cols]
     assert np.allclose(block.conj().T @ block, np.eye(len(cols)), atol=1e-10)
     # an input may keep its path label as an output, but ports may not repeat
     out = apply_to_single_photon(el.pbs(sp, ("A", "B"), ("C", "A")), ket(sp, "B", "H", 2))
@@ -197,7 +197,7 @@ def test_polarizer_projector(sp):
 
 def test_delay_line_identity(sp):
     t = el.delay_line(sp, "A")
-    assert np.allclose(t.matrix, np.eye(sp.dim))
+    assert np.allclose(dense_matrix(t), np.eye(sp.dim))
 
 
 def test_unitary_elements_unitary_on_window(sp):
@@ -210,7 +210,7 @@ def test_unitary_elements_unitary_on_window(sp):
     ]
     for t in builders:
         keep = [i for i in range(sp.dim) if i not in t.overflow]
-        m = t.matrix[:, keep]
+        m = dense_matrix(t)[:, keep]
         assert np.max(np.abs(m.conj().T @ m - np.eye(len(keep)))) < 1e-10, t.provenance
 
 
@@ -221,7 +221,7 @@ def test_auxiliary_chain_composes_to_target(sp):
     out = apply_to_single_photon(t, ket(sp, "A", "H", 0))
     target = SinglePhotonState.from_terms(
         sp, {Mode("A", "V", -1): S2, Mode("A", "H", 1): S2})
-    assert abs(abs(out.overlap(target)) - 1.0) < 1e-10
+    assert abs(abs(np.vdot(target.amps, out.amps)) - 1.0) < 1e-10
 
 
 def test_descriptor_round_trip():

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -100,7 +100,7 @@ _VALUE_DEFECTS = [
     (_CPF_SOURCES.replace("z3", "aux"), "source 'photon1' must use a data-state recipe"),
     (_CPF_SOURCES + "[source photon2]\nrecipe z0", "source 'photon2' must use the auxiliary"),
     ("[source photon4]\nrecipe z0", "task cpf_d4 requires a [source photon1] block"),
-    ("[run]\nseed abc", "seed: expects an integer >= 0"),
+    ("[run]\nseed abc", "seed: expects an integer in [0, 9223372036854775807]"),
     ("[space]\ntruncation x", "truncation: expects an integer in [0, 63]"),
     ("[run]\nshots 1.5", "shots: expects an integer"),
     ("[detect]\npattern C1=x", "pattern: expects an integer >= 0"),
@@ -130,7 +130,8 @@ _VALUE_DEFECTS = [
     ("[run]\ntask fidelity\nnoise.sigma_zeta 0.1\nnoise.draws 4097",
      "noise.draws: expects an integer in [1, 4096]"),
     ("[run]\nmode shotz", "unknown mode 'shotz'"),
-    ("[run]\nseed -1", "seed: expects an integer >= 0"),
+    ("[run]\nseed -1", "seed: expects an integer in [0, 9223372036854775807]"),
+    ("[run]\nseed 9223372036854775808", "seed: expects an integer in [0, 9223372036854775807]"),
     ("[space]\npaths A A", "expects distinct path names"),
     ("[lock]\npid.out_min 60", "output limits must be ordered"),
     ("[lock]\ndt 0", "dt must be positive"),
@@ -314,6 +315,7 @@ def test_cli_rejects_defect_netlists(body, tmp_path, capsys):
 # netlist that fails at run time.
 _COMMAND_DEFECTS = [
     (["lock", "--seed", "-1"], "lock.netlist", None),
+    (["lock", "--seed", str(2**63)], "lock.netlist", None),
     (["simulate", "--shots", "99999999999999999999"], "cpf_d4.netlist", None),
     (["simulate", "--shots", "-5"], "cpf_d4.netlist", None),
     (["fidelity"], "cpf_d4.netlist", None),
@@ -746,6 +748,71 @@ def test_shipped_fixtures_round_trip(name):
     assert third.netlist == second.netlist
 
 
+@settings(max_examples=200, deadline=None)
+@given(setpoint=st.floats(allow_nan=False, allow_infinity=False),
+       kp=st.floats(allow_nan=False, allow_infinity=False),
+       angle=st.floats(-2.0**52, 2.0**52))      # the angles an element takes
+def test_serialize_round_trips_every_float(setpoint, kp, angle):
+    lock = Netlist(task="lock", setpoint=setpoint, pid={"kp": kp})
+    circuit = parse_netlist(MINIMAL).netlist
+    circuit.elements = [replace(circuit.elements[0], params=(("angle", angle),))]
+    for nl in (lock, circuit):
+        back = parse_netlist(serialize(nl))
+        assert back.ok, [str(d) for d in back.diagnostics]
+        assert back.netlist == nl
+
+
+def test_netlist_hash_tells_close_floats_apart():
+    """Two modulation frequencies that agree to 12 digits run differently,
+    so their netlists hash differently."""
+    text = (FIXTURES / "lock.netlist").read_text()
+    close = text.replace("mod_freq 6283.185307179586", "mod_freq 6283.18530718")
+    assert close != text
+    a, b = (execute(parse_netlist(t)) for t in (text, close))
+    assert a.trace_csv != b.trace_csv
+    assert a.provenance["netlist_sha256"] != b.provenance["netlist_sha256"]
+
+
+def test_seed_reads_within_the_rng_key(tmp_path, capsys):
+    """The RNG keys take a seed's low 64 bits and the XZ run takes seed + 1,
+    so a seed reads in [0, 2^63 - 1]: 5 + 2^64 would run as seed 5."""
+    top = 2**63 - 1
+    assert parse_netlist(f"version 1\n[run]\ntask lock\nseed {top}\n").netlist.seed == top
+    res = parse_netlist(f"version 1\n[run]\ntask lock\nseed {5 + 2**64}\n")
+    assert [d.message for d in res.diagnostics] == [
+        f"seed: expects an integer in [0, {top}], got '{5 + 2**64}'"]
+    argv = ["lock", "--netlist", str(FIXTURES / "lock.netlist"), "--out", str(tmp_path)]
+    assert cli_main([*argv, "--seed", str(top)]) == 0
+    assert json.loads((tmp_path / "lock.json").read_text())["provenance"]["seed"] == top
+    assert cli_main([*argv, "--seed", str(5 + 2**64)]) == 1
+    assert f"seed: expects an integer in [0, {top}]" in capsys.readouterr().err
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.netlist"
+    path.write_bytes("# caf\xe9\nversion 1\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda tmp: tmp / "missing.netlist", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+    (_not_utf8, "'utf-8' codec can't decode byte 0xe9"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_netlist_is_a_diagnostic(make, reason, tmp_path, capsys):
+    path = make(tmp_path)
+    res = runner.load_netlist(path)
+    assert not res.ok
+    (diag,) = res.diagnostics
+    assert diag.message.startswith(f"cannot read {path}: {reason}")
+    out = tmp_path / "out"
+    for argv in (["validate"], ["simulate", "--out", str(out)]):
+        assert cli_main([*argv, "--netlist", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [f"{path}:{diag}"]
+    assert not out.exists()
+
+
 def test_serialize_parse_identity_on_programmatic_netlist():
     nl = Netlist(task="lock", seed=9, duration=2.5,
                  lock={"mod_depth": 0.3}, pid={"kp": 0.4},
@@ -756,11 +823,32 @@ def test_serialize_parse_identity_on_programmatic_netlist():
     assert back.netlist == nl
 
 
+def netlist_to_json_dict(nl: Netlist) -> dict:
+    """Structured JSON form of a netlist, as ``parse_netlist_json`` reads it."""
+    return {
+        "version": nl.version,
+        "space": {"paths": list(nl.paths), "truncation": nl.truncation},
+        "sources": {
+            name: {"path": src.path, "recipe": src.recipe}
+            for name, src in sorted(nl.sources.items())
+        },
+        "elements": [spec.descriptor() for spec in nl.elements],
+        "detect": {
+            "pattern": dict(sorted(nl.pattern.items())),
+            "accept": [o.value for o in nl.accept],
+        },
+        "run": {
+            "task": nl.task, "mode": nl.mode, "shots": nl.shots,
+            "seed": nl.seed, "duration": nl.duration,
+            "setpoint": nl.setpoint, "noise": dict(sorted(nl.noise.items())),
+        },
+        "lock": {"params": dict(sorted(nl.lock.items())),
+                 "drift": dict(sorted(nl.drift.items())),
+                 "pid": dict(sorted(nl.pid.items()))},
+    }
+
+
 def test_json_front_end_round_trip():
-    import json
-
-    from cpfsim.netlist import netlist_to_json_dict, parse_netlist_json
-
     text = (FIXTURES / "cpf_d4.netlist").read_text()
     nl = parse_netlist(text).netlist
     payload = netlist_to_json_dict(nl)

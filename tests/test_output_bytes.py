@@ -131,8 +131,8 @@ GOLDEN = {
         "out_tallies.csv": _EMPTY_TALLIES,
     },
     "shipped_lock": {
-        "to_json": "605dcb456bbb270e6cd9bec67dc4414d074da0c787ac60a9b63d7d5aaf824ad3",
-        "out.json": "605dcb456bbb270e6cd9bec67dc4414d074da0c787ac60a9b63d7d5aaf824ad3",
+        "to_json": "65e1449fe5392971d78c00fc899e9c58ceeae3457c31d4d1e31d5df668145f20",
+        "out.json": "65e1449fe5392971d78c00fc899e9c58ceeae3457c31d4d1e31d5df668145f20",
         "out_tallies.csv": _EMPTY_TALLIES,
         "out_trace.csv": "e877aa0a5dfc2a3020f0fa48bfb14033ac399cc6a8b1745dc98cc25a946b7d08",
     },
@@ -143,8 +143,8 @@ GOLDEN = {
         "out_trace.csv": "fd3c9d4f59ea7f4b906a67c567bd6769d5e9aa05e6be7a743448c91ab310ced4",
     },
     "lock_step": {
-        "to_json": "bc486541fc7f0c6b69605fa7fe71b3eb79d12f80a664bb70ae3c4ec9c7b731b0",
-        "out.json": "bc486541fc7f0c6b69605fa7fe71b3eb79d12f80a664bb70ae3c4ec9c7b731b0",
+        "to_json": "5d404149c1c431fd1d5f24772899a585476ca374c7b988f4c754bf14f09d5c85",
+        "out.json": "5d404149c1c431fd1d5f24772899a585476ca374c7b988f4c754bf14f09d5c85",
         "out_tallies.csv": _EMPTY_TALLIES,
         "out_trace.csv": "6ab2e39db1c2d47f5a27f0eaf3a990cf5918a650a0e6d092cfc0ff41201a2fd2",
     },

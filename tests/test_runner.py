@@ -171,7 +171,8 @@ def test_netlist_changed_after_parsing_is_refused():
     ("truncation", 100000, "truncation: expects an integer in [0, 63], got 100000"),
     ("truncation", -1, "truncation: expects an integer in [0, 63]"),
     ("shots", 2**70, "shots: expects an integer in [0, 9223372036854775807]"),
-    ("seed", -1, "seed: expects an integer >= 0"),
+    ("seed", -1, "seed: expects an integer in [0, 9223372036854775807]"),
+    ("seed", 2**64 + 5, "seed: expects an integer in [0, 9223372036854775807]"),
 ])
 def test_bare_netlist_values_are_read_again(monkeypatch, key, value, needle):
     """A value set on a parsed netlist goes through its schema reader before
