@@ -26,7 +26,8 @@ print(f"   port pattern probability {run.port_pattern_prob:.6f} (1/4)")
 for pattern, p in sorted(run.pattern_probs.items()):
     print(f"   analyzer pattern {pattern}: {p:.6f}")
 print(f"   heralding probability {run.heralding_probability:.6f} (1/8)")
-for outcome, (state, p) in run.per_outcome.items():
+for outcome in run.per_outcome:
+    state = run.heralded_state(outcome)
     nz = {(m, n): np.round(state.matrix()[m, n], 3)
           for m in range(4) for n in range(4)
           if abs(state.matrix()[m, n]) > 1e-9}

@@ -398,34 +398,6 @@ def _build_channel(noise: NoiseSpec | None, n_draws: int, accepted: frozenset) -
     return HeraldedChannel([k for _label, k in labelled], [label for label, _k in labelled])
 
 
-def heralded_ensemble(channel: HeraldedChannel, v: np.ndarray, accepted) -> tuple[dict, dict]:
-    """The gate on joint input ``v`` through ``channel``, a channel built
-    over both distinguishable outcomes.
-
-    Returns the analyzer-pattern probabilities sum ||K v||^2 over all of the
-    channel's operators, and for each accepted outcome that heralds,
-    (rho, probability) with rho = sum K v v^dag K^dag / probability over
-    that outcome's operators.
-    """
-    accepted = pipeline().stage.require_distinguishable(accepted)
-    out = (channel.kraus @ v[:, None])[..., 0]                      # K v per operator
-    norms = (out.conj()[:, None, :] @ out[:, :, None]).real.ravel()  # np.vdot(K v, K v)
-    projectors = out[:, :, None] * out.conj()[:, None, :]           # np.outer(K v, (K v)^*)
-    outcomes = [outcome for outcome, _pattern in channel.labels]
-    pattern_probs: dict = {}
-    for (_outcome, pattern), q in zip(channel.labels, norms.tolist()):
-        pattern_probs[pattern] = pattern_probs.get(pattern, 0.0) + q
-    per_outcome = {}
-    for outcome in dict.fromkeys(o for o in outcomes if o in accepted):
-        mine = [i for i, o in enumerate(outcomes) if o == outcome]
-        # a running sum from zero in label order, as the byte-stable output has it
-        rho = np.add.reduce(projectors[mine], axis=0, initial=0.0)
-        prob = float(np.trace(rho).real)
-        if prob > 1e-30:
-            per_outcome[outcome] = (rho / prob, prob)
-    return {p: q for p, q in pattern_probs.items() if q > 1e-30}, per_outcome
-
-
 def process_fidelity(channel: HeraldedChannel, unitary: np.ndarray) -> float:
     """Overlap of the conditional channel's process matrix with a unitary.
     EmptyPostSelection if the channel heralds nothing, so has no conditional

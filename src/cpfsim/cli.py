@@ -74,10 +74,15 @@ def _resolve_netlist(args, default_task: str) -> tuple[Netlist | None, int]:
     return nl, 0
 
 
-def _emit(result: RunResult, args) -> None:
+def _emit(result: RunResult, args) -> int:
     out_dir = args.out or os.environ.get("CPFSIM_OUT", ".")
-    for path in emit(result, args.format, out_dir, result.task):
-        print(path)
+    try:
+        written = emit(result, args.format, out_dir, result.task)
+    except OSError as e:
+        print(f"runtime error: cannot write {e.filename or out_dir}: {e.strerror}", file=sys.stderr)
+        return 2
+    print(*written, sep="\n")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -104,9 +109,7 @@ def main(argv=None) -> int:
             return code
         if args.command != "simulate":
             nl.task = default_task
-        result = execute(nl)
-        _emit(result, args)
-        return 0
+        return _emit(execute(nl), args)
     except NetlistError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -87,12 +87,9 @@ class HdBeamSplitter:
     stages: list
 
     def apply(self, state):
-        if isinstance(state, SinglePhotonState):
-            for st in self.stages:
-                state = apply_to_single_photon(st.transform, state)
-            return state
+        step = apply_to_single_photon if isinstance(state, SinglePhotonState) else apply_transform
         for st in self.stages:
-            state = apply_transform(st.transform, state)
+            state = step(st.transform, state)
         return state
 
 
@@ -161,11 +158,8 @@ class TranscriptReport:
         return all(e.ok for e in self.entries)
 
     def lines(self):
-        out = []
-        for e in self.entries:
-            status = "ok" if e.ok else "DIVERGED"
-            out.append(f"port {e.port}  {e.label:<10s} max|d|={e.max_deviation:.3e}  {status}")
-        return out
+        return [f"port {e.port}  {e.label:<10s} max|d|={e.max_deviation:.3e}  "
+                + ("ok" if e.ok else "DIVERGED") for e in self.entries]
 
 
 def _load_transcript(port: str) -> list:
@@ -387,8 +381,6 @@ class BsmStage:
     """
 
     space: ModeSpace
-    photon2_arm: ModeTransform
-    photon3_arm: ModeTransform
     transform: ModeTransform
 
     DISTINGUISHABLE = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
@@ -405,21 +397,16 @@ class BsmStage:
 
     def analyzer_basis(self, path: str) -> list:
         """Diagonal polarization basis at l = 0 on one output path."""
-        plus = group_basis_vector(
-            self.space, (path,),
-            {(Mode(path, "H", 0),): _S, (Mode(path, "V", 0),): _S},
-        )
-        minus = group_basis_vector(
-            self.space, (path,),
-            {(Mode(path, "H", 0),): _S, (Mode(path, "V", 0),): -_S},
-        )
-        return [("+", plus), ("-", minus)]
+        h, v = Mode(path, "H", 0), Mode(path, "V", 0)
+        return [(s, group_basis_vector(self.space, (path,), {(h,): _S, (v,): amp}))
+                for s, amp in (("+", _S), ("-", -_S))]
 
-    def require_distinguishable(self, outcomes) -> frozenset:
+    @classmethod
+    def require_distinguishable(cls, outcomes) -> frozenset:
         """``outcomes`` as a frozenset; EncodingError if the stage cannot
         tell one of them apart."""
         outcomes = frozenset(outcomes)
-        unknown = outcomes - self.DISTINGUISHABLE
+        unknown = outcomes - cls.DISTINGUISHABLE
         if unknown:
             raise EncodingError(
                 f"outcomes {sorted(o.value for o in unknown)} are not"
@@ -450,7 +437,7 @@ def build_bsm_stage(space: ModeSpace) -> BsmStage:
         el.pbs(space, (d1, d2), ("E1", "E2")),
     ])
     transform.provenance = "BSM stage"
-    return BsmStage(space, arm2, arm3, transform)
+    return BsmStage(space, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +455,71 @@ def _phased(state: MultiPhotonState, phase: list) -> MultiPhotonState:
         state.normalized)
 
 
-@dataclass
+@dataclass(eq=False)
 class HeraldedRun:
-    """Outcome of one analytic pipeline run."""
+    """One joint input v read through heralded operators K labelled (Bell
+    outcome, analyzer pattern): the gate's transfer operators or a channel's
+    Kraus operators.  An outcome's state is formed on request: pure for the
+    noise-free gate, a density matrix for a noise-averaged channel."""
 
-    per_outcome: dict            # BellOutcome -> (QuditState, probability)
-    pattern_probs: dict          # analyzer pattern -> probability
-    port_pattern_prob: float     # one photon in each of C1, C2, E1, E2
+    amps: np.ndarray             # (n, 16): K v of each operator
+    norms: list                  # ||K v||^2 of each operator
+    rows: dict                   # accepted BellOutcome -> indices of its operators
+    pattern_probs: dict          # analyzer pattern -> sum of its ||K v||^2, above 1e-30
+    per_outcome: dict            # BellOutcome -> trace of its density sum, above 1e-30
+    _states: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def port_pattern_prob(self) -> float:    # one photon in each of C1, C2, E1, E2
+        return float(sum(self.pattern_probs.values()))
 
     @property
     def heralding_probability(self) -> float:
-        return float(sum(p for _, p in self.per_outcome.values()))
+        return float(sum(self.per_outcome.values()))
 
     def heralded_state(self, outcome: BellOutcome) -> QuditState:
-        return self.per_outcome[outcome][0]
+        """The first heralding pattern's state, normalized, formed once;
+        PatternMismatch if another pattern heralds a different state."""
+        if outcome not in self._states:
+            chunks = [(self.amps[i], self.norms[i]) for i in self.rows[outcome]
+                      if self.norms[i] > 1e-30]
+            first = chunks[0][0] / np.linalg.norm(chunks[0][0])
+            if any(abs(np.vdot(first, a)) ** 2 < (1 - 1e-9) * q for a, q in chunks[1:]):
+                raise PatternMismatch(
+                    f"analyzer patterns of {outcome.value} herald different states")
+            self._states[outcome] = QuditState(4, first)
+        return self._states[outcome]
+
+    def density(self, outcome: BellOutcome) -> np.ndarray:
+        """sum K v v^dag K^dag / probability over ``outcome``'s operators, a
+        running sum from zero in label order."""
+        a = self.amps[self.rows[outcome]]
+        rho = np.add.reduce(a[:, :, None] * a.conj()[:, None, :], axis=0, initial=0.0)
+        return rho / self.per_outcome[outcome]
+
+
+def heralded_run(kraus, labels, v: np.ndarray, accepted) -> HeraldedRun:
+    """Joint input ``v`` through the (n, 16, 16) operators ``kraus``, labelled
+    ``labels``, for the Bell outcomes ``accepted``; EncodingError if the Bell
+    stage cannot tell an accepted outcome apart."""
+    accepted = BsmStage.require_distinguishable(accepted)
+    amps = (np.asarray(kraus, dtype=complex).reshape(-1, 16, 16) @ v[:, None])[..., 0]
+    norms = (amps.conj()[:, None, :] @ amps[:, :, None]).real.ravel().tolist()  # np.vdot
+    pattern_probs: dict = {}
+    rows: dict = {}
+    for i, ((outcome, pattern), q) in enumerate(zip(labels, norms)):
+        pattern_probs[pattern] = pattern_probs.get(pattern, 0.0) + q
+        if outcome in accepted:
+            rows.setdefault(outcome, []).append(i)
+    # each outcome's density-sum trace: its diagonal, a running sum from zero
+    diagonal = amps * amps.conj()
+    per_outcome = {}
+    for outcome, r in rows.items():
+        prob = float(np.add.reduce(np.add.reduce(diagonal[r], axis=0, initial=0.0)).real)
+        if prob > 1e-30:
+            per_outcome[outcome] = prob
+    return HeraldedRun(amps, norms, rows, {p: q for p, q in pattern_probs.items() if q > 1e-30},
+                       per_outcome)
 
 
 class CpfPipeline:
@@ -626,39 +664,16 @@ class CpfPipeline:
         return kraus
 
     def run(self, c_matrix: np.ndarray, accepted) -> HeraldedRun:
-        """Heralded outcomes of one joint input through the noise-free gate,
-        for the Bell outcomes ``accepted``.
-
-        Each outcome keeps its first pattern's state; a second pattern of the
-        same outcome must herald the same state up to a global phase.
-        """
-        accepted = self.stage.require_distinguishable(accepted)
+        """:func:`heralded_run` of one joint input on the noise-free transfer
+        operators, each accepted outcome's pure state checked (PatternMismatch)."""
         c = np.asarray(c_matrix, dtype=complex)
         if c.shape != (4, 4):
             raise EncodingError("joint input must be a 4x4 amplitude matrix")
-        c = c.reshape(-1) / np.linalg.norm(c)
-        port_prob = 0.0
-        pattern_probs = {}
-        collected: dict[BellOutcome, list] = {}
-        for (outcome, pattern), k in self.transfer_operators(IDEAL_DRAW).items():
-            amps = k @ c
-            joint = float(np.vdot(amps, amps).real)
-            port_prob += joint
-            if joint <= 1e-30:
-                continue
-            pattern_probs[pattern] = joint
-            if outcome in accepted:
-                collected.setdefault(outcome, []).append(amps)
-        per_outcome = {}
-        for outcome, chunks in collected.items():
-            first = chunks[0] / np.linalg.norm(chunks[0])
-            for other in chunks[1:]:
-                if abs(np.vdot(first, other)) ** 2 < (1 - 1e-9) * np.vdot(other, other).real:
-                    raise PatternMismatch(
-                        f"analyzer patterns of {outcome.value} herald different states")
-            prob = float(sum(np.sum(np.abs(a) ** 2) for a in chunks))
-            per_outcome[outcome] = (QuditState(4, first), prob)
-        return HeraldedRun(per_outcome, pattern_probs, port_prob)
+        ops = self.transfer_operators(IDEAL_DRAW)
+        run = heralded_run(list(ops.values()), ops, c.reshape(-1) / np.linalg.norm(c), accepted)
+        for outcome in run.per_outcome:
+            run.heralded_state(outcome)
+        return run
 
 
 @functools.cache
@@ -668,10 +683,8 @@ def pipeline() -> CpfPipeline:
 
 
 def run_cpf_d4(in1, in4, accepted) -> HeraldedRun:
-    """Run the noise-free d=4 heralded gate on the product of two qudits,
-    each 4 level amplitudes, for the Bell outcomes ``accepted``.  A joint 4x4
-    input goes to ``pipeline().run``; noisy runs read the channel averaged
-    over draws (:func:`cpfsim.analysis.build_heralded_channel`)."""
+    """The noise-free gate on the product of two qudits, each 4 level
+    amplitudes, for the Bell outcomes ``accepted`` (``pipeline().run``)."""
     v1, v4 = np.asarray(in1, dtype=complex), np.asarray(in4, dtype=complex)
     if v1.shape != (4,) or v4.shape != (4,):
         raise EncodingError("single-photon input must have 4 level amplitudes")

@@ -150,11 +150,17 @@ def _choice(noun: str, options: tuple):
     return read
 
 
+def _repeats(names) -> list:
+    """The names given more than once, in order of first appearance."""
+    return [n for n in dict.fromkeys(names) if names.count(n) > 1]
+
+
 def _paths(raw) -> tuple:
-    paths = tuple(raw.split() if isinstance(raw, str) else raw)
-    if not all(isinstance(p, str) for p in paths) or len(set(paths)) < len(paths):
+    paths = raw.split() if isinstance(raw, str) else raw
+    if (not isinstance(paths, (list, tuple)) or not all(isinstance(p, str) for p in paths)
+            or len(set(paths)) < len(paths)):
         raise ValueError(f"expects distinct path names, got {raw!r}")
-    return paths
+    return tuple(paths)
 
 
 def _pattern(raw) -> dict:
@@ -164,6 +170,8 @@ def _pattern(raw) -> dict:
             if not eq:
                 raise ValueError(f"pattern entry {path!r} is not path=count")
         raw = {path: count for path, _, count in entries}
+        if len(raw) < len(entries):
+            raise ValueError(f"repeats path(s) {_repeats([path for path, _, _ in entries])}")
     if not isinstance(raw, dict):
         raise ValueError(f"expects path=count entries, got {raw!r}")
     count = _integer(0)
@@ -172,11 +180,13 @@ def _pattern(raw) -> dict:
 
 def _accept(raw) -> tuple:
     names = raw.split() if isinstance(raw, str) else raw
-    if not names:
-        raise ValueError("expects at least one Bell outcome")
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"expects at least one Bell outcome, in a list, got {raw!r}")
     bad = [n for n in names if n not in _BELL_NAMES]
     if bad:
         raise ValueError(f"unknown Bell outcome(s) {bad}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"repeats Bell outcome(s) {_repeats(names)}")
     return tuple(_BELL_NAMES[n] for n in names)
 
 
@@ -387,6 +397,8 @@ def parse_netlist(text: str) -> ParseResult:
     nl = Netlist()
     section = ""             # None: lines under a rejected header are skipped
     section_arg = None
+    keys = set()             # the keys given in the current block
+    blocks = {("", None): keys}     # (section, source name) -> keys; a header repeats a block
 
     def err(line_no, col, msg):
         diags.append(Diagnostic(line_no, col, msg))
@@ -416,6 +428,8 @@ def parse_netlist(text: str) -> ParseResult:
                     err(line_no, indent, f"duplicate source id {section_arg!r}")
                 else:
                     nl.sources[section_arg] = SourceSpec(section_arg, "", "")
+            block = (section, section_arg if section == "source" else None)
+            keys = blocks.setdefault(block, set())
             continue
         if section is None:
             continue
@@ -430,6 +444,10 @@ def parse_netlist(text: str) -> ParseResult:
         if known and not value:
             err(line_no, indent + len(key), f"missing value for {key!r}")
             continue
+        if known and key in keys:
+            err(line_no, indent, f"repeats key {key!r}")
+            continue
+        keys.add(key)
         problem = _set(nl, section, section_arg, key, value)
         if problem:
             err(line_no, indent + (len(key) + 1 if known else 0), problem)
@@ -466,11 +484,20 @@ _JSON_GROUPS = {("run", "noise"): "noise.", ("lock", "params"): "",
 
 
 def parse_netlist_json(text: str | dict) -> ParseResult:
-    """Parse the JSON front-end; same schema, validation and diagnostics."""
+    """Parse the JSON front-end; same schema, validation and diagnostics.
+    A name given twice in one object of the text is refused, at any depth."""
     diags: list[Diagnostic] = []
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            diags.extend(Diagnostic(0, 0, f"repeats name {name!r}")
+                         for name in _repeats([name for name, _value in pairs]))
+        return obj
+
     if isinstance(text, str):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=unique)
         except json.JSONDecodeError as e:
             return ParseResult(None, [Diagnostic(e.lineno, e.colno - 1, e.msg)])
     else:

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (DEFAULT_DRAWS, build_heralded_channel, full_fidelity_report,
-                       heralded_ensemble)
+from .analysis import DEFAULT_DRAWS, build_heralded_channel, full_fidelity_report
 from .elements import element_transform
 from .errors import CpfSimError, EmptyPostSelection
 from .fock import (
@@ -27,7 +26,7 @@ from .fock import (
     post_select,
     sample_counts,
 )
-from .gate_d4 import (encode_qudit_vector, prepare_auxiliary, prepare_input,
+from .gate_d4 import (encode_qudit_vector, heralded_run, prepare_auxiliary, prepare_input,
                       qudit_amplitudes, run_cpf_d4)
 from .locking import DriftModel, LockParams, PidGains, simulate_lock
 from .modes import ModeSpace
@@ -222,36 +221,25 @@ def _input_vector(recipe: str) -> np.ndarray:
 def _run_cpf(nl: Netlist) -> RunResult:
     v1 = _input_vector(nl.sources["photon1"].recipe)
     v4 = _input_vector(nl.sources["photon4"].recipe)
-    accepted = frozenset(nl.accept)
     noise = _noise_spec(nl)
     summary: dict = {"accepted": [o.value for o in nl.accept]}
     if noise is None:
-        run = run_cpf_d4(v1, v4, accepted=accepted)
-        pattern_probs, port_prob = run.pattern_probs, run.port_pattern_prob
-        per_outcome = {o: p for o, (_s, p) in run.per_outcome.items()}
-        states = {o.value: s.to_json_entries() for o, (s, _p) in run.per_outcome.items()}
+        run = run_cpf_d4(v1, v4, accepted=nl.accept)
+        states = {o.value: run.heralded_state(o).to_json_entries() for o in run.per_outcome}
     else:
         channel = build_heralded_channel(noise, nl.noise.get("draws", DEFAULT_DRAWS))
-        pattern_probs, outputs = heralded_ensemble(channel, np.kron(v1, v4), accepted)
-        port_prob = float(sum(pattern_probs.values()))
-        per_outcome = {o: p for o, (_rho, p) in outputs.items()}
+        run = heralded_run(channel.kraus, channel.labels, np.kron(v1, v4), nl.accept)
         states = None
-        summary["density"] = {o.value: _density_entries(rho)
-                              for o, (rho, _p) in outputs.items()}
+        summary["density"] = {o.value: _density_entries(run.density(o)) for o in run.per_outcome}
     tallies: dict = {}
     if nl.shots:
-        dist = dict(pattern_probs)
+        dist = dict(run.pattern_probs)
         dist[("no-herald",)] = max(1.0 - sum(dist.values()), 0.0)
-        tallies = {
-            "|".join(k): v
-            for k, v in sample_counts(dist, nl.shots, nl.seed).items()
-        }
-    summary["per_outcome_probability"] = {o.value: p for o, p in per_outcome.items()}
-    summary["port_pattern_probability"] = port_prob
-    return RunResult(
-        "cpf_d4", float(sum(per_outcome.values())), tallies, None, states, None,
-        summary, _provenance(nl),
-    )
+        tallies = {"|".join(k): v for k, v in sample_counts(dist, nl.shots, nl.seed).items()}
+    summary["per_outcome_probability"] = {o.value: p for o, p in run.per_outcome.items()}
+    summary["port_pattern_probability"] = run.port_pattern_prob
+    return RunResult("cpf_d4", run.heralding_probability, tallies, None, states, None,
+                     summary, _provenance(nl))
 
 
 def _density_entries(rho: np.ndarray) -> list:
@@ -288,13 +276,9 @@ def _run_lock(nl: Netlist) -> RunResult:
 
 def _run_circuit(nl: Netlist) -> RunResult:
     space = ModeSpace(nl.paths, nl.truncation)
-    photons = []
-    for name in sorted(nl.sources):
-        src = nl.sources[name]
-        if src.recipe == "aux":
-            photons.append(prepare_auxiliary(space, src.path))
-        else:
-            photons.append(encode_qudit_vector(space, src.path, _input_vector(src.recipe)))
+    photons = [prepare_auxiliary(space, src.path) if src.recipe == "aux" else
+               encode_qudit_vector(space, src.path, _input_vector(src.recipe))
+               for _name, src in sorted(nl.sources.items())]
     state = inject_product(photons)
     for spec in nl.elements:
         state = apply_transform(element_transform(spec, space), state)

@@ -75,7 +75,7 @@ def reference_channel_bounds(kraus, pair: str) -> tuple[float, float]:
 
 
 def reference_ensemble(kraus, labels, v, accepted) -> tuple[dict, dict]:
-    """``heralded_ensemble`` on a given channel: pattern probabilities and
+    """``heralded_run`` on a given channel: pattern probabilities and
     (rho, probability) per accepted outcome that heralds."""
     pattern_probs: dict = {}
     outputs: dict = {}

@@ -122,7 +122,7 @@ def test_criterion_2_heralding_probabilities(pipe):
         for _s, p in res.values():
             worst_branch = max(worst_branch, abs(p - 1 / 16))
         run = pipe.run(c, accepted=BOTH)
-        for _o, (_s, p) in run.per_outcome.items():
+        for p in run.per_outcome.values():
             worst_branch = max(worst_branch, abs(p - 1 / 16))
         worst_pair = max(worst_pair, abs(run.heralding_probability - 1 / 8))
     ok = worst_split < 1e-10 and worst_branch < 1e-10 and worst_pair < 1e-10
@@ -173,7 +173,8 @@ def test_criterion_4_cross_engine_equivalence(pipe):
         run = run_cpf_d4(v1, v4, accepted=BOTH)
         abstract = run_protocol(QuditState.from_matrix(c), 1)
         ideal = QuditState(4, u @ c.reshape(-1))
-        for outcome, (state, _p) in run.per_outcome.items():
+        for outcome in run.per_outcome:
+            state = run.heralded_state(outcome)
             worst = min(worst, state.fidelity(ideal))
             ref, _pref = abstract[outcome]
             worst = min(worst, abs(state.overlap(ref)) ** 2)

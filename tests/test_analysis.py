@@ -12,7 +12,6 @@ from cpfsim.analysis import (
     build_heralded_channel,
     channel_bounds,
     full_fidelity_report,
-    heralded_ensemble,
     hofmann_bounds,
     process_fidelity,
     run_fidelity_experiment,
@@ -21,6 +20,7 @@ from cpfsim.analysis import (
     superposition_suite,
 )
 from cpfsim.errors import EncodingError
+from cpfsim.gate_d4 import heralded_run
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome, QuditState, cpf_oracle
 
@@ -221,13 +221,13 @@ def test_noiseless_channel_is_the_gate():
 @pytest.mark.parametrize("outcome", [BellOutcome.PsiPlus, BellOutcome.PsiMinus])
 def test_channel_refuses_outcomes_the_stage_cannot_tell_apart(outcome):
     """Both functions that take accepted outcomes, the channel builder and
-    the ensemble, refuse a Psi outcome rather than reporting that it never
+    the readout, refuse a Psi outcome rather than reporting that it never
     heralds."""
     accepted = {BellOutcome.PhiPlus, outcome}
     channel = build_heralded_channel()
     v = np.kron(STATE_VECTORS["z1"], STATE_VECTORS["x13+"])
     for run in (lambda: build_heralded_channel(accepted=accepted),
-                lambda: heralded_ensemble(channel, v, accepted)):
+                lambda: heralded_run(channel.kraus, channel.labels, v, accepted)):
         with pytest.raises(EncodingError, match="not unambiguously distinguished"):
             run()
 

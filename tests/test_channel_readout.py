@@ -20,13 +20,12 @@ from cpfsim.analysis import (
     build_heralded_channel,
     channel_bounds,
     full_fidelity_report,
-    heralded_ensemble,
     process_fidelity,
     run_fidelity_experiment,
     superposition_suite,
 )
 from cpfsim.errors import EmptyPostSelection
-from cpfsim.gate_d4 import CpfPipeline
+from cpfsim.gate_d4 import CpfPipeline, heralded_run
 from cpfsim.netlist import parse_netlist
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome, cpf_oracle
@@ -136,13 +135,13 @@ def test_ensemble_matches_per_operator_reference(channel, seed, accepted):
     ops, labels = channel
     ch = HeraldedChannel(ops, labels)
     v = np.random.default_rng(seed).normal(size=16) + 0j
-    got_probs, got_out = heralded_ensemble(ch, v, accepted)
+    run = heralded_run(ch.kraus, ch.labels, v, accepted)
     want_probs, want_out = reference_ensemble(ops, labels, v, accepted)
-    assert list(got_probs.items()) == list(want_probs.items())
-    assert list(got_out) == list(want_out)
+    assert list(run.pattern_probs.items()) == list(want_probs.items())
+    assert list(run.per_outcome) == list(want_out)
     for outcome, (rho, p) in want_out.items():
-        assert got_out[outcome][0].tobytes() == rho.tobytes()
-        assert got_out[outcome][1] == p
+        assert run.density(outcome).tobytes() == rho.tobytes()
+        assert run.per_outcome[outcome] == p
 
 
 def test_shared_inputs_are_read_only():
@@ -180,7 +179,8 @@ def test_all_lost_ensemble_heralds_nothing():
     assert [e.fidelity for e in entries] == [0.0] * 7
     assert entries[6].expectations is None and entries[6].stabilizer_estimate is None
     v = np.kron(STATE_VECTORS["x13+"], STATE_VECTORS["x13+"])
-    assert heralded_ensemble(channel, v, frozenset(PHI)) == ({}, {})
+    run = heralded_run(channel.kraus, channel.labels, v, frozenset(PHI))
+    assert (run.pattern_probs, run.per_outcome) == ({}, {})
 
 
 @pytest.fixture
@@ -202,7 +202,7 @@ def fock_passes(monkeypatch):
 def test_built_channel_feeds_every_analysis_without_a_fock_pass(fock_passes):
     """Once a channel is built, no analysis of it runs the pipeline again:
     the fidelity report, the superposition suite, both brackets, the process
-    fidelity and the ensemble make no transfer_operators call, and a second
+    fidelity and the readout make no transfer_operators call, and a second
     build of the same settings returns the kept channel."""
     spec = NoiseSpec(sigma_zeta=0.3, oam_dephasing=0.2, visibility=0.9, seed=4)
     channel = build_heralded_channel(spec, n_draws=3)
@@ -214,7 +214,8 @@ def test_built_channel_feeds_every_analysis_without_a_fock_pass(fock_passes):
     channel_bounds(channel, "zx")
     channel_bounds(channel, "fourier")
     process_fidelity(channel, cpf_oracle(4))
-    heralded_ensemble(both, np.kron(STATE_VECTORS["z3"], STATE_VECTORS["x13+"]), PHI[:1])
+    heralded_run(both.kraus, both.labels, np.kron(STATE_VECTORS["z3"], STATE_VECTORS["x13+"]),
+                 PHI[:1])
     assert len(fock_passes) == 3
 
 

@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpfsim import conventions as conv
 from cpfsim import elements as el
 from cpfsim import fock, gate_d4
-from cpfsim.analysis import build_heralded_channel, heralded_ensemble
+from cpfsim.analysis import build_heralded_channel
 from cpfsim.errors import EmptyPostSelection, EncodingError, PatternMismatch
 from cpfsim.fock import (
     apply_transform,
@@ -33,6 +34,7 @@ from cpfsim.gate_d4 import (
     build_bsm_stage,
     build_hd_beamsplitter,
     encode_qudit_vector,
+    heralded_run,
     prepare_auxiliary,
     prepare_input,
     qudit_amplitudes,
@@ -48,6 +50,7 @@ from cpfsim.protocol import (
     run_protocol,
 )
 
+import element_reference as ref
 from element_reference import dense_matrix
 from fock_reference import outcome_distribution
 from gate_reference import reference_pattern_operators
@@ -241,21 +244,43 @@ def stage(stage_space):
     return build_bsm_stage(stage_space)
 
 
-def test_photon2_arm_conversion(stage, stage_space):
+def _reference_arms(sp):
+    """The Bell stage's two conversion arms from the reference elements:
+    photon 2's on D1, photon 3's on D2 with its folded Hadamard and trim."""
+    arm2 = ref.compose([ref.qwp(sp, "D1", -math.pi / 4), ref.qplate(sp, "D1", 0.5),
+                        ref.qwp(sp, "D1", math.pi / 4)])
+    arm3 = ref.compose([ref.qwp(sp, "D2", -math.pi / 4), ref.qplate(sp, "D2", 0.5),
+                        ref.qwp(sp, "D2", 0.0), ref.phase_plate(sp, "D2", conv.BSM_ARM3_TRIM)])
+    return arm2, arm3
+
+
+def test_stage_is_its_arms_between_dove_pairs_and_splitter(stage, stage_space):
+    """The stage's transform is each arm behind its Dove-prism pair, then the
+    measurement splitter, so the arm checks below hold for the built stage."""
     sp = stage_space
-    out = apply_to_single_photon(stage.photon2_arm, ket(sp, "D1", "H", 1))
+    arm2, arm3 = _reference_arms(sp)
+    want = ref.compose([
+        ref.dove_prism(sp, "D1", math.pi / 8), ref.dove_prism(sp, "D1", 0.0), arm2,
+        ref.dove_prism(sp, "D2", math.pi / 4), ref.dove_prism(sp, "D2", 0.0), arm3,
+        ref.pbs(sp, ("D1", "D2"), ("E1", "E2"))])
+    assert np.max(np.abs(dense_matrix(stage.transform) - want.matrix)) < 1e-12
+
+
+def test_photon2_arm_conversion(stage_space):
+    sp = stage_space
+    out = _reference_arms(sp)[0].matrix[:, sp.index(Mode("D1", "H", 1))]
     # |H,+1> -> |V,0> up to phase
     idx = sp.index(Mode("D1", "V", 0))
-    assert abs(abs(out.amps[idx]) - 1.0) < 1e-10
-    assert abs(np.vdot(out.amps, out.amps) - 1.0) < 1e-10
+    assert abs(abs(out[idx]) - 1.0) < 1e-10
+    assert abs(np.vdot(out, out) - 1.0) < 1e-10
 
 
-def test_photon3_arm_hadamard(stage, stage_space):
+def test_photon3_arm_hadamard(stage_space):
     sp = stage_space
-    out = apply_to_single_photon(stage.photon3_arm, ket(sp, "D2", "V", -1))
+    out = _reference_arms(sp)[1].matrix[:, sp.index(Mode("D2", "V", -1))]
     # |V,-1> -> i |A> |0> with |A> = (|H> - |V>)/sqrt(2), exact phases
-    ih = out.amps[sp.index(Mode("D2", "H", 0))]
-    iv = out.amps[sp.index(Mode("D2", "V", 0))]
+    ih = out[sp.index(Mode("D2", "H", 0))]
+    iv = out[sp.index(Mode("D2", "V", 0))]
     assert abs(ih - 1j * S2) < 1e-10
     assert abs(iv + 1j * S2) < 1e-10
 
@@ -302,9 +327,9 @@ def test_cpf_flip_example(pipe):
     ideal = QuditState(4, cpf_oracle(4)
                        @ np.kron([0, 0, 0, 1], [0, S2, 0, S2]))
     assert abs(run.heralding_probability - 0.125) < 1e-10
-    for outcome, (state, p) in run.per_outcome.items():
+    for outcome, p in run.per_outcome.items():
         assert abs(p - 1 / 16) < 1e-10
-        assert state.fidelity(ideal) > 1 - 1e-10
+        assert run.heralded_state(outcome).fidelity(ideal) > 1 - 1e-10
 
 
 def test_entangled_output_state(pipe):
@@ -334,10 +359,10 @@ def test_joint_input_matches_abstract_engine(pipe, rng):
     c /= np.linalg.norm(c)
     run = pipe.run(c, accepted=BOTH)
     abstract = run_protocol(QuditState.from_matrix(c), 1)
-    for outcome, (state, p) in run.per_outcome.items():
+    for outcome, p in run.per_outcome.items():
         ref, p_ref = abstract[outcome]
         assert abs(p - p_ref) < 1e-10
-        assert abs(abs(state.overlap(ref)) - 1.0) < 1e-9
+        assert abs(abs(run.heralded_state(outcome).overlap(ref)) - 1.0) < 1e-9
 
 
 def test_prepared_states_drive_pipeline(pipe):
@@ -438,7 +463,8 @@ def test_run_matches_direct_fock_evolution(pipe):
             assert abs(run.pattern_probs[pattern] - p) < 1e-12
             state = run.heralded_state(pipe.stage.decode(pattern)).amps
             assert abs(abs(np.vdot(state, amps)) ** 2 / p - 1.0) < 1e-12
-        for outcome, (state, p) in run.per_outcome.items():
+        for outcome, p in run.per_outcome.items():
+            state = run.heralded_state(outcome)
             first = next(pt for pt in direct if pipe.stage.decode(pt) == outcome)
             p_first, amps = direct[first]
             assert np.max(np.abs(state.amps - amps / math.sqrt(p_first))) < 1e-12
@@ -459,7 +485,7 @@ def test_ensemble_matches_direct_fock_evolution(pipe):
     for _ in range(2):
         c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         c /= np.linalg.norm(c)
-        pattern_probs, per_outcome = heralded_ensemble(channel, c.reshape(-1), BOTH)
+        run = heralded_run(channel.kraus, channel.labels, c.reshape(-1), BOTH)
         want_probs: dict = {}
         want_rho: dict = {}
         for draw in draws:
@@ -470,13 +496,13 @@ def test_ensemble_matches_direct_fock_evolution(pipe):
                 outcome = pipe.stage.decode(pattern)
                 want_rho[outcome] = (want_rho.get(outcome, 0.0)
                                      + np.outer(amps, amps.conj()) / len(draws))
-        assert set(pattern_probs) == set(want_probs)
+        assert set(run.pattern_probs) == set(want_probs)
         for pattern, p in want_probs.items():
-            assert abs(pattern_probs[pattern] - p) < 1e-12
-        assert set(per_outcome) == set(want_rho)
-        for outcome, (rho, p) in per_outcome.items():
+            assert abs(run.pattern_probs[pattern] - p) < 1e-12
+        assert set(run.per_outcome) == set(want_rho)
+        for outcome, p in run.per_outcome.items():
             assert abs(p - np.trace(want_rho[outcome]).real) < 1e-12
-            assert np.max(np.abs(rho * p - want_rho[outcome])) < 1e-12
+            assert np.max(np.abs(run.density(outcome) * p - want_rho[outcome])) < 1e-12
 
 
 _noise_specs = st.builds(

@@ -185,6 +185,15 @@ _DIAGNOSTIC_ROWS = [
     ("[elements]\nHWP(angle=0.1) @ A,B", "path binding"),
     ("[elements]\nQP(q=1e308) @ A", "finite number"),
     ("[elements]\nHWP(angle=0.1,angle=0.2) @ A", "repeats parameter"),
+    # a key, a path or an outcome given twice is refused, not overwritten
+    ("version 1", "repeats key 'version'"),
+    ("[run]\nseed 7\nseed 9", "repeats key 'seed'"),
+    ("[run]\nseed 7\n[detect]\naccept PhiPlus\n[run]\nseed 9", "repeats key 'seed'"),
+    ("[run]\nnoise.loss 0.1\nnoise.loss 0.2", "repeats key 'noise.loss'"),
+    ("[lock]\ne0h 1\ne0h 0.5", "repeats key 'e0h'"),
+    ("[source p1]\npath A\nrecipe z0\npath B", "repeats key 'path'"),
+    ("[detect]\npattern A=1 A=0", "repeats path(s) ['A']"),
+    ("[detect]\naccept PhiPlus PhiPlus", "repeats Bell outcome(s) ['PhiPlus']"),
     *_VALUE_DEFECTS,
 ]
 
@@ -245,9 +254,11 @@ def _json_form(body: str, typed: bool = True) -> dict:
     return obj
 
 
+# A dict cannot repeat a name, so the rows whose text repeats a source, a key
+# or a pattern path have no dict form; _JSON_TEXT_ROWS repeat names in text.
 _JSON_ROWS = [
     *[(_json_form(body), needle) for body, needle in _DIAGNOSTIC_ROWS
-      if needle != "duplicate source id"],          # a JSON object cannot repeat a name
+      if not needle.startswith(("duplicate source id", "repeats key", "repeats path"))],
     ({"run": {"mode": "shotz"}}, "unknown mode 'shotz'"),
     ({"run": {"colour": 1}}, "unknown key 'colour' in [run]"),
     ({"flavour": {}}, "unknown section [flavour]"),
@@ -256,6 +267,10 @@ _JSON_ROWS = [
     ({"run": {"noise": [1]}}, "run.noise must be a JSON object"),
     ({"elements": [3]}, "expects an element descriptor"),
     ({"detect": {"accept": []}}, "accept: expects at least one Bell outcome"),
+    # an object where a list is expected is refused, not read for its names
+    ({"space": {"paths": {"A": 1, "B": 2}}}, "paths: expects distinct path names"),
+    ({"detect": {"accept": {"PhiPlus": "x"}}},
+     "accept: expects at least one Bell outcome, in a list"),
 ]
 
 
@@ -266,6 +281,24 @@ def test_validation_diagnostics_json(obj, needle):
     assert not res.ok
     assert any(needle in d.message for d in res.diagnostics), [
         str(d) for d in res.diagnostics]
+
+
+_JSON_TEXT_ROWS = [
+    ('{"version": 1, "version": 1}', "repeats name 'version'"),
+    ('{"run": {"seed": 1, "seed": 2}}', "repeats name 'seed'"),
+    ('{"sources": {"p1": {"recipe": "z0"}, "p1": {"recipe": "z1"}}}', "repeats name 'p1'"),
+    ('{"lock": {"pid": {"kp": 0.2, "ki": 200, "kp": 0.3}}}', "repeats name 'kp'"),
+    ('{"detect": {"pattern": {"A": 1, "A": 0}}}', "repeats name 'A'"),
+]
+
+
+@pytest.mark.parametrize("text,needle", _JSON_TEXT_ROWS)
+def test_json_text_refuses_repeated_names(text, needle):
+    """A name given twice in one object of JSON text, at any depth, is a
+    diagnostic; the later value does not silently win."""
+    res = parse_netlist_json(text)
+    assert not res.ok
+    assert needle in [d.message for d in res.diagnostics], [str(d) for d in res.diagnostics]
 
 
 @pytest.mark.parametrize("version", ["2", "0"])
@@ -376,7 +409,9 @@ _COMMANDS = {"cpf_d4": "simulate", "circuit": "simulate", "fidelity": "fidelity"
 
 
 def _task_netlist(task: str, part: str) -> str:
-    text = f"{_BASES[task]}[run]\ntask {task}\n{_PARTS[part][1]}"
+    # a part the base already sets (circuit's [space]) is not given twice
+    base, lines = _BASES[task], _PARTS[part][1]
+    text = f"{base}[run]\ntask {task}\n{'' if lines in base else lines}"
     return "".join(line + "\n" for line in text.splitlines() if line)
 
 

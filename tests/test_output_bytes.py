@@ -1,5 +1,5 @@
 """Byte-stable outputs: pinned result files (gate, fidelity and lock runs),
-and the one-pass JSON writer
+the whole ``cpf_d4`` recipe sweep, and the one-pass JSON writer
 (with its bulk spelling of float, string, int, null and record runs) against
 the stdlib form it replaces."""
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpfsim.gate_d4 import PREPARATION_TABLE
 from cpfsim.netlist import parse_netlist
 from cpfsim.runner import _dump_json, emit, execute
 
@@ -169,6 +170,58 @@ def test_result_files_are_byte_stable(tmp_path, name):
     got = {p.name: _sha256(p.read_bytes()) for p in emit(result, "both", tmp_path, "out")}
     got["to_json"] = _sha256(result.to_json().encode())
     assert got == GOLDEN[name]
+
+
+_SWEEP = """\
+version 1
+[source photon1]
+recipe {r1}
+[source photon4]
+recipe {r4}
+[detect]
+accept {accept}
+[run]
+task cpf_d4
+seed 7
+{run}
+"""
+_ACCEPTS = ("PhiPlus PhiMinus", "PhiPlus", "PhiMinus")
+_PAIRS = [(r1, r4) for r1 in PREPARATION_TABLE for r4 in PREPARATION_TABLE]
+
+
+def _sweep_run(i: int, sweep: str) -> str:
+    """Pair ``i`` of the sweep, as the netlist text it runs.  The shots and
+    noisy sweeps cycle the accept set; the noisy one runs two draws on its
+    first half and three on its second, so that it builds two channels."""
+    run = {"analytic": "",
+           "shots": "mode shots\nshots 1000",
+           "noisy": ("mode shots\nshots 3000\nnoise.sigma_zeta 0.3\nnoise.oam_dephasing 0.2\n"
+                     "noise.loss 0.05\nnoise.visibility 0.9\n"
+                     f"noise.draws {2 + 2 * i // len(_PAIRS)}"),
+           }[sweep]
+    accept = _ACCEPTS[0] if sweep == "analytic" else _ACCEPTS[i % 3]
+    r1, r4 = _PAIRS[i]
+    return _SWEEP.format(r1=r1, r4=r4, accept=accept, run=run)
+
+
+#: sha256 of the ``to_json()`` texts of every photon1 x photon4 recipe pair,
+#: joined in table order; recorded before the clean and noisy gate runs
+#: shared one readout.
+SWEEP_GOLDEN = {
+    "analytic": "d61209c00e52de144ef6cf1cc3c2146ce3586cae42333bd9911e717f678fa556",
+    "shots": "ae70325f237a19f0635a80f6a1ef3d544e1c92241ef96ff65b2ef4ce8662e333",
+    "noisy": "0f16cf8b738548c032dced2546be3b3e44e5d234c16db18c6caf194a371ca78c",
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEP_GOLDEN))
+def test_cpf_d4_sweep_is_byte_stable(sweep):
+    digest = hashlib.sha256()
+    for i in range(len(_PAIRS)):
+        res = parse_netlist(_sweep_run(i, sweep))
+        assert res.ok, [str(d) for d in res.diagnostics]
+        digest.update(execute(res).to_json().encode())
+    assert digest.hexdigest() == SWEEP_GOLDEN[sweep]
 
 
 def test_clamped_lock_pin_reaches_both_limits():

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpfsim.analysis import (DEFAULT_DRAWS, STATE_VECTORS, build_heralded_channel,
-                             heralded_ensemble)
+from cpfsim.analysis import DEFAULT_DRAWS, STATE_VECTORS, build_heralded_channel
 from cpfsim.cli import main as cli_main
 from cpfsim import elements, gate_d4, netlist, runner
 from cpfsim.elements import parse_descriptor
+from cpfsim.gate_d4 import heralded_run
 from cpfsim.netlist import Netlist, parse_netlist, serialize
 from cpfsim.noise import NoiseSpec
 from cpfsim.protocol import BellOutcome
@@ -354,7 +354,8 @@ def test_noisy_cpf_one_draw_is_that_draw(cpf_netlist, pipe):
         pattern_want[pattern] = np.vdot(amps, amps).real
         outcome_want[outcome] = outcome_want.get(outcome, 0.0) + pattern_want[pattern]
         first.setdefault(outcome, amps / np.linalg.norm(amps))
-    pattern_probs, _ = heralded_ensemble(build_heralded_channel(spec, 1), c, BOTH)
+    channel = build_heralded_channel(spec, 1)
+    pattern_probs = heralded_run(channel.kraus, channel.labels, c, BOTH).pattern_probs
     assert set(pattern_probs) == set(pattern_want)
     for pattern, p in pattern_want.items():
         assert abs(pattern_probs[pattern] - p) < 1e-12
@@ -475,6 +476,19 @@ def test_cli_simulate_writes_files(tmp_path, capsys, pipe):
     assert code == 0
     assert (tmp_path / "cpf_d4.json").exists()
     capsys.readouterr()
+
+
+def test_cli_unwritable_out_is_a_runtime_error(tmp_path, capsys):
+    """An --out that names an existing file is one runtime error line and
+    exit code 2, not a traceback; the file is left as it was."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = cli_main(["simulate", "--netlist", str(FIXTURES / "cpf_d4.netlist"),
+                     "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: cannot write {taken}: File exists\n"
+    assert taken.read_text() == "kept\n"
 
 
 def test_cli_transcript(capsys):
