@@ -11,6 +11,14 @@ covers its involved paths.
 Element descriptors serialize as ``NAME(key=value,...) @ path[,path...]``,
 e.g. ``HWP(angle=0.3927) @ A`` or ``PBS(in=[A,B],out=[C,D])``; the same grammar
 is consumed by the netlist parser.
+
+:func:`element_transform` builds a descriptor on a mode space through two
+caches.  The first is keyed by (descriptor, space).  The second holds the
+fixed optics, the kinds with no continuous parameter, keyed by kind, OAM
+shift, truncation and port layout: such a block is built and checked once,
+then placed on the paths of each (descriptor, space) without a second
+check, since it is read-only and its unitarity does not depend on which
+paths it sits on.
 """
 
 from __future__ import annotations
@@ -439,10 +447,23 @@ def spec_problem(spec: ElementSpec) -> str | None:
     return None
 
 
-# Transforms element_transform keeps, the least recently used dropped first.
-# Room for the recurring descriptors (the preparation rows, fixed optics) and
-# far below the thousands of distinct random-angle elements of a long circuit
-# run, which would otherwise hit only when a deck repeats.
+# Kinds whose every parameter is a port list or an integer OAM shift: the
+# fixed optics.  Their block depends on the kind, those parameters and the
+# truncation, and for a PBS on the rank of each port among the involved
+# paths, but not on the path names or the rest of the space.
+_FIXED = frozenset(kind for kind, (_, params) in CATALOGUE.items()
+                   if all(k in _PORTS or k in _SHIFTS for k, _ in params))
+
+# Entries each of element_transform's two caches keeps, the least recently
+# used dropped first.  The outer cache, keyed by (spec, space), has room for
+# the recurring descriptors (the preparation rows, fixed optics) and is far
+# below the thousands of distinct random-angle elements of a long circuit run,
+# which would otherwise hit only when a deck repeats.  The block cache, keyed
+# by a fixed optic's kind, shifts, truncation and port layout, holds the few
+# dozen blocks the fixed optics of any mix of paths and spaces need (59 over
+# the benchmark's circuit deck).  A block is checked once, when built; placed
+# on other paths it is not checked again, since it is read-only and its
+# unitarity does not depend on the paths it sits on.
 TRANSFORM_CACHE_SIZE = 64
 
 
@@ -453,6 +474,14 @@ def element_transform(spec: ElementSpec | str, space: ModeSpace) -> ModeTransfor
     SpaceMismatch for paths outside ``space``, on every call.  A built
     transform is kept per (spec, space), up to :data:`TRANSFORM_CACHE_SIZE`
     of them, and shared by later calls; its block is read-only.
+
+    A fixed optic (QP, SPP, DL, MIRROR, PBS, O1CNOT, O2CNOT: no continuous
+    parameter) is built once per (kind, shifts, truncation, port layout) by
+    its builder on a space of stand-in paths, checked there, and kept in a
+    second cache of the same bound.  Each (spec, space) then gets that block
+    placed on its own paths, with the builder's overflow and provenance, and
+    is not checked again: unitarity does not depend on which paths a block
+    sits on.  Every other kind is built by its builder for each (spec, space).
     """
     if isinstance(spec, str):
         spec = parse_descriptor(spec)
@@ -472,4 +501,25 @@ def _cached_transform(spec: ElementSpec, space: ModeSpace, signs: tuple) -> Mode
     name, params = CATALOGUE[spec.kind]
     values = [spec.param(k, default) for k, default in params]
     values = [v if isinstance(v, tuple) else float(v) for v in values]
-    return globals()[name](space, *spec.paths, *values)
+    if spec.kind not in _FIXED:
+        return globals()[name](space, *spec.paths, *values)
+    bound = spec.paths + tuple(p for v in values if isinstance(v, tuple) for p in v)
+    for p in bound:
+        if p not in space.paths:
+            raise SpaceMismatch(f"path {p!r} not in space")
+    paths = tuple(p for p in space.paths if p in bound)
+    # Stand-in path k is "{k}", so the block's provenance formats to the
+    # builder's text on the real paths.
+    stand_in = {p: f"{{{k}}}" for k, p in enumerate(paths)}
+    args = tuple(stand_in[p] for p in spec.paths) + tuple(
+        tuple(stand_in[p] for p in v) if isinstance(v, tuple) else v for v in values)
+    block = _fixed_block(name, ModeSpace(stand_in.values(), space.truncation), args,
+                         tuple(math.copysign(1.0, v) for v in values if isinstance(v, float)))
+    return block.placed(space, paths, block.provenance.format(*paths))
+
+
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def _fixed_block(name: str, space: ModeSpace, args: tuple, signs: tuple) -> ModeTransform:
+    """A fixed optic built by its builder on a space of stand-in paths and
+    checked there.  ``signs`` keeps a signed zero's build apart."""
+    return globals()[name](space, *args)

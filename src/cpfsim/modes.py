@@ -8,6 +8,7 @@ by every matrix and state vector in the package.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -138,6 +139,11 @@ class ModeTransform:
     overflow: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        self._bind()
+        self.check()
+
+    def _bind(self):
+        """Index the block's modes in the space, after checking its paths."""
         self.paths = tuple(self.paths)
         if self.paths != tuple(p for p in self.space.paths if p in self.paths):
             raise SpaceMismatch(f"paths {self.paths} are not the space's, in its order")
@@ -147,7 +153,20 @@ class ModeTransform:
         if self.block.shape != (self._modes.size,) * 2:
             raise SpaceMismatch("block shape does not match its paths")
         self._columns_cache = None
-        self.check()
+
+    def placed(self, space: ModeSpace, paths, provenance: str) -> "ModeTransform":
+        """The same block on ``paths`` of ``space`` (in its order), each path
+        standing in for the one at the same rank in ``self.paths``; overflow
+        moves with its path.  Not checked again: the block is read-only and
+        was checked when built, and unitarity does not depend on which paths
+        the block sits on."""
+        t = copy.copy(self)
+        t.space, t.paths, t.provenance = space, paths, provenance
+        t._bind()
+        if self.overflow:
+            at = np.searchsorted(self._modes, sorted(self.overflow))
+            t.overflow = frozenset(t._modes[at].tolist())
+        return t
 
     def check(self):
         """Verify unitarity on the non-overflow part of the block:

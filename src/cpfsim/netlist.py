@@ -428,6 +428,9 @@ def parse_netlist(text: str) -> ParseResult:
                     err(line_no, indent, f"duplicate source id {section_arg!r}")
                 else:
                     nl.sources[section_arg] = SourceSpec(section_arg, "", "")
+            elif section_arg is not None:
+                # refused, and the block still read as the section it names
+                err(line_no, indent, f"section [{section}] takes no name")
             block = (section, section_arg if section == "source" else None)
             keys = blocks.setdefault(block, set())
             continue

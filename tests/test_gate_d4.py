@@ -633,8 +633,10 @@ def test_run_rejects_patterns_heralding_different_states(pipe, monkeypatch):
     kraus = pipe.transfer_operators()
     key = next(k for k in kraus if k[0] is BellOutcome.PhiPlus and k[1] != ("+", "+"))
     swap = np.eye(16)[[1, 0] + list(range(2, 16))]
-    monkeypatch.setattr(pipe, "transfer_operators",
-                        lambda draw: {**kraus, key: swap @ kraus[key]})
+    # Patched on the class: pytest's undo of an instance patch would leave the
+    # original bound method on the shared pipeline, hiding later class patches.
+    monkeypatch.setattr(gate_d4.CpfPipeline, "transfer_operators",
+                        lambda self, draw: {**kraus, key: swap @ kraus[key]})
     with pytest.raises(PatternMismatch):
         pipe.run(np.eye(4) / 2, accepted=BOTH)
 

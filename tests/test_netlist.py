@@ -194,6 +194,10 @@ _DIAGNOSTIC_ROWS = [
     ("[source p1]\npath A\nrecipe z0\npath B", "repeats key 'path'"),
     ("[detect]\npattern A=1 A=0", "repeats path(s) ['A']"),
     ("[detect]\naccept PhiPlus PhiPlus", "repeats Bell outcome(s) ['PhiPlus']"),
+    # only [source NAME] takes a name after the section
+    ("[run extra words]\ntask lock", "section [run] takes no name"),
+    ("[space junk]\npaths A", "section [space] takes no name"),
+    ("[elements chain]\nMIRROR() @ A", "section [elements] takes no name"),
     *_VALUE_DEFECTS,
 ]
 
@@ -256,9 +260,11 @@ def _json_form(body: str, typed: bool = True) -> dict:
 
 # A dict cannot repeat a name, so the rows whose text repeats a source, a key
 # or a pattern path have no dict form; _JSON_TEXT_ROWS repeat names in text.
+# Nor can a JSON section carry a header name.
 _JSON_ROWS = [
     *[(_json_form(body), needle) for body, needle in _DIAGNOSTIC_ROWS
-      if not needle.startswith(("duplicate source id", "repeats key", "repeats path"))],
+      if not needle.startswith(("duplicate source id", "repeats key", "repeats path"))
+      and not needle.endswith("takes no name")],
     ({"run": {"mode": "shotz"}}, "unknown mode 'shotz'"),
     ({"run": {"colour": 1}}, "unknown key 'colour' in [run]"),
     ({"flavour": {}}, "unknown section [flavour]"),
@@ -317,6 +323,17 @@ def test_only_version_1_is_read(version, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     with pytest.raises(NetlistError, match="version: expects 1"):
         execute(Netlist(version=int(version), task="lock"))
+
+
+@pytest.mark.parametrize("header", ["[run extra words]", "  [space junk]", "[LOCK stuff]",
+                                    "[elements x]", "[detect PhiPlus]"])
+def test_section_name_is_one_diagnostic_at_the_header(header):
+    """A name after any section but [source NAME] is refused once, at the
+    header's line and column; the block below still reads as its section."""
+    section = header.strip()[1:].split()[0].lower()
+    res = parse_netlist(f"version 1\n{header}\n[run]\ntask lock\n")
+    assert [(d.line, d.col, d.message) for d in res.diagnostics] == [
+        (2, len(header) - len(header.lstrip()), f"section [{section}] takes no name")]
 
 
 def test_value_diagnostics_carry_positions():
