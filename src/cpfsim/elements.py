@@ -19,6 +19,13 @@ shift, truncation and port layout: such a block is built and checked once,
 then placed on the paths of each (descriptor, space) without a second
 check, since it is read-only and its unitarity does not depend on which
 paths it sits on.
+
+Every build is made from parts kept per window: the OAM identity and shift
+matrices per (truncation, shift), read-only, and (in :mod:`cpfsim.modes`)
+the mode indices per (space, paths) and a placed block's sparse columns.
+A parsed descriptor keeps the verdict of its check
+(:attr:`ElementSpec.problem`), so parsing, validation and a run check it
+once.
 """
 
 from __future__ import annotations
@@ -52,16 +59,22 @@ def _on_path(space: ModeSpace, path: str, terms, provenance) -> ModeTransform:
     Each term pairs a 2x2 Jones matrix with a (2L+1)-square OAM matrix.  A
     zero column of O_k is an OAM image outside the window: each input mode
     that a term with a nonzero Jones column sends there overflows, and its
-    whole column is zeroed.
+    whole column is zeroed.  The overflow mask is formed only when some O_k
+    has a zero column.
     """
     if path not in space.paths:
         raise SpaceMismatch(f"path {path!r} not in space")
     n = 2 * space.truncation + 1
     block = np.zeros((2 * n, 2 * n), dtype=complex)
-    lost = np.zeros(2 * n, dtype=bool)
+    lost = None
     for jones, orbital in terms:
         block += _kron(jones, orbital)
-        lost |= np.outer(jones.any(axis=0), ~orbital.any(axis=0)).ravel()
+        kept = orbital.any(axis=0)
+        if not kept.all():
+            mask = np.outer(jones.any(axis=0), ~kept).ravel()
+            lost = mask if lost is None else lost | mask
+    if lost is None:
+        return ModeTransform(space, (path,), block, provenance)
     block[:, lost] = 0.0
     base = int(space.path_indices(path)[0])
     overflow = frozenset(base + int(k) for k in np.flatnonzero(lost))
@@ -79,8 +92,21 @@ def _flip(phases) -> np.ndarray:
 
 def _shift(space: ModeSpace, dl: int) -> np.ndarray:
     """OAM matrix |l> -> |l + dl>, the identity at dl = 0; columns whose image
-    leaves the window are zero."""
-    return np.eye(2 * space.truncation + 1, k=-dl)
+    leaves the window are zero.  Read-only, kept per (window, shift)."""
+    return _shift_matrix(space.truncation, dl)
+
+
+# (truncation, shift) pairs whose OAM matrix _shift keeps, the least recently
+# used dropped first.  The benchmark's decks use a few dozen pairs; at the
+# largest truncation (63) each matrix is 127x127 reals, 129 kB.
+SHIFT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def _shift_matrix(truncation: int, dl: int) -> np.ndarray:
+    m = np.eye(2 * truncation + 1, k=-dl)
+    m.setflags(write=False)
+    return m
 
 
 def hwp_matrix(angle: float) -> np.ndarray:
@@ -285,6 +311,12 @@ class ElementSpec:
     params: tuple = field(default_factory=tuple)  # ((key, value), ...)
     paths: tuple = field(default_factory=tuple)
 
+    @functools.cached_property
+    def problem(self) -> str | None:
+        """:func:`spec_problem` of this spec, worked out on first use and
+        kept: the spec is frozen, so its verdict cannot change."""
+        return spec_problem(self)
+
     def param(self, key, default=None):
         for k, v in self.params:
             if k == key:
@@ -414,8 +446,9 @@ _MAX_VALUE = 2.0 ** 52       # beyond it adjacent doubles lie a radian or more a
 def spec_problem(spec: ElementSpec) -> str | None:
     """Why ``spec`` cannot be built, or None; never raises.
 
-    The one check behind :func:`element_transform` and netlist validation.
-    Paths outside a mode space are left to the builder (SpaceMismatch).
+    The one check behind :func:`element_transform` and netlist validation,
+    which read it through :attr:`ElementSpec.problem`, once per spec.  Paths
+    outside a mode space are left to the builder (SpaceMismatch).
     """
     kind = spec.kind
     if kind not in CATALOGUE:
@@ -471,7 +504,8 @@ def element_transform(spec: ElementSpec | str, space: ModeSpace) -> ModeTransfor
     """Build the transform for one element descriptor.
 
     Raises UnknownElement for a descriptor :func:`spec_problem` rejects and
-    SpaceMismatch for paths outside ``space``, on every call.  A built
+    SpaceMismatch for paths outside ``space``, on every call; a spec that
+    was checked before (a parsed netlist's) is not checked again.  A built
     transform is kept per (spec, space), up to :data:`TRANSFORM_CACHE_SIZE`
     of them, and shared by later calls; its block is read-only.
 
@@ -495,9 +529,8 @@ def element_transform(spec: ElementSpec | str, space: ModeSpace) -> ModeTransfor
 @functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
 def _cached_transform(spec: ElementSpec, space: ModeSpace, signs: tuple) -> ModeTransform:
     """Check and build one transform; a refusal raises and is not kept."""
-    problem = spec_problem(spec)
-    if problem:
-        raise UnknownElement(problem)
+    if spec.problem:
+        raise UnknownElement(spec.problem)
     name, params = CATALOGUE[spec.kind]
     values = [spec.param(k, default) for k, default in params]
     values = [v if isinstance(v, tuple) else float(v) for v in values]

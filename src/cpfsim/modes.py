@@ -4,11 +4,21 @@ One optical mode is a (path, polarization, OAM index) triple.  A
 :class:`ModeSpace` enumerates all modes for a fixed set of path labels and a
 truncation bound L on the azimuthal index, and provides the dense index used
 by every matrix and state vector in the package.
+
+Two things are kept across transforms: the dense mode indices of each
+(space, paths) pair, read-only, and on a block that is placed on other paths
+(:meth:`ModeTransform.placed`) its sparse columns in block-local rows, which
+each placement only re-indexes.  The identities :meth:`ModeTransform.check`
+compares against are not kept: it subtracts 1 from the diagonal of each
+fresh Gram matrix instead, because an identity kept per size would stay
+resident at the size of the largest composed check (the gate's pipeline
+checks blocks of up to 288 modes).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -84,6 +94,23 @@ class ModeSpace:
         return np.arange(base, base + 2 * self._oam_count)
 
 
+# (space, paths) pairs whose mode indices _mode_indices keeps, the least
+# recently used dropped first: far above the few hundred pairs one pass of
+# the benchmark's circuit deck binds, a few kilobytes at most.
+MODE_INDEX_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=MODE_INDEX_CACHE_SIZE)
+def _mode_indices(space: ModeSpace, paths: tuple) -> np.ndarray:
+    """The dense indices of the modes of ``paths``, read-only; SpaceMismatch
+    unless ``paths`` are paths of ``space`` in its order."""
+    if paths != tuple(p for p in space.paths if p in paths):
+        raise SpaceMismatch(f"paths {paths} are not the space's, in its order")
+    modes = np.concatenate([space.path_indices(p) for p in paths])
+    modes.setflags(write=False)
+    return modes
+
+
 class SinglePhotonState:
     """Complex amplitude vector over a ModeSpace."""
 
@@ -145,45 +172,61 @@ class ModeTransform:
     def _bind(self):
         """Index the block's modes in the space, after checking its paths."""
         self.paths = tuple(self.paths)
-        if self.paths != tuple(p for p in self.space.paths if p in self.paths):
-            raise SpaceMismatch(f"paths {self.paths} are not the space's, in its order")
         self.block = np.asarray(self.block, dtype=complex)
         self.block.setflags(write=False)
-        self._modes = np.concatenate([self.space.path_indices(p) for p in self.paths])
+        self._modes = _mode_indices(self.space, self.paths)
         if self.block.shape != (self._modes.size,) * 2:
             raise SpaceMismatch("block shape does not match its paths")
         self._columns_cache = None
+        self._local = None
 
     def placed(self, space: ModeSpace, paths, provenance: str) -> "ModeTransform":
         """The same block on ``paths`` of ``space`` (in its order), each path
         standing in for the one at the same rank in ``self.paths``; overflow
         moves with its path.  Not checked again: the block is read-only and
         was checked when built, and unitarity does not depend on which paths
-        the block sits on."""
+        the block sits on.  This block keeps its sparse columns in
+        block-local rows, which every placement shares and re-indexes."""
+        if self._local is None:
+            self._local = self._local_columns()
         t = copy.copy(self)
         t.space, t.paths, t.provenance = space, paths, provenance
         t._bind()
+        t._local = self._local
         if self.overflow:
-            at = np.searchsorted(self._modes, sorted(self.overflow))
-            t.overflow = frozenset(t._modes[at].tolist())
+            t.overflow = frozenset(t._modes[self._overflow_at()].tolist())
         return t
+
+    def _overflow_at(self) -> np.ndarray:
+        """Block positions of the overflow modes (``_modes`` is ascending)."""
+        return np.searchsorted(self._modes, sorted(self.overflow))
 
     def check(self):
         """Verify unitarity on the non-overflow part of the block:
-        orthonormal kept columns, and B B^+ = 1 when nothing overflows.  The
-        residual tests read ``not r <= tol`` so that a NaN entry fails them."""
-        b = (self.block[:, ~np.isin(self._modes, list(self.overflow))] if self.overflow
-             else self.block)
-        gram = b.conj().T @ b
+        orthonormal kept columns, max |B^+ B - 1| <= UNITARY_TOL, and
+        B B^+ = 1 as well when nothing overflows.  Each Gram matrix is fresh,
+        so 1 is subtracted from its diagonal in place.  The residual tests
+        read ``not r <= tol`` so that a NaN entry fails them."""
+        b = self.block
+        if self.overflow:
+            kept = np.ones(len(self._modes), dtype=bool)
+            kept[self._overflow_at()] = False
+            b = b[:, kept]
+        bh = b.conj().T
         # An empty kept block (every column overflows) has nothing to check.
-        if b.size and not np.max(np.abs(gram - np.eye(b.shape[1]))) <= UNITARY_TOL:
+        if b.size and not _residual(bh @ b) <= UNITARY_TOL:
             raise ConventionError(
                 f"{self.provenance or 'transform'}: columns not orthonormal"
             )
-        if not self.overflow:
-            gram2 = self.block @ self.block.conj().T
-            if not np.max(np.abs(gram2 - np.eye(len(self._modes)))) <= UNITARY_TOL:
-                raise ConventionError(f"{self.provenance or 'transform'}: not unitary")
+        if not self.overflow and not _residual(b @ bh) <= UNITARY_TOL:
+            raise ConventionError(f"{self.provenance or 'transform'}: not unitary")
+
+    def _local_columns(self) -> tuple:
+        """(block rows, amplitudes, column ends) of the entries above
+        ``PRUNE_TOL``, column by column, rows ascending."""
+        ks, rs = np.nonzero(np.abs(self.block.T) > PRUNE_TOL)
+        return (rs, self.block[rs, ks].tolist(),
+                np.cumsum(np.bincount(ks, minlength=len(self._modes))).tolist())
 
     def columns(self) -> dict:
         """Sparse columns of the block: ``{mode: (rows, amplitudes)}`` for the
@@ -191,16 +234,20 @@ class ModeTransform:
         rows ascending and entries at or below ``PRUNE_TOL`` dropped.  A mode
         that is not a key maps to itself."""
         if self._columns_cache is None:
-            ks, rs = np.nonzero(np.abs(self.block.T) > PRUNE_TOL)
+            rs, amps, ends = self._local or self._local_columns()
             rows = self._modes[rs].tolist()
-            amps = self.block[rs, ks].tolist()
-            ends = np.cumsum(np.bincount(ks, minlength=len(self._modes))).tolist()
             cols, start = {}, 0
             for j, end in zip(self._modes.tolist(), ends):
                 cols[j] = (rows[start:end], amps[start:end])
                 start = end
             self._columns_cache = cols
         return self._columns_cache
+
+
+def _residual(gram: np.ndarray) -> float:
+    """max |gram - 1| of a fresh square Gram matrix, which it overwrites."""
+    gram.flat[::gram.shape[0] + 1] -= 1
+    return np.abs(gram).max()
 
 
 def compose_transforms(sequence: list[ModeTransform]) -> ModeTransform:
@@ -214,7 +261,7 @@ def compose_transforms(sequence: list[ModeTransform]) -> ModeTransform:
             raise SpaceMismatch("composition across different mode spaces")
     touched = {p for t in sequence for p in t.paths}
     paths = tuple(p for p in space.paths if p in touched)
-    modes = np.concatenate([space.path_indices(p) for p in paths])
+    modes = _mode_indices(space, paths)
     overflow: set[int] = set()
     prefix = np.eye(len(modes), dtype=complex)
     for t in sequence:

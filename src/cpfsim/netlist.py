@@ -19,8 +19,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 from .analysis import DEFAULT_DRAWS, MAX_DRAWS
-from .elements import (DescriptorError, element_transform, float_text, parse_descriptor,
-                       spec_problem)
+from .elements import DescriptorError, element_transform, float_text, parse_descriptor
 from .errors import CpfSimError, TruncationOverflow
 from .gate_d4 import (AUX_TARGET_TERMS, DEFAULT_TRUNCATION, LEVEL_TO_OAM, PREPARATION_TABLE,
                       BsmStage, CpfPipeline, auxiliary_target, encode_qudit_vector)
@@ -332,7 +331,7 @@ def _chain_problems(nl: Netlist) -> list[str]:
     of the window, and elements that cannot be built.  Photons evolve as
     independent linear forms, so a multi-photon term reaches a mode only
     where one photon does; a window holding every reachable |l| needs no pass."""
-    problems = [p for p in map(spec_problem, nl.elements) if p]
+    problems = [spec.problem for spec in nl.elements if spec.problem]
     if problems:
         return problems
     reach = max(_RECIPE_REACH[src.recipe] for src in nl.sources.values())
@@ -385,9 +384,8 @@ def _add_element(nl: Netlist, text) -> tuple[int, str] | None:
         spec = parse_descriptor(text)
     except DescriptorError as e:
         return e.col, str(e)
-    problem = spec_problem(spec)
-    if problem:
-        return 0, problem
+    if spec.problem:
+        return 0, spec.problem
     nl.elements.append(spec)
     return None
 

@@ -7,7 +7,9 @@ map of images, the identity on every other path.  The tests hold the Jones
 the one projector, keeps the dense ``np.kron`` build it replaced.  :func:`compose`
 is the dense product with overflow tracking, :func:`dense_matrix` the dense
 view of a transform, and :func:`phase_align` lines a result up with its
-expectation up to a global phase.
+expectation up to a global phase.  :func:`dense_columns` reads a transform's
+sparse columns off its dense matrix, and :func:`unitarity_holds` is the
+unitarity test ``ModeTransform.check`` made against ``np.eye``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,31 @@ def dense_matrix(t) -> np.ndarray:
     m = np.eye(t.space.dim, dtype=complex)
     m[np.ix_(modes, modes)] = t.block
     return m
+
+
+def dense_columns(t) -> dict:
+    """``t.columns()`` read off :func:`dense_matrix`: for each mode of t's
+    paths, the rows whose entry exceeds ``PRUNE_TOL``, ascending, and those
+    entries, as Python ints and complex numbers."""
+    m = dense_matrix(t)
+    cols = {}
+    for p in t.paths:
+        for j in t.space.path_indices(p).tolist():
+            rows = np.flatnonzero(np.abs(m[:, j]) > conv.PRUNE_TOL).tolist()
+            cols[j] = (rows, [complex(m[i, j]) for i in rows])
+    return cols
+
+
+def unitarity_holds(block: np.ndarray, modes, overflow) -> bool:
+    """The kept columns (modes outside ``overflow``) are orthonormal, and the
+    block is unitary when nothing overflows, each residual a maximum of
+    ``|G - np.eye(n)|``; a NaN residual fails."""
+    b = block[:, [k for k, j in enumerate(modes) if j not in overflow]]
+    if b.size and not np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= conv.UNITARY_TOL:
+        return False
+    if overflow:
+        return True
+    return bool(np.max(np.abs(block @ block.conj().T - np.eye(len(modes)))) <= conv.UNITARY_TOL)
 
 
 def _single_path(space, path, fn) -> Dense:

@@ -1,7 +1,8 @@
 """tools/compare.py's summariser against the committed paired comparisons:
 from each file's ``pairs`` it gives the ``summary`` blocks written there
 (medians and inclusive quartiles to 1e-4 relative, wins, bounds and
-verdicts exactly), and its claim rule reads each file's claim as met."""
+verdicts exactly), and its claim rule reads each file's claim as met.  The
+split by run order is checked on a synthetic pair list."""
 
 import importlib.util
 import json
@@ -16,7 +17,7 @@ compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
 
 BENCH_FILES = ["BENCH_15.json", "BENCH_18.json", "BENCH_20.json", "BENCH_22.json",
-               "BENCH_25.json"]
+               "BENCH_25.json", "BENCH_28.json"]
 
 
 def _load(name):
@@ -60,3 +61,20 @@ def test_claim_rule_refuses_a_gain_inside_the_spread():
     assert entry["change_wins"] == 4
     ok, gain, iqr = compare.claim_holds(entry, "higher")
     assert not ok and gain < iqr
+
+
+def _pair(order, parent, change):
+    return {"order": order, "parent": {"jobs_per_s": parent, "failed": 0},
+            "change": {"jobs_per_s": change, "failed": 0}}
+
+
+def test_by_order_splits_the_pairs_by_the_side_run_first():
+    metric = [{"name": "jobs_per_s", "better": "higher", "bound": 0.25}]
+    first, second = ["parent", "change"], ["change", "parent"]
+    pairs = [_pair(first, 100, 110), _pair(second, 100, 90), _pair(first, 200, 230),
+             _pair(second, 50, 50), _pair(first, 80, 60)]
+    assert compare.by_order(pairs, metric) == {
+        "parent_first": {"pairs": 3, "jobs_per_s": 0.1},
+        "change_first": {"pairs": 2, "jobs_per_s": -0.05}}
+    assert compare.workload_entry(pairs[::2], metric)["by_order"] == {
+        "parent_first": {"pairs": 3, "jobs_per_s": 0.1}, "change_first": {"pairs": 0}}

@@ -1,9 +1,12 @@
-"""The two caches behind ``element_transform``: a kept transform is the one
-a direct builder call gives, bit for bit; signed zeros are not merged;
-refusals raise on every call and are never kept; both caches stay within
-their bound; a circuit's validation and run share their builds; and a fixed
-optic's block, built once, placed on any path or port layout is the direct
-build, while continuous-angle kinds never enter the block cache."""
+"""The two caches behind ``element_transform`` and the parts kept per
+window: a kept transform is the one a direct builder call gives, bit for
+bit; signed zeros are not merged; refusals raise on every call and are
+never kept; both caches stay within their bound; a circuit's validation and
+run share their builds; a fixed optic's block, built once, placed on any
+path or port layout is the direct build, while continuous-angle kinds never
+enter the block cache; every transform's sparse columns are those of its
+dense matrix, bit for bit; and a descriptor is checked once per parsed
+element."""
 
 import itertools
 
@@ -12,21 +15,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fock_reference import _KINDS, descriptors, spaces
 
+from element_reference import dense_columns
+
 from cpfsim import elements as el
+from cpfsim import modes
 from cpfsim.elements import CATALOGUE, TRANSFORM_CACHE_SIZE, element_transform
 from cpfsim.errors import SpaceMismatch, UnknownElement
 from cpfsim.gate_d4 import prepare_input
 from cpfsim.modes import ModeSpace
 from cpfsim.netlist import parse_netlist
-from cpfsim.runner import execute
+from cpfsim.runner import NetlistError, execute
 
 _ZERO_KINDS = [k for k in sorted(CATALOGUE)
                if CATALOGUE[k][1] and CATALOGUE[k][1][0][0] in ("angle", "phase")]
 
+#: Every cache of ``elements`` and ``modes``.
+CACHES = (el._cached_transform, el._fixed_block, el._shift_matrix, modes._mode_indices)
+
 
 def clear_caches():
-    el._cached_transform.cache_clear()
-    el._fixed_block.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -213,3 +222,93 @@ def test_block_cache_stays_within_its_bound():
         assert el._fixed_block.cache_info().currsize <= TRANSFORM_CACHE_SIZE
     assert el._fixed_block.cache_info().misses > TRANSFORM_CACHE_SIZE
     assert el._fixed_block.cache_info().maxsize == TRANSFORM_CACHE_SIZE
+
+
+def test_cold_cache_clears_every_cache():
+    """``CACHES`` names every lru cache of ``elements`` and ``modes``, and
+    ``clear_caches`` (the ``cold_cache`` fixture) empties each of them."""
+    found = {f for module in (el, modes) for f in vars(module).values()
+             if hasattr(f, "cache_clear")}
+    assert found == set(CACHES)
+    space = ModeSpace(("A", "B"), 2)
+    for desc in ("O1CNOT() @ B", "QP(q=0.5) @ A", "HWP(angle=0.2) @ A"):
+        element_transform(desc, space)
+    assert all(cache.cache_info().currsize for cache in CACHES)
+    clear_caches()
+    assert not any(cache.cache_info().currsize for cache in CACHES)
+
+
+def _bits(cols: dict) -> dict:
+    """Columns with each amplitude as the hex text of its two floats, so
+    that equality is bit for bit, a signed zero told from an unsigned one."""
+    return {j: (rows, [(a.real.hex(), a.imag.hex()) for a in amps])
+            for j, (rows, amps) in cols.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_continuous_columns_are_the_dense_columns(data):
+    """A continuous-angle optic's sparse columns equal, bit for bit, those
+    read off its dense matrix."""
+    space = data.draw(spaces())
+    kind = data.draw(st.sampled_from(sorted(CATALOGUE.keys() - el._FIXED)))
+    t = element_transform(data.draw(descriptors(space, kind)), space)
+    assert _bits(t.columns()) == _bits(dense_columns(t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_placed_columns_are_the_dense_columns(data):
+    """A fixed optic placed on random port layouts of random spaces of one
+    truncation: each placement's sparse columns, re-indexed from the kept
+    block's, equal bit for bit those read off the dense matrix of the
+    direct build."""
+    clear_caches()
+    template, n_ports = data.draw(fixed_optics())
+    truncation = data.draw(st.integers(0, 4))
+    for _ in range(data.draw(st.integers(1, 4))):
+        names = data.draw(st.lists(st.sampled_from(_NAMES), min_size=n_ports, max_size=5,
+                                   unique=True))
+        ports = data.draw(st.permutations(names))[:n_ports]
+        space = ModeSpace(names, truncation)
+        desc = template.format(*ports)
+        got = element_transform(desc, space)
+        assert _bits(got.columns()) == _bits(dense_columns(direct(desc, space)))
+
+
+_CHAIN = ("version 1\n[space]\npaths A B\ntruncation 2\n[source p]\npath A\n"
+          "recipe x13+\n[elements]\nQP(q=0.5) @ A\nHWP(angle=0.2) @ A\nSPP(dl=1) @ B\n"
+          "PBS(in=[A,B],out=[B,A])\nO2CNOT() @ B\n[run]\ntask circuit\n")
+
+
+def test_parse_and_run_check_each_element_once(monkeypatch):
+    """Parsing a circuit, its window pass and its run check each element's
+    descriptor once: the parsed spec keeps its verdict.  The source's
+    preparation row is built first, so that only the circuit's own
+    elements are counted."""
+    prepare_input("x13+")
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    real = el.spec_problem
+    monkeypatch.setattr(el, "spec_problem", counted)
+    res = parse_netlist(_CHAIN)
+    assert res.ok, [str(d) for d in res.diagnostics]
+    execute(res)
+    execute(res.netlist)
+    assert calls == res.netlist.elements
+
+
+def test_bare_netlist_refuses_on_every_call():
+    """A spec that fails its check, appended to a bare netlist, is refused
+    by each run and each direct build."""
+    nl = parse_netlist(_CHAIN).netlist
+    nl.elements.append(el.ElementSpec("SPP", (("dl", 0.5),), ("A",)))
+    for _ in range(3):
+        with pytest.raises(NetlistError, match="non-integer"):
+            execute(nl)
+        with pytest.raises(UnknownElement, match="non-integer"):
+            element_transform(nl.elements[-1], ModeSpace(("A", "B"), 2))

@@ -1,5 +1,6 @@
 """Byte-stable outputs: pinned result files (gate, fidelity and lock runs),
-the whole ``cpf_d4`` recipe sweep, and the one-pass JSON writer
+the whole ``cpf_d4`` recipe sweep, a set of circuit runs, and the one-pass
+JSON writer
 (with its bulk spelling of float, string, int, null and record runs) against
 the stdlib form it replaces."""
 
@@ -222,6 +223,60 @@ def test_cpf_d4_sweep_is_byte_stable(sweep):
         assert res.ok, [str(d) for d in res.diagnostics]
         digest.update(execute(res).to_json().encode())
     assert digest.hexdigest() == SWEEP_GOLDEN[sweep]
+
+
+#: Circuit runs as (paths, truncation, sources as (path, recipe), chain,
+#: detect pattern, shots): one to three photons, some bunched on one path,
+#: the auxiliary recipe, truncations 2-6, every element kind, fixed optics
+#: on several port layouts and path orders, patterns and shots.  The sixth
+#: needs the window pass of validation (its chain can shift |l| past 6).
+_CIRCUITS = [
+    ("A B", 2, [("A", "z2")],
+     ["HWP(angle=0.3) @ A", "PBS(in=[A,B],out=[A,B])", "QWP(angle=-1.1) @ B",
+      "DP(angle=0.7) @ A", "MIRROR() @ B"], "", 0),
+    ("A B", 2, [("A", "x13+")],
+     ["QP(q=0.5) @ A", "HWP(angle=0.4) @ A", "PBS(in=[A,B],out=[B,A])"], "A=1", 300),
+    ("A B", 3, [("A", "x13+"), ("A", "aux")],
+     ["QP(q=0.5) @ A", "SPP(dl=-1) @ A", "PBS(in=[A,B],out=[B,A])", "O1CNOT() @ B",
+      "PP(phase=0.4) @ A", "QWP(angle=2.5) @ A"], "A=1", 500),
+    ("A B C", 4, [("B", "z1"), ("C", "s23"), ("B", "aux")],
+     ["INTERF(angle=0.25) @ B", "O2CNOT() @ C", "PATHPHASE(phase=-2.2) @ A", "DL() @ B",
+      "PBS(in=[B,C],out=[C,B])", "HWP(angle=1.2) @ C", "QP(q=-1) @ A"], "", 400),
+    ("A B C D", 5, [("D", "x02-"), ("A", "z3")],
+     ["SPP(dl=2) @ D", "QWP(angle=0.9) @ A", "PBS(in=[A,D],out=[D,A])", "DP(angle=-0.3) @ D",
+      "MIRROR() @ A", "O1CNOT() @ D", "PP() @ B"], "D=0", 2000),
+    ("A B", 6, [("A", "z0"), ("B", "z0"), ("A", "z2")],
+     ["QP(q=1) @ A", "QP(q=-0.5) @ B", "SPP(dl=3) @ B", "PBS(in=[A,B],out=[A,B])",
+      "HWP(angle=-0.6) @ A", "O2CNOT() @ B", "INTERF(angle=1.3) @ A"], "", 0),
+    ("C A B", 3, [("B", "s12"), ("C", "x02+")],
+     ["PBS(in=[B,C],out=[A,B])", "DL() @ C", "PATHPHASE(phase=0.8) @ B", "MIRROR() @ C",
+      "QP(q=0.5) @ B", "HWP(angle=0.5) @ A"], "B=1", 1000),
+]
+
+
+def _circuit_text(paths, truncation, sources, chain, pattern, shots, seed) -> str:
+    lines = ["version 1", "[space]", f"paths {paths}", f"truncation {truncation}"]
+    for k, (path, recipe) in enumerate(sources, start=1):
+        lines += [f"[source photon{k}]", f"path {path}", f"recipe {recipe}"]
+    lines += ["[elements]", *chain]
+    if pattern:
+        lines += ["[detect]", f"pattern {pattern}"]
+    lines += ["[run]", "task circuit", f"seed {seed}"]
+    if shots:
+        lines += ["mode shots", f"shots {shots}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_circuit_sweep_is_byte_stable():
+    """One sha256 over the ``to_json()`` texts of ``_CIRCUITS`` (seeds 5, 6,
+    ...), in order, recorded before element blocks were built from parts
+    kept per window."""
+    digest = hashlib.sha256()
+    for seed, circuit in enumerate(_CIRCUITS, start=5):
+        res = parse_netlist(_circuit_text(*circuit, seed))
+        assert res.ok, [str(d) for d in res.diagnostics]
+        digest.update(execute(res).to_json().encode())
+    assert digest.hexdigest() == "3a574ba4da5e00ae1f994b929c47017e4f0413ce6a77093e9ff87c2156c5f8a8"
 
 
 def test_clamped_lock_pin_reaches_both_limits():

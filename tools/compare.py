@@ -19,7 +19,9 @@ and times.  A full comparison takes about half an hour.
 The summary of each end-to-end metric holds each side's median and
 inclusive quartiles, the number of pairs the change won (a tie is no win),
 the median's relative change and whether it is within the metric's bound
-in ``BENCHMARK.json``.  The claim holds when the change wins at least 9 in
+in ``BENCHMARK.json``.  Beside it, ``by_order`` splits the pairs by the
+side that ran first and gives each split's median per-pair relative
+change, which shows a bias of run order.  The claim holds when the change wins at least 9 in
 10 of the pairs and both held-out pairs, and its median lies beyond the
 parent's by more than the parent's interquartile range.  The verdict is
 printed and written out; the exit status is 0 when the claim holds.
@@ -134,10 +136,26 @@ def claim_holds(entry: dict, better: str) -> tuple[bool, float, float]:
     return wins and gain > iqr, gain, iqr
 
 
+def by_order(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The pairs split by which side ran first: per split, the number of
+    pairs and per metric the median of the change's relative change
+    against its parent in the same pair.  A bias of run order shows as a
+    gap between the two splits."""
+    out = {}
+    for first in ("parent", "change"):
+        group = [p for p in pairs if p["order"][0] == first]
+        out[f"{first}_first"] = {"pairs": len(group), **{
+            m["name"]: round(statistics.median(
+                p["change"][m["name"]] / p["parent"][m["name"]] - 1.0 for p in group), 4)
+            for m in metrics if group}}
+    return out
+
+
 def workload_entry(pairs: list[dict], metrics: list[dict]) -> dict:
     return {"failed_jobs": {side: sum(p[side]["failed"] for p in pairs)
                             for side in ("parent", "change")},
-            "summary": summarise(pairs, metrics), "pairs": pairs}
+            "summary": summarise(pairs, metrics), "by_order": by_order(pairs, metrics),
+            "pairs": pairs}
 
 
 def traced(roots: dict, workload: str) -> dict:
