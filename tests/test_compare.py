@@ -17,7 +17,7 @@ compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
 
 BENCH_FILES = ["BENCH_15.json", "BENCH_18.json", "BENCH_20.json", "BENCH_22.json",
-               "BENCH_25.json", "BENCH_28.json"]
+               "BENCH_25.json", "BENCH_28.json", "BENCH_29.json"]
 
 
 def _load(name):
