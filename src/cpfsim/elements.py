@@ -20,10 +20,11 @@ then placed on the paths of each (descriptor, space) without a second
 check, since it is read-only and its unitarity does not depend on which
 paths it sits on.
 
-Every build is made from parts kept per window: the OAM identity and shift
-matrices per (truncation, shift), read-only, and (in :mod:`cpfsim.modes`)
-the mode indices per (space, paths) and a placed block's sparse columns.
-A parsed descriptor keeps the verdict of its check
+Every build takes its mode indices from :mod:`cpfsim.modes`, kept per
+(truncation, path positions), and a placed block shares its sparse columns
+with every placement.  The OAM identity and shift matrices are formed on
+each call: kept per (truncation, shift), they made no measurable difference
+to a circuit job.  A parsed descriptor keeps the verdict of its check
 (:attr:`ElementSpec.problem`), so parsing, validation and a run check it
 once.
 """
@@ -92,21 +93,8 @@ def _flip(phases) -> np.ndarray:
 
 def _shift(space: ModeSpace, dl: int) -> np.ndarray:
     """OAM matrix |l> -> |l + dl>, the identity at dl = 0; columns whose image
-    leaves the window are zero.  Read-only, kept per (window, shift)."""
-    return _shift_matrix(space.truncation, dl)
-
-
-# (truncation, shift) pairs whose OAM matrix _shift keeps, the least recently
-# used dropped first.  The benchmark's decks use a few dozen pairs; at the
-# largest truncation (63) each matrix is 127x127 reals, 129 kB.
-SHIFT_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _shift_matrix(truncation: int, dl: int) -> np.ndarray:
-    m = np.eye(2 * truncation + 1, k=-dl)
-    m.setflags(write=False)
-    return m
+    leaves the window are zero."""
+    return np.eye(2 * space.truncation + 1, k=-dl)
 
 
 def hwp_matrix(angle: float) -> np.ndarray:

@@ -522,15 +522,6 @@ def heralded_run(kraus, labels, v: np.ndarray, accepted) -> HeraldedRun:
                        per_outcome)
 
 
-class TransferOperators(dict):
-    """{(outcome, pattern): K} whose K are the rows of ``stack``, one
-    (n, 16, 16) array in label order, so a readout needs no copy."""
-
-    def __init__(self, labels: list, stack: np.ndarray):
-        super().__init__(zip(labels, stack))
-        self.stack = stack
-
-
 class CpfPipeline:
     """The assembled four-photon gate: two splitters without B leg and D tail,
     fold mirrors, the Bell-measurement stage, port post-selection, decoding,
@@ -581,9 +572,9 @@ class CpfPipeline:
             (int(sp.path_indices(path)[0]),
              [(s, v.conj().tolist()) for s, v in self.stage.analyzer_basis(path)])
             for path in ("E1", "E2")]
-        # Noise-free draws all share these operators, kept stacked with
-        # their labels: loss deletes whole shots and never touches amplitudes.
-        self._ideal = self._decoded(self._pattern_operators(IDEAL_DRAW))
+        # Noise-free draws all share these operators: loss deletes whole
+        # shots and never touches amplitudes.
+        self._ideal = self._pattern_operators(IDEAL_DRAW)
 
     # -- state assembly ----------------------------------------------------
 
@@ -660,23 +651,17 @@ class CpfPipeline:
         input amplitudes to corrected heralded amplitudes; Kraus operators of
         the heralded channel up to the common normalization.  The only place
         the pipeline runs on the Fock engine: every run and analysis of the
-        gate is algebra on these operators.  The noise-free draw's R are
-        kept stacked with their labels once per pipeline; each call forms
-        every K in one batched product, a stack :meth:`run` reads as it is.
+        gate is algebra on these operators.
         """
         if draw.lost:
             return {}
-        labels, raw = self._ideal if draw.trivial else self._decoded(self._pattern_operators(draw))
-        corrections = np.array([correction_unitary(outcome, 4) for outcome, _pattern in labels],
-                               dtype=complex).reshape(-1, 16, 16)
-        return TransferOperators(labels, corrections @ raw)
-
-    def _decoded(self, raw: dict) -> tuple[list, np.ndarray]:
-        """([(outcome, pattern)], (n, 16, 16) stack of their R) for the
-        patterns of ``raw`` that decode to an outcome, in ``raw``'s order."""
-        labels = [(self.stage.decode(pattern), pattern) for pattern in raw]
-        labels = [label for label in labels if label[0] is not None]
-        return labels, np.array([raw[p] for _o, p in labels], dtype=complex).reshape(-1, 16, 16)
+        raw = self._ideal if draw.trivial else self._pattern_operators(draw)
+        kraus = {}
+        for pattern, r in raw.items():
+            outcome = self.stage.decode(pattern)
+            if outcome is not None:
+                kraus[(outcome, pattern)] = correction_unitary(outcome, 4) @ r
+        return kraus
 
     def run(self, c_matrix: np.ndarray, accepted) -> HeraldedRun:
         """:func:`heralded_run` of one joint input on the noise-free transfer
@@ -685,8 +670,7 @@ class CpfPipeline:
         if c.shape != (4, 4):
             raise EncodingError("joint input must be a 4x4 amplitude matrix")
         ops = self.transfer_operators(IDEAL_DRAW)
-        kraus = ops.stack if isinstance(ops, TransferOperators) else list(ops.values())
-        run = heralded_run(kraus, ops, c.reshape(-1) / np.linalg.norm(c), accepted)
+        run = heralded_run(list(ops.values()), ops, c.reshape(-1) / np.linalg.norm(c), accepted)
         for outcome in run.per_outcome:
             run.heralded_state(outcome)
         return run

@@ -6,8 +6,9 @@ truncation bound L on the azimuthal index, and provides the dense index used
 by every matrix and state vector in the package.
 
 Two things are kept across transforms: the dense mode indices of each
-(space, paths) pair, read-only, and on a block that is placed on other paths
-(:meth:`ModeTransform.placed`) its sparse columns in block-local rows, which
+truncation and run of path positions, read-only, so that they do not depend
+on the path names; and on a block that is placed on other paths
+(:meth:`ModeTransform.placed`), its sparse columns in block-local rows, which
 each placement only re-indexes.  The identities :meth:`ModeTransform.check`
 compares against are not kept: it subtracts 1 from the diagonal of each
 fresh Gram matrix instead, because an identity kept per size would stay
@@ -94,19 +95,27 @@ class ModeSpace:
         return np.arange(base, base + 2 * self._oam_count)
 
 
-# (space, paths) pairs whose mode indices _mode_indices keeps, the least
-# recently used dropped first: far above the few hundred pairs one pass of
-# the benchmark's circuit deck binds, a few kilobytes at most.
-MODE_INDEX_CACHE_SIZE = 512
-
-
-@functools.lru_cache(maxsize=MODE_INDEX_CACHE_SIZE)
 def _mode_indices(space: ModeSpace, paths: tuple) -> np.ndarray:
     """The dense indices of the modes of ``paths``, read-only; SpaceMismatch
     unless ``paths`` are paths of ``space`` in its order."""
-    if paths != tuple(p for p in space.paths if p in paths):
+    at = tuple(space._path_index.get(p, -1) for p in paths)
+    if any(a >= b for a, b in zip((-1, *at), at)):
         raise SpaceMismatch(f"paths {paths} are not the space's, in its order")
-    modes = np.concatenate([space.path_indices(p) for p in paths])
+    return _indices_at(space.truncation, at)
+
+
+# (truncation, path positions) pairs whose mode indices _indices_at keeps, the
+# least recently used dropped first.  The benchmark's circuit decks (seeds 1,
+# 2 and 7919) bind 50 pairs each, the gate deck 19.  An element binds at most
+# four paths: 64 four-path entries at the largest truncation (63) hold
+# 0.54 MB (tracemalloc).
+MODE_INDEX_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=MODE_INDEX_CACHE_SIZE)
+def _indices_at(truncation: int, at: tuple) -> np.ndarray:
+    n = 2 * (2 * truncation + 1)
+    modes = np.concatenate([np.arange(a * n, a * n + n) for a in at])
     modes.setflags(write=False)
     return modes
 
@@ -151,8 +160,8 @@ class ModeTransform:
     path, checked when built.  The block is read-only: one transform may be
     shared by many runs (:func:`cpfsim.elements.element_transform`).
 
-    ``overflow`` lists input mode indices (of the space) whose image would
-    leave the truncation window; applying the transform to a state with
+    ``overflow`` lists input mode indices (of the space, each a mode of
+    ``paths``) whose image would leave the truncation window; applying the transform to a state with
     support there raises :class:`TruncationOverflow`.  Only the other
     columns need be orthonormal.  Every optic of the setup is unitary; the
     preparation polarizer, the one projector, is a plain matrix
@@ -167,6 +176,9 @@ class ModeTransform:
 
     def __post_init__(self):
         self._bind()
+        if self.overflow and not self.overflow <= frozenset(self._modes.tolist()):
+            raise SpaceMismatch(f"overflow modes {sorted(self.overflow)} are not all "
+                                f"modes of paths {self.paths}")
         self.check()
 
     def _bind(self):

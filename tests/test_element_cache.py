@@ -5,11 +5,13 @@ never kept; both caches stay within their bound; a circuit's validation and
 run share their builds; a fixed optic's block, built once, placed on any
 path or port layout is the direct build, while continuous-angle kinds never
 enter the block cache; every transform's sparse columns are those of its
-dense matrix, bit for bit; and a descriptor is checked once per parsed
+dense matrix, bit for bit; mode indices are shared by spaces whose paths
+are named differently; and a descriptor is checked once per parsed
 element."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from cpfsim import modes
 from cpfsim.elements import CATALOGUE, TRANSFORM_CACHE_SIZE, element_transform
 from cpfsim.errors import SpaceMismatch, UnknownElement
 from cpfsim.gate_d4 import prepare_input
-from cpfsim.modes import ModeSpace
+from cpfsim.modes import ModeSpace, ModeTransform
 from cpfsim.netlist import parse_netlist
 from cpfsim.runner import NetlistError, execute
 
@@ -30,7 +32,7 @@ _ZERO_KINDS = [k for k in sorted(CATALOGUE)
                if CATALOGUE[k][1] and CATALOGUE[k][1][0][0] in ("angle", "phase")]
 
 #: Every cache of ``elements`` and ``modes``.
-CACHES = (el._cached_transform, el._fixed_block, el._shift_matrix, modes._mode_indices)
+CACHES = (el._cached_transform, el._fixed_block, modes._indices_at)
 
 
 def clear_caches():
@@ -312,3 +314,26 @@ def test_bare_netlist_refuses_on_every_call():
             execute(nl)
         with pytest.raises(UnknownElement, match="non-integer"):
             element_transform(nl.elements[-1], ModeSpace(("A", "B"), 2))
+
+
+@pytest.mark.parametrize("paths,accepted", [
+    (("A",), True), (("B", "D"), True), (("A", "B", "C", "D"), True),
+    (("D", "B"), False), (("B", "B"), False), (("E",), False), (("A", "E"), False),
+])
+def test_mode_indices_are_kept_per_path_positions(paths, accepted):
+    """A transform's mode indices are the space's indices of its paths, kept
+    per truncation and path positions, so that spaces whose paths are named
+    differently share them; paths out of the space's order, repeated or
+    unknown are refused on every call."""
+    named, renamed = ModeSpace("ABCD", 2), ModeSpace(("w", "x", "y", "z"), 2)
+    for _ in range(2):
+        if not accepted:
+            with pytest.raises(SpaceMismatch):
+                ModeTransform(named, paths, np.eye(10 * len(paths)))
+            continue
+        t = ModeTransform(named, paths, np.eye(10 * len(paths)))
+        u = ModeTransform(renamed, tuple(renamed.paths["ABCD".index(p)] for p in paths),
+                          np.eye(10 * len(paths)))
+        assert t._modes is u._modes
+        assert t._modes.tolist() == [j for p in paths for j in named.path_indices(p)]
+    assert modes._indices_at.cache_info().currsize == accepted

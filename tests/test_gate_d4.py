@@ -30,7 +30,6 @@ from cpfsim.gate_d4 import (
     PREPARATION_TABLE,
     PreparationRecipe,
     SplitterPaths,
-    TransferOperators,
     auxiliary_target,
     build_bsm_stage,
     build_hd_beamsplitter,
@@ -47,7 +46,6 @@ from cpfsim.protocol import (
     BellOutcome,
     QuditState,
     correction_factors,
-    correction_unitary,
     cpf_oracle,
     run_protocol,
 )
@@ -641,41 +639,6 @@ def test_run_rejects_patterns_heralding_different_states(pipe, monkeypatch):
                         lambda self, draw: {**kraus, key: swap @ kraus[key]})
     with pytest.raises(PatternMismatch):
         pipe.run(np.eye(4) / 2, accepted=BOTH)
-
-
-def test_transfer_operators_are_rows_of_one_stack(pipe):
-    """Each call's operators are the rows of one fresh (n, 16, 16) stack in
-    label order, each the correction times the pattern operator the
-    pipeline keeps for the noise-free draw, bit for bit."""
-    a, b = pipe.transfer_operators(), pipe.transfer_operators()
-    assert isinstance(a, TransferOperators) and a.stack is not b.stack
-    labels, raw = pipe._ideal
-    assert list(a) == list(b) == labels and a.stack.shape == (len(labels), 16, 16)
-    for k, row, (outcome, _pattern), r in zip(a.values(), a.stack, labels, raw):
-        assert k.base is a.stack and k.tobytes() == row.tobytes()
-        assert k.tobytes() == (correction_unitary(outcome, 4) @ r).tobytes()
-    assert a.stack.tobytes() == b.stack.tobytes()
-
-
-def test_run_reads_the_operators_stack_as_is(pipe, monkeypatch):
-    """A clean run calls ``transfer_operators`` once and hands its stack to
-    the readout without a copy."""
-    seen = []
-    real_operators, real_run = gate_d4.CpfPipeline.transfer_operators, gate_d4.heralded_run
-
-    def operators(self, draw):
-        seen.append(real_operators(self, draw))
-        return seen[-1]
-
-    def readout(kraus, *args):
-        seen.append(kraus)
-        return real_run(kraus, *args)
-
-    monkeypatch.setattr(gate_d4.CpfPipeline, "transfer_operators", operators)
-    monkeypatch.setattr(gate_d4, "heralded_run", readout)
-    pipe.run(np.eye(4) / 2, accepted=BOTH)
-    ops, kraus = seen
-    assert kraus is ops.stack
 
 
 def test_encode_decode_round_trip(rng):

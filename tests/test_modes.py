@@ -148,6 +148,16 @@ def test_check_overflow_and_nan(entry, overflow, accepted):
     assert _accepts(space, ("A",), block, overflow) == accepted
 
 
+@pytest.mark.parametrize("overflow", [{0}, {1, 2}, {99}, {-1}])
+def test_overflow_outside_the_block_is_refused(overflow):
+    """Overflow names modes of the block's own paths: a mode of another
+    path, or of no path, is refused rather than left out of the check."""
+    space = ModeSpace(("A", "B"), 0)
+    with pytest.raises(SpaceMismatch):
+        ModeTransform(space, ("B",), np.eye(2), "t", frozenset(overflow))
+    ModeTransform(space, ("B",), np.eye(2), "t", frozenset({2, 3}))
+
+
 def test_transform_block_is_read_only():
     """Transforms are shared between runs, so none can be written in place,
     composed ones included."""

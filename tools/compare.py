@@ -12,9 +12,10 @@ sets.  A pair is one run of each side on one seed; the side that runs first
 alternates (parent first on odd seeds, change first on even seeds).  The
 claimed workload gets ten pairs on seeds 1-10 and two more on the held-out
 seed 7919, one in each order, reported apart as ``<workload>@held_out``.
-Every other workload of ``BENCHMARK.json`` gets five no-regression pairs.
-Three traced runs per side and workload on seed 1 give the per-layer counts
-and times.  A full comparison takes about half an hour.
+Every other workload of ``BENCHMARK.json`` gets ten no-regression pairs
+(five could not resolve a few percent).  Three traced runs per side and
+workload on seed 1 give the per-layer counts and times.  A full comparison
+takes about forty minutes.
 
 The summary of each end-to-end metric holds each side's median and
 inclusive quartiles, the number of pairs the change won (a tie is no win),
@@ -45,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 7919      # bench/run.py reserves it for checking claims
 PAIRS = 10                # alternated pairs on the claimed workload
-OTHER_PAIRS = 5           # alternated no-regression pairs on every other workload
+OTHER_PAIRS = 10          # alternated no-regression pairs on every other workload
 TRACE_RUNS = 3            # traced runs per side and workload, on seed 1
 TRACE_SECONDS = 10
 WIN_SHARE = 0.9           # a claim needs the change to win 9 pairs in 10
