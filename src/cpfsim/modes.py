@@ -161,10 +161,11 @@ class ModeTransform:
     shared by many runs (:func:`cpfsim.elements.element_transform`).
 
     ``overflow`` lists input mode indices (of the space, each a mode of
-    ``paths``) whose image would leave the truncation window; applying the transform to a state with
-    support there raises :class:`TruncationOverflow`.  Only the other
-    columns need be orthonormal.  Every optic of the setup is unitary; the
-    preparation polarizer, the one projector, is a plain matrix
+    ``paths``) whose image would leave the truncation window; applying the
+    transform to a state with support there raises
+    :class:`TruncationOverflow`.  Only the other columns need be
+    orthonormal.  Every optic of the setup is unitary; the preparation
+    polarizer, the one projector, is a plain matrix
     (:func:`cpfsim.elements.polarizer`).
     """
 
