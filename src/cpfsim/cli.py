@@ -20,12 +20,10 @@ from .runner import NetlistError, RunResult, emit, execute, load_netlist
 
 def _add_common(sp):
     sp.add_argument("--netlist", help="netlist file")
-    sp.add_argument("--shots", type=int, help="override shot count")
+    sp.add_argument("--shots", type=int, help="override shot count; 0 is analytic mode")
     sp.add_argument("--seed", type=int, help="override random seed")
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="json")
-    sp.add_argument("--analytic", action="store_true",
-                    help="force analytic mode (exact distributions)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +62,6 @@ def _resolve_netlist(args, default_task: str) -> tuple[Netlist | None, int]:
         overrides.append(("seed", args.seed))
     if args.shots is not None:
         overrides += [("shots", args.shots), ("mode", "shots" if args.shots > 0 else "analytic")]
-    if args.analytic:
-        overrides += [("mode", "analytic"), ("shots", 0)]
     for key, value in overrides:
         problem = _set(nl, "run", None, key, value)
         if problem:

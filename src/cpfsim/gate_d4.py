@@ -235,6 +235,13 @@ class PreparationRecipe:
     elements: tuple = ()
     direct: bool = False
 
+    @functools.cached_property
+    def transforms(self) -> tuple:
+        """The elements built on the preparation space, on first use, and
+        kept: the recipe is frozen and every built block is read-only."""
+        space = _prep_space()
+        return tuple(el.element_transform(spec, space) for spec in self.elements)
+
 
 def _recipe(target, elements=(), direct=False):
     """One table row; its descriptors are parsed here, once, at import."""
@@ -325,9 +332,7 @@ def prepare_input(recipe: PreparationRecipe | str):
     space = _prep_space()
     if recipe.direct:
         return encode_qudit_vector(space, "S", recipe.target), 1.0
-    state = SinglePhotonState.from_terms(space, {Mode("S", "H", 0): 1.0})
-    for spec in recipe.elements:
-        state = apply_to_single_photon(el.element_transform(spec, space), state)
+    state = _run_chain(recipe, space)
     amps = el.polarizer(space, "S", 0.0) @ state.amps
     amps[np.abs(amps) <= conv.PRUNE_TOL] = 0.0
     prob = float(np.vdot(amps, amps).real)
@@ -336,23 +341,30 @@ def prepare_input(recipe: PreparationRecipe | str):
     return SinglePhotonState(space, amps / math.sqrt(prob), normalized=True), prob
 
 
-def prepare_auxiliary(space: ModeSpace, path: str) -> SinglePhotonState:
-    """Auxiliary photon (|V,-1> + |H,+1>)/sqrt(2), up to a global phase.
-
-    Built from the q-plate and quarter-wave plate chain; the trailing Dove
-    prism pair trims the residual relative phase the wave-plate conventions
-    leave between the two components (frozen conventions, see
-    :mod:`cpfsim.conventions`).
-    """
-    state = SinglePhotonState.from_terms(space, {Mode(path, "H", 0): 1.0})
-    for t in (
-        el.qplate(space, path, 0.5),
-        el.qwp(space, path, _PI4),
-        el.dove_prism(space, path, _PI8),
-        el.dove_prism(space, path, 0.0),
-    ):
+def _run_chain(recipe: PreparationRecipe, space: ModeSpace) -> SinglePhotonState:
+    """|H, l=0> on path "S" of ``space`` through the recipe's kept transforms."""
+    state = SinglePhotonState.from_terms(space, {Mode("S", "H", 0): 1.0})
+    for t in recipe.transforms:
         state = apply_to_single_photon(t, state)
     return state
+
+
+# The auxiliary's chain, a kept recipe outside the table (it prepares no
+# qudit): the q-plate and quarter-wave plate, then a Dove prism pair that
+# trims the residual relative phase the wave-plate conventions leave between
+# the two components (frozen conventions, see :mod:`cpfsim.conventions`).
+_AUXILIARY = _recipe((), ("QP(q=0.5) @ S", f"QWP(angle={_PI4}) @ S",
+                          f"DP(angle={_PI8}) @ S", "DP(angle=0.0) @ S"))
+
+
+def prepare_auxiliary(space: ModeSpace, path: str) -> SinglePhotonState:
+    """Auxiliary photon (|V,-1> + |H,+1>)/sqrt(2), up to a global phase, on
+    ``path`` of ``space``: the chain runs on the preparation space and its
+    photon is placed on ``path``.  SpaceMismatch for a path outside
+    ``space``; TruncationOverflow for a window narrower than |l| = 1."""
+    state = _run_chain(_AUXILIARY, _prep_space())
+    return SinglePhotonState.from_terms(
+        space, {Mode(path, m.pol, m.oam): amp for m, amp in state.terms(0.0)})
 
 
 AUX_TARGET_TERMS = {("V", -1): _S, ("H", 1): _S}

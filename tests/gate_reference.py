@@ -1,14 +1,32 @@
-"""Reference for ``CpfPipeline._pattern_operators``: the per-draw form that
-injects each basis input, builds the phase vectors and analyzer vectors and
-looks every mode up again on each draw.  The pipeline builds those once;
-tests compare its operators with this form bitwise."""
+"""References for the gate's kept work, which tests compare with bitwise.
+
+``reference_pattern_operators`` is the per-draw form of
+``CpfPipeline._pattern_operators`` that injects each basis input, builds the
+phase vectors and analyzer vectors and looks every mode up again on each
+draw; the pipeline builds those once.  ``reference_auxiliary`` builds the
+auxiliary photon's element chain on the photon's own space on every call;
+``prepare_auxiliary`` runs kept transforms on the preparation space and
+places the photon."""
+
+import math
 
 import numpy as np
 
+from cpfsim import elements as el
 from cpfsim.errors import EncodingError
 from cpfsim.fock import MultiPhotonState, apply_transform
 from cpfsim.gate_d4 import LEVEL_TO_OAM, OAM_TO_LEVEL
-from cpfsim.modes import Mode
+from cpfsim.modes import Mode, SinglePhotonState, apply_to_single_photon
+
+
+def reference_auxiliary(space, path) -> SinglePhotonState:
+    """|H, l=0> on ``path`` through the q-plate, quarter-wave plate and Dove
+    prism pair, each built by its builder on ``space``."""
+    state = SinglePhotonState.from_terms(space, {Mode(path, "H", 0): 1.0})
+    for t in (el.qplate(space, path, 0.5), el.qwp(space, path, math.pi / 4),
+              el.dove_prism(space, path, math.pi / 8), el.dove_prism(space, path, 0.0)):
+        state = apply_to_single_photon(t, state)
+    return state
 
 
 def _phased(state, phase):

@@ -48,11 +48,12 @@ def test_traced_slice_shows_every_required_layer(name, monkeypatch):
 
 
 def test_warm_element_cache_keeps_gate_layers(monkeypatch):
-    """After the warm-up and a whole untraced seed-1 gate pass, every element
-    a gate job asks for is built already, and a traced gate job still shows
-    ``elements`` and ``modes`` spans: the cache sits inside
-    ``element_transform``, which each job still calls.  Two traced passes
-    then give equal count metrics, as ``bench/run.py --trace 1`` requires."""
+    """After the warm-up and a whole untraced seed-1 gate pass, every
+    preparation row a gate job runs keeps its built transforms, and a traced
+    gate job still shows ``elements`` and ``modes`` spans: each job still
+    runs its rows' polarizer (an element builder) and applies their kept
+    transforms.  Two traced passes then give equal count metrics, as
+    ``bench/run.py --trace 1`` requires."""
     monkeypatch.syspath_prepend(str(BENCH))
     import numpy as np
     import tracing

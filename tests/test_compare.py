@@ -2,7 +2,8 @@
 from each file's ``pairs`` it gives the ``summary`` blocks written there
 (medians and inclusive quartiles to 1e-4 relative, wins, bounds and
 verdicts exactly), and its claim rule reads each file's claim as met.  The
-split by run order is checked on a synthetic pair list."""
+split by run order and a comparison without a claim are checked on
+synthetic pair lists."""
 
 import importlib.util
 import json
@@ -78,3 +79,43 @@ def test_by_order_splits_the_pairs_by_the_side_run_first():
         "change_first": {"pairs": 2, "jobs_per_s": -0.05}}
     assert compare.workload_entry(pairs[::2], metric)["by_order"] == {
         "parent_first": {"pairs": 3, "jobs_per_s": 0.1}, "change_first": {"pairs": 0}}
+
+
+def _fake_bench(failed_seed=None, slow=1.0):
+    """A ``run_pair`` stand-in: both sides alike on every end-to-end metric,
+    the change's ``jobs_per_s`` divided by ``slow``, and one failed change
+    job at ``failed_seed``."""
+    def run_pair(roots, workload, seed, seconds, parent_first, trace=0):
+        side = {"correct": True, "attempted": 100, "failed": 0, "setup_s": 0.5,
+                "jobs_per_s": 100.0 + seed, "job_p50_ms": 5.0, "job_tail_ms": 9.0,
+                "peak_rss_mb": 44.0}
+        change = {**side, "jobs_per_s": side["jobs_per_s"] / slow,
+                  "failed": int(seed == failed_seed)}
+        return {"seed": seed, "order": ["parent", "change"] if parent_first
+                else ["change", "parent"], "parent": side, "change": change}
+    return run_pair
+
+
+@pytest.mark.parametrize("failed_seed,slow,verdict", [
+    (None, 1.0, "no regression"), (3, 1.0, "REGRESSION"), (None, 1.5, "REGRESSION")])
+def test_no_claim_runs_ten_pairs_everywhere(monkeypatch, tmp_path, capsys,
+                                           failed_seed, slow, verdict):
+    """Without ``--claim``: ten alternated pairs on every workload, no
+    held-out pairs, traced runs of each, ``"claim": null``, and exit 0 with
+    "no regression" only when every metric is within its bound and no job
+    failed."""
+    traced = []
+    monkeypatch.setattr(compare, "export", lambda commit, dest: commit * 40)
+    monkeypatch.setattr(compare, "_git", lambda *args: b"subject")
+    monkeypatch.setattr(compare, "run_pair", _fake_bench(failed_seed, slow))
+    monkeypatch.setattr(compare, "traced", lambda roots, name: traced.append(name) or {})
+    out = tmp_path / "BENCH.json"
+    code = compare.main(["a", "b", "--out", str(out)])
+    assert capsys.readouterr().out.startswith(verdict)
+    assert code == (verdict != "no regression")
+    doc = json.loads(out.read_text())
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert doc["claim"] is None and list(doc["workloads"]) == names == traced
+    for entry in doc["workloads"].values():
+        assert [p["seed"] for p in entry["pairs"]] == list(range(1, 11))
+        assert [p["order"][0] for p in entry["pairs"]] == ["parent", "change"] * 5

@@ -1,13 +1,12 @@
-"""The two caches behind ``element_transform`` and the parts kept per
-window: a kept transform is the one a direct builder call gives, bit for
+"""The block cache behind ``element_transform`` and the parts kept per
+window: a built transform is the one a direct builder call gives, bit for
 bit; signed zeros are not merged; refusals raise on every call and are
-never kept; both caches stay within their bound; a circuit's validation and
-run share their builds; a fixed optic's block, built once, placed on any
-path or port layout is the direct build, while continuous-angle kinds never
-enter the block cache; every transform's sparse columns are those of its
-dense matrix, bit for bit; mode indices are shared by spaces whose paths
-are named differently; and a descriptor is checked once per parsed
-element."""
+never kept; a fixed optic's block, built once, placed on any path or port
+layout is the direct build, while continuous-angle kinds never enter the
+block cache, and the cache stays within its bound; every transform's
+sparse columns are those of its dense matrix, bit for bit; mode indices
+are shared by spaces whose paths are named differently; and a descriptor
+is checked once per parsed element."""
 
 import itertools
 
@@ -32,7 +31,7 @@ _ZERO_KINDS = [k for k in sorted(CATALOGUE)
                if CATALOGUE[k][1] and CATALOGUE[k][1][0][0] in ("angle", "phase")]
 
 #: Every cache of ``elements`` and ``modes``.
-CACHES = (el._cached_transform, el._fixed_block, modes._indices_at)
+CACHES = (el._fixed_block, modes._indices_at)
 
 
 def clear_caches():
@@ -66,16 +65,16 @@ def assert_same(got, want):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_cached_transform_is_the_direct_build(data):
-    """Each kind on several spaces: the first call builds, the second is the
-    same object, and both equal a direct builder call bit for bit."""
+def test_element_transform_is_the_direct_build(data):
+    """Each kind on several spaces, as a descriptor string and as a parsed
+    spec on an equal space: both builds equal a direct builder call bit for
+    bit."""
     space = data.draw(spaces())
     desc = data.draw(descriptors(space, data.draw(st.sampled_from(_KINDS))))
-    first = element_transform(desc, space)
-    again = element_transform(el.parse_descriptor(desc),
-                              ModeSpace(space.paths, space.truncation))
-    assert again is first
-    assert_same(first, direct(desc, space))
+    want = direct(desc, space)
+    assert_same(element_transform(desc, space), want)
+    assert_same(element_transform(el.parse_descriptor(desc),
+                                  ModeSpace(space.paths, space.truncation)), want)
 
 
 @pytest.mark.parametrize("kind", _ZERO_KINDS)
@@ -87,7 +86,6 @@ def test_signed_zeros_are_not_merged(kind, order):
     param = CATALOGUE[kind][1][0][0]
     descs = [f"{kind}({param}={z}) @ B" for z in order]
     got = [element_transform(d, space) for d in descs]
-    assert got[0] is not got[1]
     for t, d in zip(got, descs):
         assert_same(t, direct(d, space))
     assert got[0].provenance != got[1].provenance
@@ -112,38 +110,7 @@ def test_refusals_raise_on_every_call(desc, error):
     for _ in range(3):
         with pytest.raises(error):
             element_transform(desc, space)
-    assert el._cached_transform.cache_info().currsize == 0
     assert el._fixed_block.cache_info().currsize == 0
-
-
-def test_cache_stays_within_its_bound():
-    """Many distinct angles evict the least recently used; a descriptor that
-    recurs within the bound is built once."""
-    space = ModeSpace(("A",), 4)
-    kept = element_transform("QWP(angle=0.7853981633974483) @ A", space)
-    for i in range(4 * TRANSFORM_CACHE_SIZE):
-        element_transform(f"HWP(angle={0.001 * i!r}) @ A", space)
-        if i % (TRANSFORM_CACHE_SIZE // 2) == 0:
-            assert element_transform("QWP(angle=0.7853981633974483) @ A", space) is kept
-        assert el._cached_transform.cache_info().currsize <= TRANSFORM_CACHE_SIZE
-    assert el._cached_transform.cache_info().maxsize == TRANSFORM_CACHE_SIZE
-    first = element_transform("HWP(angle=0.0) @ A", space)
-    assert first is not element_transform("HWP(angle=0.0) @ A", ModeSpace(("A",), 3))
-
-
-def test_validation_and_run_share_builds():
-    """A circuit whose window validation pushes photons through the chain:
-    the run builds nothing that validation did not."""
-    text = ("version 1\n[space]\npaths A B\ntruncation 2\n[source p]\npath A\n"
-            "recipe z0\n[elements]\nSPP(dl=1) @ A\nPBS(in=[A,B],out=[B,A])\n"
-            "HWP(angle=0.2) @ B\n[run]\ntask circuit\n")
-    prepare_input("z0")
-    prepared = el._cached_transform.cache_info().misses
-    res = parse_netlist(text)
-    assert res.ok, [str(d) for d in res.diagnostics]
-    assert el._cached_transform.cache_info().misses == prepared + 3
-    execute(res.netlist)
-    assert el._cached_transform.cache_info().misses == prepared + 3
 
 
 def test_fixed_kinds_are_those_without_a_continuous_parameter():

@@ -15,7 +15,7 @@ from cpfsim import conventions as conv
 from cpfsim import elements as el
 from cpfsim import fock, gate_d4
 from cpfsim.analysis import build_heralded_channel
-from cpfsim.errors import EmptyPostSelection, EncodingError, PatternMismatch
+from cpfsim.errors import EmptyPostSelection, EncodingError, PatternMismatch, SpaceMismatch
 from cpfsim.fock import (
     apply_transform,
     from_joint_amplitudes,
@@ -53,7 +53,7 @@ from cpfsim.protocol import (
 import element_reference as ref
 from element_reference import dense_matrix
 from fock_reference import outcome_distribution
-from gate_reference import reference_pattern_operators
+from gate_reference import reference_auxiliary, reference_pattern_operators
 
 S2 = 1 / math.sqrt(2)
 BOTH = frozenset({BellOutcome.PhiPlus, BellOutcome.PhiMinus})
@@ -221,6 +221,63 @@ def test_fully_blocked_preparation_raises():
         warnings.simplefilter("error")
         with pytest.raises(EmptyPostSelection):
             prepare_input(recipe)
+
+
+def test_rows_keep_their_fresh_builds():
+    """Each row's kept transforms are the builds ``element_transform`` gives
+    now, bit for bit, on the preparation space."""
+    space = ModeSpace(("S",), DEFAULT_TRUNCATION)
+    for key, recipe in [*PREPARATION_TABLE.items(), ("aux", gate_d4._AUXILIARY)]:
+        assert len(recipe.transforms) == len(recipe.elements), key
+        for kept, spec in zip(recipe.transforms, recipe.elements):
+            fresh = el.element_transform(spec, space)
+            assert kept.block.tobytes() == fresh.block.tobytes(), (key, spec)
+            assert (kept.space, kept.paths, kept.overflow, kept.provenance) == (
+                fresh.space, fresh.paths, fresh.overflow, fresh.provenance)
+
+
+def test_second_preparation_builds_nothing_but_the_polarizer(monkeypatch):
+    """A second ``prepare_input`` of a row, and a second
+    ``prepare_auxiliary``, call no element builder and no
+    ``element_transform``; a prepared row calls the polarizer once.  Only
+    the second call is counted, whatever ran before."""
+    names = ["element_transform", "polarizer", *{b for b, _ in el.CATALOGUE.values()}]
+    calls = collections.Counter()
+    space = ModeSpace(("A", "B"), 3)
+    for key in [*PREPARATION_TABLE, "aux"]:
+        run = (lambda: prepare_auxiliary(space, "B")) if key == "aux" else (
+            lambda: prepare_input(key))
+        first = run()
+        with monkeypatch.context() as m:
+            for name in names:
+                def counted(*args, _fn=getattr(el, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                m.setattr(el, name, counted)
+            again = run()
+        amps = (first, again) if key == "aux" else (first[0], again[0])
+        assert amps[0].amps.tobytes() == amps[1].amps.tobytes()
+        direct = key == "aux" or PREPARATION_TABLE[key].direct
+        assert calls == collections.Counter({} if direct else {"polarizer": 1}), key
+        calls.clear()
+
+
+@settings(max_examples=120, deadline=None)
+@given(truncation=st.integers(1, 7), n_paths=st.integers(1, 4), data=st.data())
+def test_prepare_auxiliary_is_the_builder_chain(truncation, n_paths, data):
+    """The auxiliary photon, prepared on the preparation space and placed,
+    equals the builder chain run on the photon's own space bit for bit, on
+    every path, ``normalized`` included; a path outside the space is a
+    SpaceMismatch."""
+    names = data.draw(st.permutations(["A", "B1", "C", "P2", "X"]))[:n_paths]
+    space = ModeSpace(names, truncation)
+    for path in names:
+        got, want = prepare_auxiliary(space, path), reference_auxiliary(space, path)
+        assert got.space == space
+        assert got.amps.tobytes() == want.amps.tobytes()
+        assert got.normalized is want.normalized
+    with pytest.raises(SpaceMismatch):
+        prepare_auxiliary(space, "Z")
 
 
 def test_prepare_auxiliary_exact():

@@ -395,6 +395,25 @@ def test_cli_rejects_defect_commands(argv, fixture, edit, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_shots_zero_turns_a_shots_netlist_analytic(tmp_path, capsys):
+    """``--shots 0`` runs a shots netlist in analytic mode: no tallies, and
+    the result of the analytic netlist it was made from.  ``--analytic``,
+    which said the same, is no option."""
+    text = (FIXTURES / "cpf_d4.netlist").read_text()
+    shots = tmp_path / "shots" / "cpf_d4.netlist"
+    shots.parent.mkdir()
+    shots.write_text(text.replace("mode analytic\nshots 0", "mode shots\nshots 50"))
+    for path, extra in ((FIXTURES / "cpf_d4.netlist", []), (shots, ["--shots", "0"])):
+        assert cli_main(["simulate", "--netlist", str(path), "--out",
+                         str(tmp_path / path.parent.name), *extra]) == 0
+    got = json.loads((tmp_path / "shots" / "cpf_d4.json").read_text())
+    assert got["tallies"] == {}
+    assert got == json.loads((tmp_path / "netlists" / "cpf_d4.json").read_text())
+    with pytest.raises(SystemExit):
+        cli_main(["simulate", "--netlist", str(shots), "--analytic"])
+    assert "unrecognized arguments: --analytic" in capsys.readouterr().err
+
+
 _PIPELINE_SPACE = ("[space]\npaths A1 B1 P11 P21 C1 D1 X1 A2 B2 P12 P22 C2 D2 X2 E1 E2\n"
                    "truncation 4\n")
 # Netlist part -> (the name diagnostics give it, lines that set it to a value

@@ -243,10 +243,10 @@ def test_cpf_rejects_other_truncation(cpf_netlist):
 
 @pytest.mark.parametrize("mode,shots", [("analytic", 0), ("shots", 500)])
 def test_warm_gate_run_builds_no_constants(cpf_netlist, monkeypatch, mode, shots):
-    """A warm cpf_d4 run makes no Kronecker product and parses no descriptor:
-    the corrections and the polarizer are broadcast products and the
-    preparation rows hold parsed specs.  It still builds its corrections and
-    runs its preparation elements and polarizer."""
+    """A warm cpf_d4 run makes no Kronecker product, parses no descriptor and
+    builds no element: the corrections and the polarizer are broadcast
+    products and the preparation rows keep their built transforms.  It still
+    builds its corrections and runs each data photon's polarizer."""
     text = serialize(cpf_netlist).replace("mode analytic\nshots 0", f"mode {mode}\nshots {shots}")
     res = parse_netlist(text)
     assert res.ok and res.netlist.shots == shots
@@ -266,7 +266,7 @@ def test_warm_gate_run_builds_no_constants(cpf_netlist, monkeypatch, mode, shots
     assert execute(res).to_json() == warm
     assert calls["kron"] == 0 and calls["parse_descriptor"] == 0
     assert calls["correction_unitary"] > 0
-    assert calls["element_transform"] > 0 and calls["polarizer"] == 2
+    assert calls["element_transform"] == 0 and calls["polarizer"] == 2
 
 
 def _noisy_cpf(cpf_netlist, spec: NoiseSpec, draws=None, accept="PhiPlus PhiMinus",

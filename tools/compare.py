@@ -4,18 +4,18 @@ Run from the repository root:
 
     python3 tools/compare.py PARENT CHANGE --claim circuit_netlists:jobs_per_s \\
         --out BENCH_28.json
+    python3 tools/compare.py PARENT CHANGE --out BENCH_30.json   # no claim
 
 Each commit is exported with ``git archive`` into a fresh temporary
 directory, and ``bench/run.py`` runs there unchanged, one run at a time,
 each in a fresh process, for the ``run_seconds`` that ``BENCHMARK.json``
 sets.  A pair is one run of each side on one seed; the side that runs first
-alternates (parent first on odd seeds, change first on even seeds).  The
-claimed workload gets ten pairs on seeds 1-10 and two more on the held-out
+alternates (parent first on odd seeds, change first on even seeds).  Every
+workload of ``BENCHMARK.json`` gets ten pairs on seeds 1-10 (five could not
+resolve a few percent).  A claimed workload gets two more on the held-out
 seed 7919, one in each order, reported apart as ``<workload>@held_out``.
-Every other workload of ``BENCHMARK.json`` gets ten no-regression pairs
-(five could not resolve a few percent).  Three traced runs per side and
-workload on seed 1 give the per-layer counts and times.  A full comparison
-takes about forty minutes.
+Three traced runs per side and workload on seed 1 give the per-layer counts
+and times.  A full comparison takes about forty minutes.
 
 The summary of each end-to-end metric holds each side's median and
 inclusive quartiles, the number of pairs the change won (a tie is no win),
@@ -26,6 +26,9 @@ change, which shows a bias of run order.  The claim holds when the change wins a
 10 of the pairs and both held-out pairs, and its median lies beyond the
 parent's by more than the parent's interquartile range.  The verdict is
 printed and written out; the exit status is 0 when the claim holds.
+Without a claim, ``"claim"`` is null, and the comparison prints "no
+regression" and exits 0 only when every end-to-end metric of every workload
+is within its bound and no job failed.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 7919      # bench/run.py reserves it for checking claims
-PAIRS = 10                # alternated pairs on the claimed workload
-OTHER_PAIRS = 10          # alternated no-regression pairs on every other workload
+PAIRS = 10                # alternated pairs on every workload (five could not
+                          # resolve a few percent)
 TRACE_RUNS = 3            # traced runs per side and workload, on seed 1
 TRACE_SECONDS = 10
 WIN_SHARE = 0.9           # a claim needs the change to win 9 pairs in 10
@@ -181,16 +184,25 @@ def traced(roots: dict, workload: str) -> dict:
     return out
 
 
+def within_bounds(workloads: dict, metrics: list[dict]) -> bool:
+    """Whether every end-to-end metric of every workload is within its
+    bound and no job failed on either side."""
+    return all(not sum(entry["failed_jobs"].values())
+               and all(entry["summary"][m["name"]]["within_bound"] for m in metrics)
+               for entry in workloads.values())
+
+
 def _note(workloads: dict, metrics: list[dict]) -> str:
     """Every metric's medians, relative change and wins, and whether every
     metric is within its bound and no job failed."""
-    parts, within, failed = [], True, 0
+    parts = []
+    failed = sum(sum(entry["failed_jobs"].values()) for entry in workloads.values())
+    within = all(entry["summary"][m["name"]]["within_bound"]
+                 for entry in workloads.values() for m in metrics)
     for name, entry in workloads.items():
-        failed += sum(entry["failed_jobs"].values())
         cells = []
         for m in metrics:
             s = entry["summary"][m["name"]]
-            within &= s["within_bound"]
             cells.append(f"{m['name']} {s['parent']['median']:.4g} -> "
                          f"{s['change']['median']:.4g} ({100 * s['median_change_rel']:+.1f} %, "
                          f"{s['change_wins']} of {s['pairs']})")
@@ -205,42 +217,35 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC",
-                    help="the claimed workload and end-to-end metric")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="the claimed workload and end-to-end metric; without it, "
+                         "a no-regression comparison")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    workload, metric = args.claim.split(":")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
-    others = [w["name"] for w in declared["workloads"] if w["name"] != workload]
+    names = [w["name"] for w in declared["workloads"]]
     metrics = end_to_end_metrics()
-    better = next(m["better"] for m in metrics if m["name"] == metric)
+    workload = metric = None
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        names.remove(workload)
+        names.insert(0, workload)
+        better = next(m["better"] for m in metrics if m["name"] == metric)
 
     with tempfile.TemporaryDirectory() as work:
         roots = {side: Path(work) / side for side in ("parent", "change")}
         shas = {side: export(commit, roots[side])
                 for side, commit in (("parent", args.parent), ("change", args.change))}
-        results = {workload: [run_pair(roots, workload, s, seconds, s % 2 == 1)
-                              for s in range(1, PAIRS + 1)]}
-        for name in others:
-            results[name] = [run_pair(roots, name, s, seconds, s % 2 == 1)
-                             for s in range(1, OTHER_PAIRS + 1)]
-        results[f"{workload}@held_out"] = [
-            run_pair(roots, workload, HELD_OUT_SEED, seconds, first) for first in (True, False)]
-        trace = {name: traced(roots, name) for name in [workload, *others]}
+        results = {name: [run_pair(roots, name, s, seconds, s % 2 == 1)
+                          for s in range(1, PAIRS + 1)] for name in names}
+        if workload:
+            results[f"{workload}@held_out"] = [
+                run_pair(roots, workload, HELD_OUT_SEED, seconds, first)
+                for first in (True, False)]
+        trace = {name: traced(roots, name) for name in names}
 
     workloads = {name: workload_entry(pairs, metrics) for name, pairs in results.items()}
-    s = workloads[workload]["summary"][metric]
-    held = workloads[f"{workload}@held_out"]["summary"][metric]
-    main_ok, gain, iqr = claim_holds(s, better)
-    result = (f"{s['parent']['median']:.4g} -> {s['change']['median']:.4g} median "
-              f"({100 * s['median_change_rel']:+.1f} %), change better in "
-              f"{s['change_wins']} of {s['pairs']} pairs; the median gain ({gain:.4g}) "
-              f"{'exceeds' if gain > iqr else 'does not exceed'} the parent's quartile "
-              f"spread ({iqr:.4g}); held-out seed {HELD_OUT_SEED}: "
-              f"{held['parent']['median']:.4g} -> {held['change']['median']:.4g} in "
-              f"{held['change_wins']} of {held['pairs']} pairs")
-    met = main_ok and held["change_wins"] == held["pairs"]  # every held-out pair too
     import numpy as np
 
     doc = {
@@ -250,34 +255,52 @@ def main(argv=None) -> int:
         "command": (f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
                     "--trace 0, run in a fresh git-archive export of each side by "
                     "tools/compare.py"),
-        "design": (f"{PAIRS} alternated parent/change pairs on {workload}, seeds 1-{PAIRS}, "
-                   f"and two on the held-out seed {HELD_OUT_SEED} (one in each order, "
-                   f"reported as {workload}@held_out); {OTHER_PAIRS} alternated "
-                   f"no-regression pairs (seeds 1-{OTHER_PAIRS}) on {', '.join(others)}; "
-                   "parent first on odd seeds, change first on even seeds; one run at a "
-                   "time, each a fresh process; quartiles by "
+        "design": (f"{PAIRS} alternated parent/change pairs (seeds 1-{PAIRS}) on "
+                   f"{', '.join(names)}"
+                   + (f", and two on {workload} at the held-out seed {HELD_OUT_SEED} (one "
+                      f"in each order, reported as {workload}@held_out)" if workload else
+                      ", no claim and no held-out pairs")
+                   + "; parent first on odd seeds, change first on even seeds; one run "
+                   "at a time, each a fresh process; quartiles by "
                    "statistics.quantiles(method='inclusive'); a tie counts as no win"),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "OPENBLAS_NUM_THREADS": "1 (set by bench/run.py)",
                         "cpus": os.cpu_count()},
         "caveat": CAVEAT,
-        "claim": {"workload": workload, "metric": metric,
-                  "rule": (f"better in at least {WIN_SHARE:.0%} of the pairs and in every "
-                           "held-out pair, the median gain above the parent's "
-                           "interquartile range"),
-                  "result": result, "met": met},
+        "claim": None,
         "trace": {"command": (f"python3 bench/run.py --workload W --seed 1 --seconds "
                               f"{TRACE_SECONDS:g} --trace 1; {TRACE_RUNS} alternated runs per "
                               "side (parent first in odd runs); counts and span times are "
                               "per deck pass; 'median' is over the runs"),
                   **trace},
         "workloads": workloads,
-        "note": ("The claim is met. " if met else "The claim is not met. ")
-                + _note(workloads, metrics),
+        "note": _note(workloads, metrics),
     }
+    if workload:
+        s = workloads[workload]["summary"][metric]
+        held = workloads[f"{workload}@held_out"]["summary"][metric]
+        main_ok, gain, iqr = claim_holds(s, better)
+        result = (f"{s['parent']['median']:.4g} -> {s['change']['median']:.4g} median "
+                  f"({100 * s['median_change_rel']:+.1f} %), change better in "
+                  f"{s['change_wins']} of {s['pairs']} pairs; the median gain ({gain:.4g}) "
+                  f"{'exceeds' if gain > iqr else 'does not exceed'} the parent's quartile "
+                  f"spread ({iqr:.4g}); held-out seed {HELD_OUT_SEED}: "
+                  f"{held['parent']['median']:.4g} -> {held['change']['median']:.4g} in "
+                  f"{held['change_wins']} of {held['pairs']} pairs")
+        ok = main_ok and held["change_wins"] == held["pairs"]  # every held-out pair too
+        doc["claim"] = {"workload": workload, "metric": metric,
+                        "rule": (f"better in at least {WIN_SHARE:.0%} of the pairs and in "
+                                 "every held-out pair, the median gain above the parent's "
+                                 "interquartile range"),
+                        "result": result, "met": ok}
+        doc["note"] = ("The claim is met. " if ok else "The claim is not met. ") + doc["note"]
+        verdict = f"claim {metric} on {workload}: {'met' if ok else 'NOT met'}; {result}"
+    else:
+        ok = within_bounds(workloads, metrics)
+        verdict = "no regression" if ok else "REGRESSION: " + doc["note"]
     args.out.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
-    print(f"claim {metric} on {workload}: {'met' if met else 'NOT met'}; {result}")
-    return 0 if met else 1
+    print(verdict)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
