@@ -17,8 +17,9 @@ _spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "comp
 compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
 
-BENCH_FILES = ["BENCH_15.json", "BENCH_18.json", "BENCH_20.json", "BENCH_22.json",
+CLAIM_FILES = ["BENCH_15.json", "BENCH_18.json", "BENCH_20.json", "BENCH_22.json",
                "BENCH_25.json", "BENCH_28.json", "BENCH_29.json"]
+BENCH_FILES = [*CLAIM_FILES, "BENCH_30.json"]   # BENCH_30 claims nothing
 
 
 def _load(name):
@@ -43,7 +44,7 @@ def test_summariser_reproduces_committed_summaries(name):
             assert abs(have["median_change_rel"] - want["median_change_rel"]) <= 1e-4
 
 
-@pytest.mark.parametrize("name", BENCH_FILES)
+@pytest.mark.parametrize("name", CLAIM_FILES)
 def test_claim_rule_reads_committed_claims(name):
     """Each file's claimed workload and metric pass the rule."""
     doc = _load(name)
