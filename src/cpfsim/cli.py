@@ -12,7 +12,7 @@ import os
 import sys
 
 from .errors import CpfSimError
-from .gate_d4 import build_hd_beamsplitter, transcript_check
+from .gate_d4 import SplitterPaths, build_hd_beamsplitter, transcript_check
 from .modes import ModeSpace
 from .netlist import Netlist, _set
 from .runner import NetlistError, RunResult, emit, execute, load_netlist
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
                 return 0
             return 1
         if args.command == "transcript":
-            space = ModeSpace(("A", "B", "P1", "P2", "C", "D", "X"), 4)
+            space = ModeSpace(SplitterPaths().as_dict().values(), 4)
             report = transcript_check(build_hd_beamsplitter(space))
             for line in report.lines():
                 print(line)

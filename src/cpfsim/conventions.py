@@ -5,6 +5,9 @@ conventions collected here.  They are not free parameters: the whole set was
 fitted once against the step-by-step port-A and port-B golden transcripts of
 the OAM beam-splitter assembly (shipped in ``cpfsim/data/transcript_port_*.txt``)
 and then frozen.  Changing any single entry makes the transcript check fail.
+The fixed optics' blocks are built once per process
+(:func:`cpfsim.elements.element_transform`), so an entry patched at run time
+reaches them only after ``cpfsim.elements._fixed_block.cache_clear()``.
 
 Conventions
 -----------
@@ -34,7 +37,7 @@ land exactly on the {PhiPlus, PhiMinus} coincidence patterns):
   fixed lab frame (its mount is labelled -pi/4 in the folded beam frame),
 * the photon-3 arm carries a fixed phase plate of ``BSM_ARM3_TRIM``,
 * each arm is preceded by a Dove-prism pair whose angles are listed in
-  :mod:`cpfsim.gate_d4`.
+  :data:`cpfsim.gate_d4.BSM_CHAIN`.
 """
 
 import math

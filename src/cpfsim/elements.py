@@ -161,7 +161,7 @@ def mirror(space, path) -> ModeTransform:
     return _on_path(space, path, [(_I2, orbital)], f"MIRROR @ {path}")
 
 
-def phase_plate(space, path, phase=conv.PHASE_PLATE_DEFAULT) -> ModeTransform:
+def phase_plate(space, path, phase) -> ModeTransform:
     return _on_path(space, path, [(_I2, np.exp(1j * phase) * _shift(space, 0))],
                     f"PP(phase={phase:g}) @ {path}")
 
@@ -212,7 +212,7 @@ def pbs(space, in_ports, out_ports) -> ModeTransform:
     if a == b or c == d:
         raise CpfSimError(
             f"PBS ports must be distinct: in={list(in_ports)}, out={list(out_ports)}")
-    involved = list(dict.fromkeys(p for p in (a, b, c, d) if p is not None))
+    involved = list(dict.fromkeys((a, b, c, d)))
     for p in involved:
         if p not in space.paths:
             raise SpaceMismatch(f"path {p!r} not in space")
@@ -226,8 +226,6 @@ def pbs(space, in_ports, out_ports) -> ModeTransform:
     block = np.zeros((len(paths) * 2 * n,) * 2, dtype=complex)
     r = conv.PBS_REFLECT_PHASE
     for src, t_dst, r_dst in ((a, c, d), (b, d, c)):
-        if src is None:
-            continue
         for l in _oams(space):
             block[at(t_dst, "H", l), at(src, "H", l)] = 1.0
             block[at(r_dst, "V", -l), at(src, "V", l)] = r

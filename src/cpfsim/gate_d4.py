@@ -4,14 +4,16 @@ Qudit encoding: levels (0, 1, 2, 3) live in OAM components (-2, -1, 0, +1)
 of horizontally polarized photons.  The auxiliary two-level subspace uses
 p = 1, so the auxiliaries occupy l = -1 and l = +1.
 
-The module assembles, from the element library and the frozen conventions:
+The module assembles, from element descriptors of the netlist grammar each
+built by :func:`cpfsim.elements.element_transform` (but the one projector,
+the preparation polarizer):
 
-* the polarization-OAM CNOT composites of orders 1 and 2,
-* the OAM beam splitter (routing l = +1 across, all other alphabet
-  components straight through), checkable line by line against golden
-  transcripts,
+* the OAM beam splitter, :data:`SPLITTER_CHAIN` (routing l = +1 across, all
+  other alphabet components straight through), checkable line by line
+  against golden transcripts,
 * the input-state preparation table and the auxiliary preparation,
 * the OAM-to-polarization conversion plus Bell-measurement stage,
+  :data:`BSM_CHAIN`,
 * the full four-photon heralded pipeline.
 """
 
@@ -47,6 +49,17 @@ AUX_P = 1        # auxiliary subspace index; l = -1
 AUX_TOP = 3      # top level d-1; l = +1
 DEFAULT_TRUNCATION = 4
 
+_S = 1.0 / math.sqrt(2.0)
+_PI4 = math.pi / 4
+_PI8 = math.pi / 8
+
+
+def _optic(group, space: ModeSpace) -> ModeTransform:
+    """One element group built on ``space``: a lone descriptor is that
+    element's transform, a longer group their composition."""
+    parts = [el.element_transform(desc, space) for desc in group]
+    return parts[0] if len(parts) == 1 else compose_transforms(parts)
+
 
 # ---------------------------------------------------------------------------
 # OAM beam splitter assembly
@@ -69,6 +82,27 @@ class SplitterPaths:
             "A": self.a, "B": self.b, "P1": self.p1, "P2": self.p2,
             "C": self.c, "D": self.d, "X": self.dump,
         }
+
+
+#: The splitter's stages in application order, each (label, descriptors),
+#: paths written as the roles of :meth:`SplitterPaths.as_dict`.  ``BLEG@B``
+#: is the port-B conversion leg and ``DTAIL@D`` the final port-D composite
+#: that restores horizontal polarization and the original azimuthal indices;
+#: the gate, whose auxiliaries enter already converted, runs the chain
+#: without them.  PBS1's second input is P2, which no photon reaches there.
+SPLITTER_CHAIN = (
+    ("O1@A", ("O1CNOT() @ {A}",)),
+    ("BLEG@B", ("O2CNOT() @ {B}", f"HWP(angle={_PI4}) @ {{B}}", "DP(angle=0.0) @ {B}",
+                "PP() @ {B}")),
+    ("PBS1", ("PBS(in=[{A},{P2}],out=[{P1},{P2}])",)),
+    ("O2@P2", ("O2CNOT() @ {P2}",)),
+    ("PBS2", ("PBS(in=[{P2},{B}],out=[{D},{P2}])",)),
+    ("O2MP@P2", ("O2CNOT() @ {P2}", "MIRROR() @ {P2}", "PP() @ {P2}")),
+    ("PBS3", ("PBS(in=[{P1},{P2}],out=[{C},{X}])",)),
+    ("O1@C", ("O1CNOT() @ {C}",)),
+    ("DTAIL@D", ("MIRROR() @ {D}", "O2CNOT() @ {D}", f"HWP(angle={_PI4}) @ {{D}}",
+                 f"DP(angle={_PI4}) @ {{D}}")),
+)
 
 
 @dataclass
@@ -96,42 +130,13 @@ class HdBeamSplitter:
 def build_hd_beamsplitter(
     space: ModeSpace, paths: SplitterPaths = SplitterPaths()
 ) -> HdBeamSplitter:
-    """Assemble the splitter from its element chain.
-
-    ``BLEG@B`` is the port-B conversion leg and ``DTAIL@D`` the final port-D
-    composite that restores horizontal polarization and the original
-    azimuthal indices; the gate, whose auxiliaries enter already converted,
-    runs the chain without them.
-    """
+    """Assemble the splitter from :data:`SPLITTER_CHAIN` on ``paths``."""
     if space.truncation < 2:
         raise TruncationOverflow("splitter needs truncation >= 2")
-    p = paths
-    quarter = math.pi / 4
+    roles = paths.as_dict()
     return HdBeamSplitter(space, paths, [
-        Stage("O1@A", el.o1_cnot(space, p.a)),
-        Stage("BLEG@B", compose_transforms([
-            el.o2_cnot(space, p.b),
-            el.hwp(space, p.b, quarter),
-            el.dove_prism(space, p.b, 0.0),
-            el.phase_plate(space, p.b),
-        ])),
-        Stage("PBS1", el.pbs(space, (p.a, None), (p.p1, p.p2))),
-        Stage("O2@P2", el.o2_cnot(space, p.p2)),
-        Stage("PBS2", el.pbs(space, (p.p2, p.b), (p.d, p.p2))),
-        Stage("O2MP@P2", compose_transforms([
-            el.o2_cnot(space, p.p2),
-            el.mirror(space, p.p2),
-            el.phase_plate(space, p.p2),
-        ])),
-        Stage("PBS3", el.pbs(space, (p.p1, p.p2), (p.c, p.dump))),
-        Stage("O1@C", el.o1_cnot(space, p.c)),
-        Stage("DTAIL@D", compose_transforms([
-            el.mirror(space, p.d),
-            el.o2_cnot(space, p.d),
-            el.hwp(space, p.d, quarter),
-            el.dove_prism(space, p.d, quarter),
-        ])),
-    ])
+        Stage(label, _optic([desc.format_map(roles) for desc in group], space))
+        for label, group in SPLITTER_CHAIN])
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +256,6 @@ def _recipe(target, elements=(), direct=False):
         direct=direct,
     )
 
-
-_S = 1.0 / math.sqrt(2.0)
-_PI4 = math.pi / 4
-_PI8 = math.pi / 8
 
 #: Table of preparation rows keyed by state name.  The four single-l rows,
 #: the four same-parity superpositions, and the two neighbour superpositions
@@ -427,29 +428,20 @@ class BsmStage:
         return outcomes
 
 
+#: The Bell stage's element groups in application order (see :class:`BsmStage`):
+#: each arm's Dove-prism pair, then the arm composed as one group.
+BSM_CHAIN = (
+    (f"DP(angle={_PI8}) @ D1",), ("DP(angle=0.0) @ D1",),
+    (f"QWP(angle={-_PI4}) @ D1", "QP(q=0.5) @ D1", f"QWP(angle={_PI4}) @ D1"),
+    (f"DP(angle={_PI4}) @ D2",), ("DP(angle=0.0) @ D2",),
+    (f"QWP(angle={-_PI4}) @ D2", "QP(q=0.5) @ D2", "QWP(angle=0.0) @ D2",
+     f"PP(phase={conv.BSM_ARM3_TRIM}) @ D2"),
+    ("PBS(in=[D1,D2],out=[E1,E2])",),
+)
+
+
 def build_bsm_stage(space: ModeSpace) -> BsmStage:
-    d1, d2 = "D1", "D2"
-    arm2 = compose_transforms([
-        el.qwp(space, d1, -_PI4),
-        el.qplate(space, d1, 0.5),
-        el.qwp(space, d1, _PI4),
-    ])
-    arm2.provenance = f"BSM arm 2 @ {d1}"
-    arm3 = compose_transforms([
-        el.qwp(space, d2, -_PI4),
-        el.qplate(space, d2, 0.5),
-        el.qwp(space, d2, 0.0),
-        el.phase_plate(space, d2, conv.BSM_ARM3_TRIM),
-    ])
-    arm3.provenance = f"BSM arm 3 @ {d2}"
-    # Each arm's Dove-prism pair sets its phase ahead of the conversion.
-    transform = compose_transforms([
-        el.dove_prism(space, d1, _PI8), el.dove_prism(space, d1, 0.0), arm2,
-        el.dove_prism(space, d2, _PI4), el.dove_prism(space, d2, 0.0), arm3,
-        el.pbs(space, (d1, d2), ("E1", "E2")),
-    ])
-    transform.provenance = "BSM stage"
-    return BsmStage(space, transform)
+    return BsmStage(space, compose_transforms([_optic(group, space) for group in BSM_CHAIN]))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +540,10 @@ class CpfPipeline:
     #: Input path of each photon: the data photons enter the splitters at A,
     #: the auxiliaries at B.
     INPUTS = {"photon1": "A1", "photon2": "B1", "photon3": "B2", "photon4": "A2"}
+    SPLITTERS = (SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1"),
+                 SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2"))
+    #: The mirrors that fold the D outputs onto the Bell stage's inputs.
+    FOLDS = ("MIRROR() @ D1", "MIRROR() @ D2")
 
     def __init__(self):
         self.space = ModeSpace(self.PATHS, DEFAULT_TRUNCATION)
@@ -555,8 +551,7 @@ class CpfPipeline:
         # is cut at PBS3: arm-phase jitter enters inside the loop, ahead of
         # the recombining splitter.
         pre, post, self._jitter_paths = [], [], ()
-        for paths in (SplitterPaths("A1", "B1", "P11", "P21", "C1", "D1", "X1"),
-                      SplitterPaths("A2", "B2", "P12", "P22", "C2", "D2", "X2")):
+        for paths in self.SPLITTERS:
             stages = [st for st in build_hd_beamsplitter(self.space, paths).stages
                       if st.label not in ("BLEG@B", "DTAIL@D")]
             cut = [st.label for st in stages].index("PBS3")
@@ -565,8 +560,8 @@ class CpfPipeline:
             self._jitter_paths += (paths.p2,)
         self._pre = compose_transforms(pre)
         self.stage = build_bsm_stage(self.space)
-        # The D outputs fold onto the Bell stage's inputs.
-        post += [el.mirror(self.space, "D1"), el.mirror(self.space, "D2"), self.stage.transform]
+        post += [*(el.element_transform(desc, self.space) for desc in self.FOLDS),
+                 self.stage.transform]
         self._post = compose_transforms(post)
         # What no draw changes, built once: the 16 injected basis inputs, the
         # dense indices the input phases (A1/A2 alphabet, B1/B2 ``H, +1``) and

@@ -200,6 +200,12 @@ def test_superposition_suite_noiseless():
     assert abs(row7.stabilizer_estimate - 1.0) < 1e-9
 
 
+def test_superposition_suite_numbers_rows_in_table_order():
+    entries = superposition_suite(build_heralded_channel())
+    assert [e.row for e in entries] == list(range(1, 8))
+    assert [e.input_keys for e in entries] == list(basis_table("superpositions").entries)
+
+
 def test_entangled_target_is_stabilized():
     v = STATE_VECTORS["x13+"]
     t = QuditState(4, cpf_oracle(4) @ np.kron(v, v))

@@ -38,8 +38,7 @@ def element_calls(draw, space):
         return "oam_phase", (at, draw(st.dictionaries(st.integers(-lim, lim), _ANGLE)))
     name = CATALOGUE[kind][0]
     if kind == "PBS":
-        ins = draw(st.lists(st.sampled_from(space.paths + (None,)),
-                            min_size=2, max_size=2, unique=True))
+        ins = draw(st.lists(st.sampled_from(space.paths), min_size=2, max_size=2, unique=True))
         outs = draw(st.lists(st.sampled_from(space.paths), min_size=2, max_size=2, unique=True))
         return name, (tuple(ins), tuple(outs))
     if kind == "QP":

@@ -203,7 +203,7 @@ def test_delay_line_identity(sp):
 def test_unitary_elements_unitary_on_window(sp):
     builders = [
         el.hwp(sp, "A", 0.3), el.qwp(sp, "A", -0.5), el.dove_prism(sp, "A", 0.2),
-        el.mirror(sp, "A"), el.phase_plate(sp, "A"), el.delay_line(sp, "A"),
+        el.mirror(sp, "A"), el.phase_plate(sp, "A", conv.PHASE_PLATE_DEFAULT), el.delay_line(sp, "A"),
         el.pbs(sp, ("A", "B"), ("C", "D")),
         el.parity_interferometer(sp, "A", math.pi / 8),
         el.o1_cnot(sp, "A"), el.o2_cnot(sp, "A"),

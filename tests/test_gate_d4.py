@@ -1,9 +1,11 @@
+import ast
 import collections
 import dataclasses
 import functools
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,16 @@ def test_splitter_needs_window(splitter_space):
 
     with pytest.raises(TruncationOverflow):
         build_hd_beamsplitter(ModeSpace(("A", "B", "P1", "P2", "C", "D", "X"), 1))
+
+
+def test_gate_builds_its_optics_from_descriptors():
+    """The gate names no element builder: every optic is a descriptor built
+    through ``element_transform``, but the preparation polarizer, a
+    projector with no descriptor."""
+    tree = ast.parse(Path(gate_d4.__file__).read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "el"}
+    assert used == {"element_transform", "parse_descriptor", "polarizer"}
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,8 @@ code lives in the package.  Then it runs a fixed seed set:
 
 - the seven demos;
 - the command line: ``simulate`` and ``validate`` on the shipped gate
-  netlist, ``lock`` and ``validate`` on the shipped lock netlist, and
-  ``transcript``;
+  netlist, ``simulate`` on the shipped gate circuit, ``lock`` and
+  ``validate`` on the shipped lock netlist, and ``transcript``;
 - a noisy gate run, and a JSON netlist read through ``load_netlist``;
 - every diagnostic row of ``test_netlist`` through both front ends, and a
   circuit whose auxiliary photon leaves its window;
@@ -64,12 +64,14 @@ from cpfsim.runner import execute, load_netlist
 
 root = cfg["root"]
 gate = os.path.join(root, "netlists", "cpf_d4.netlist")
+circuit = os.path.join(root, "netlists", "cpf_d4_circuit.netlist")
 lock = os.path.join(root, "netlists", "lock.netlist")
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
         tempfile.TemporaryDirectory() as out:
     for demo in sorted(os.listdir(os.path.join(root, "demos"))):
         runpy.run_path(os.path.join(root, "demos", demo), run_name="__main__")
     for argv in (["simulate", "--netlist", gate, "--out", out], ["validate", "--netlist", gate],
+                 ["simulate", "--netlist", circuit, "--out", out],
                  ["lock", "--netlist", lock, "--out", out], ["validate", "--netlist", lock],
                  ["transcript"]):
         assert main(argv) == 0, argv

@@ -81,9 +81,14 @@ def test_transcripts_reproduced_by_element_chain(splitter_space):
 
 
 def test_wrong_pbs_phase_flagged_at_first_pbs(splitter_space, monkeypatch):
+    # The PBS blocks are built once per process: clear them so that the
+    # patched phase is built, and again so that no later test reuses it.
     monkeypatch.setattr(conv, "PBS_REFLECT_PHASE", -1j)
-    bs = build_hd_beamsplitter(splitter_space)
-    report = transcript_check(bs)
+    el._fixed_block.cache_clear()
+    try:
+        report = transcript_check(build_hd_beamsplitter(splitter_space))
+    finally:
+        el._fixed_block.cache_clear()
     first = next((e for e in report.entries if not e.ok), None)
     assert first is not None and (first.port, first.label) == ("A", "PBS1")
 
